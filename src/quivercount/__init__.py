@@ -24,7 +24,6 @@ from .quiver import (
     INFINITY,
     Quiver,
     q_binomial_series,
-    q_binomial_series_at_one,
     q_exponential,
     qbinom,
     parse_theta,
@@ -41,7 +40,6 @@ from .counting import (
     necklace_count,
     positivity_report,
     rep_ratio,
-    residual_at_one,
     residual_q1_expansion,
     residual_series,
     residual_series_recursive,

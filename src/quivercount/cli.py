@@ -23,16 +23,16 @@ from typing import Optional, Sequence
 
 from .counting import (
     CountingContext,
-    CountTable,
     InvariantError,
     absolutely_stable_table,
+    loop_layer_checks,
     necklace_count,
     positivity_report,
     residual_q1_expansion,
     semistable_ratio,
     stable_end_degree_poly,
 )
-from .numtheory import integer_binomial, is_prime
+from .numtheory import is_prime
 from .oracle import DEFAULT_BUDGET, Budget, DivisibilityError
 from .qpoly import PoleError, QPoly, format_poly
 from .quiver import Quiver, parse_theta
@@ -72,7 +72,11 @@ class RunConfig:
             theta = parse_theta(quiver_data, n)
         else:
             theta = (0,) * n
-        mu = Fraction(getattr(args, "slope", "0") or "0")
+        slope_text = getattr(args, "slope", "0") or "0"
+        try:
+            mu = Fraction(slope_text)
+        except ZeroDivisionError:
+            raise ValueError(f"--slope {slope_text} has a zero denominator") from None
         max_height = args.max_height
         if max_height < 1:
             raise ValueError("--max-height must be >= 1")
@@ -84,7 +88,9 @@ class RunConfig:
         if q1_order < 0:
             raise ValueError("--q1-order must be >= 0")
         budget = DEFAULT_BUDGET
-        if getattr(args, "budget", None):
+        if getattr(args, "budget", None) is not None:
+            if args.budget < 1:
+                raise ValueError("--budget must be >= 1")
             budget = Budget(max_points=args.budget)
         return cls(quiver, theta, mu, max_height, primes, q1_order,
                    args.format, budget)
@@ -136,55 +142,6 @@ def _qminus1_str(poly: QPoly) -> str:
     return format_poly(poly.qminus1_coeffs(), "(q-1)")
 
 
-def _table_rows(table: CountTable) -> list[dict]:
-    rows = []
-    for alpha in sorted(table.entries, key=lambda a: (height(a), a)):
-        poly = table.entries[alpha]
-        rows.append({"alpha": alpha, "poly": poly})
-    return rows
-
-
-# -- layer polynomial helpers (one-variable (q-1) reports) ----------------------
-
-
-def _layer_coeffs(layer: dict[DimVector, Fraction], length: int) -> list[Fraction]:
-    out = [Fraction(0)] * length
-    for alpha, c in layer.items():
-        if alpha[0] < length:
-            out[alpha[0]] = c
-    return out
-
-
-def _mul_trunc(a: list[Fraction], b: list[Fraction], length: int) -> list[Fraction]:
-    out = [Fraction(0)] * length
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if i + j < length and y:
-                    out[i + j] += x * y
-    return out
-
-
-def _one_minus_mt_power(m: int, e: int, length: int) -> list[Fraction]:
-    """Coefficients of (1 - m t)^e to the given length, any integer e."""
-    out = [Fraction(0)] * length
-    for k in range(length):
-        if e >= 0:
-            out[k] = Fraction(integer_binomial(e, k) * (-m) ** k)
-        else:
-            out[k] = Fraction(integer_binomial(-e + k - 1, k) * m**k)
-    return out
-
-
-def _conjectured_f1(m: int, length: int) -> list[Fraction]:
-    """Expansion of C(m,2) * t(t-1) / (1-mt)^2."""
-    geom2 = _one_minus_mt_power(m, -2, length)
-    tt = [Fraction(0), Fraction(-1), Fraction(1)] + [Fraction(0)] * max(length - 3, 0)
-    prod = _mul_trunc(tt[:length], geom2, length)
-    c = integer_binomial(m, 2)
-    return [c * x for x in prod]
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -201,18 +158,16 @@ def cmd_a_series(config: RunConfig, out) -> int:
     elif config.output_format == "latex":
         out.write("\\begin{tabular}{lll}\n")
         out.write("$\\alpha$ & count in $q$ & count in $q-1$\\\\\\hline\n")
-        for row in _table_rows(table):
-            poly = row["poly"]
+        for alpha, poly in table.sorted_items():
             out.write(
-                f"$({','.join(map(str, row['alpha']))})$ & "
+                f"$({','.join(map(str, alpha))})$ & "
                 f"${poly.latex()}$ & "
                 f"${format_poly(poly.qminus1_coeffs(), '(q-1)', latex=True)}$\\\\\n"
             )
         out.write("\\end{tabular}\n")
     else:
-        for row in _table_rows(table):
-            poly = row["poly"]
-            out.write(f"alpha={row['alpha']}  count(q) = {poly}  "
+        for alpha, poly in table.sorted_items():
+            out.write(f"alpha={alpha}  count(q) = {poly}  "
                       f"|  in q-1: {_qminus1_str(poly)}\n")
     return EXIT_OK
 
@@ -270,7 +225,6 @@ def cmd_f_expand(config: RunConfig, out) -> int:
     table = absolutely_stable_table(ctx)
     report = positivity_report(table)
     nvars = config.quiver.nvertices
-    loops = config.quiver.arrow_counts[0][0] if nvars == 1 else None
 
     payload: dict = {"layers": [], "positivity": report.to_json()}
     lines = []
@@ -282,22 +236,14 @@ def cmd_f_expand(config: RunConfig, out) -> int:
                         for a, c in sorted(layer.items())]})
         lines.append(f"f_{n} = {rendered}")
 
-    if loops is not None and config.q1_order >= 1:
-        length = config.max_height + 1
-        got = _layer_coeffs(layers[1], length)
-        want = _conjectured_f1(loops, length)
-        match = got == want
+    if nvars == 1 and config.q1_order >= 1:
+        match, degrees = loop_layer_checks(ctx, layers)
         payload["f1_conjecture_match"] = match
         lines.append(f"f_1 vs C(m,2) t(t-1)/(1-mt)^2 to t^{config.max_height}: "
                      f"{'match' if match else 'MISMATCH'}")
-        for n in range(min(config.q1_order, 2) + 1):
-            length = config.max_height + 1
-            coeffs = _layer_coeffs(layers[n], length)
-            prod = _mul_trunc(coeffs, _one_minus_mt_power(loops, 3 * n - 1, length),
-                              length)
-            degree = max((k for k, c in enumerate(prod) if c), default=None)
-            payload.setdefault("observed_degrees", []).append(
-                {"order": n, "degree": degree})
+        payload["observed_degrees"] = [{"order": n, "degree": degree}
+                                       for n, degree in enumerate(degrees)]
+        for n, degree in enumerate(degrees):
             lines.append(
                 f"observed t-degree of f_{n}*(1-mt)^{3 * n - 1}: {degree} "
                 f"(within truncation {config.max_height})")

@@ -16,9 +16,11 @@ The pipeline for a quiver with stability theta and a fixed slope mu is:
 
 3. For the zero stability the counts of stable classes feed a residual
    series Exp((a - sum x_i)/(1-q)) that is regular at q = 1; it can also be
-   built without the counts by a recursion against q-binomial series, and
-   its expansion in powers of (q - 1) is the object of the positivity
-   experiments reported here.
+   built without the counts by a recursion against q-binomial series.  Each
+   q-binomial weight of that recursion is regular at q = 1 too, so running
+   it on truncated power series in t = q - 1 ("jets") gives the expansion
+   in powers of (q - 1) without any rational function.  That expansion is
+   the object of the positivity experiments reported here.
 """
 
 from __future__ import annotations
@@ -27,15 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numtheory import divisors, mobius
-from .qpoly import PoleError, QPoly, RationalFunction
-from .quiver import (
-    INFINITY,
-    Quiver,
-    q_binomial_series_at_one,
-    qbinom_vec,
-    slope,
-)
+from .numtheory import divisors, integer_binomial, mobius
+from .qpoly import QPoly, RationalFunction, binomial_jet, trunc_inv, trunc_mul
+from .quiver import INFINITY, Quiver, qbinom_vec, slope
 from .series import (
     DimVector,
     Series,
@@ -259,10 +255,13 @@ class CountTable:
     def poly(self, alpha: Sequence[int]) -> QPoly:
         return self.entries.get(tuple(alpha), QPoly.zero())
 
+    def sorted_items(self) -> list[tuple[DimVector, QPoly]]:
+        """The entries in (height, alpha) order."""
+        return sorted(self.entries.items(), key=lambda item: (height(item[0]), item[0]))
+
     def to_json(self) -> list[dict]:
         rows = []
-        for alpha in sorted(self.entries, key=lambda a: (height(a), a)):
-            poly = self.entries[alpha]
+        for alpha, poly in self.sorted_items():
             rows.append(
                 {
                     "alpha": list(alpha),
@@ -406,33 +405,23 @@ def residual_series_recursive(ctx: CountingContext) -> Series:
     return Series(trunc, coeffs)
 
 
-def residual_at_one(ctx: CountingContext) -> dict[DimVector, Fraction]:
-    """The q = 1 specialization, by running the recursion at q = 1.
+def qbinom_jet(lam: Sequence[int], beta: Sequence[int], order: int
+               ) -> tuple[Fraction, ...]:
+    """Taylor coefficients 0..order at q = 1 of [lam, beta] = prod_i [lam^i, beta^i].
 
-    Uses the closed product form of the q-binomial series at q = 1, so all
-    arithmetic happens in plain rationals.
+    In t = q - 1, [n, m] = prod_{i=1..m} [n+i]_q / [i]_q with
+    [k]_q = ((1+t)^k - 1)/t = sum_j C(k, j+1) t^j for every integer k.  The
+    divisors have constant term i >= 1, and a factor [0]_q = 0 gives
+    [n, m] = 0 for -m <= n <= -1, so no rational function is needed.
     """
-    _require_zero_stability(ctx)
-    R = ctx.quiver.ringel_matrix()
-    trunc = ctx.trunc
-    zero = trunc.zero_vector()
-    coeffs: dict[DimVector, Fraction] = {zero: Fraction(1)}
-    for alpha in trunc.vectors():
-        if alpha == zero:
-            continue
-        lam = tuple(-sum(R[i][j] * alpha[j] for j in range(len(alpha)))
-                    for i in range(len(alpha)))
-        weights = q_binomial_series_at_one(lam, trunc)
-        acc = Fraction(0)
-        for beta, w in weights.items():
-            if height(beta) == 0:
-                continue
-            prev = coeffs.get(vec_sub(alpha, beta))
-            if prev is not None:
-                acc += w * prev
-        if acc:
-            coeffs[alpha] = -acc
-    return coeffs
+    length = order + 1
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for n, m in zip(lam, beta):
+        for i in range(1, m + 1):
+            num = binomial_jet(n + i, 1, length + 1)[1:]
+            den = binomial_jet(i, 1, length + 1)[1:]
+            out = trunc_mul(out, trunc_mul(num, trunc_inv(den, length), length), length)
+    return tuple(out)
 
 
 def residual_q1_expansion(ctx: CountingContext, order: int
@@ -440,24 +429,66 @@ def residual_q1_expansion(ctx: CountingContext, order: int
     """Taylor coefficients of the residual series in powers of (q - 1).
 
     Returns layers 0..order; layer n maps dimension vectors to the exact
-    coefficient of (q-1)^n in the corresponding series coefficient.
+    coefficient of (q-1)^n in the corresponding series coefficient.  Runs
+    the recursion of residual_series_recursive on jets in t = q - 1 taken
+    modulo t^(order+1); layer 0 is the series at q = 1.
     """
     _require_zero_stability(ctx)
     if order < 0:
         raise ValueError("order must be nonnegative")
-    f = residual_series_recursive(ctx)
-    layers: list[dict[DimVector, Fraction]] = [dict() for _ in range(order + 1)]
-    for alpha, c in f.items():
-        try:
-            tail = c.taylor_at_one(order)
-        except PoleError as exc:
-            raise InvariantError(
-                f"residual series has a pole at q=1 at {alpha}"
-            ) from exc
-        for n, value in enumerate(tail):
+    length = order + 1
+    R = ctx.quiver.ringel_matrix()
+    trunc = ctx.trunc
+    zero = trunc.zero_vector()
+    jets: dict[DimVector, list[Fraction]] = {zero: [Fraction(1)] + [Fraction(0)] * order}
+    for alpha in trunc.vectors():
+        if alpha == zero:
+            continue
+        lam = tuple(-sum(R[i][j] * alpha[j] for j in range(len(alpha)))
+                    for i in range(len(alpha)))
+        acc = [Fraction(0)] * length
+        for beta in subvectors(alpha):
+            prev = jets.get(vec_sub(alpha, beta))
+            if height(beta) == 0 or prev is None:
+                continue
+            for k, c in enumerate(trunc_mul(qbinom_jet(lam, beta, order), prev, length)):
+                acc[k] += c
+        if any(acc):
+            jets[alpha] = [-c for c in acc]
+    layers: list[dict[DimVector, Fraction]] = [dict() for _ in range(length)]
+    for alpha, jet in jets.items():
+        for n, value in enumerate(jet):
             if value:
                 layers[n][alpha] = value
     return layers
+
+
+def loop_layer_checks(ctx: CountingContext, layers: Sequence[dict[DimVector, Fraction]]
+                      ) -> tuple[bool, list[Optional[int]]]:
+    """Experimental checks on the layers f_0, f_1, ... of a one-vertex quiver
+    with m loops, each read as a power series in t = x_1.
+
+    Returns whether f_1 equals C(m,2) t(t-1)/(1-mt)^2 to the truncation
+    height, and for n = 0..min(order, 2) the observed t-degree of
+    f_n (1-mt)^(3n-1) within the truncation (None when it vanishes).
+    """
+    m = ctx.quiver.arrow_counts[0][0]
+    length = ctx.trunc.max_height + 1
+
+    def jet(layer: dict[DimVector, Fraction]) -> list[Fraction]:
+        out = [Fraction(0)] * length
+        for alpha, c in layer.items():
+            out[alpha[0]] = c
+        return out
+
+    c = integer_binomial(m, 2)
+    f1_matches = jet(layers[1]) == trunc_mul([0, -c, c], binomial_jet(-2, -m, length),
+                                             length)
+    degrees = []
+    for n, layer in enumerate(layers[:3]):
+        prod = trunc_mul(jet(layer), binomial_jet(3 * n - 1, -m, length), length)
+        degrees.append(max((k for k, x in enumerate(prod) if x), default=None))
+    return f1_matches, degrees
 
 
 # -- the (q-1) positivity report -----------------------------------------------
@@ -513,8 +544,7 @@ def positivity_report(table: CountTable) -> PositivityReport:
     quiver = table.context.quiver
     loops = quiver.arrow_counts[0][0] if quiver.nvertices == 1 else None
     rows = []
-    for alpha in sorted(table.entries, key=lambda a: (height(a), a)):
-        poly = table.entries[alpha]
+    for alpha, poly in table.sorted_items():
         coeffs = poly.qminus1_coeffs()
         constant = coeffs[0] if coeffs else Fraction(0)
         linear = coeffs[1] if len(coeffs) > 1 else Fraction(0)

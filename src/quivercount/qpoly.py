@@ -3,7 +3,9 @@
 All coefficients are `fractions.Fraction`, so every operation is exact.
 Rational functions are kept in a canonical form (numerator and denominator
 coprime, denominator monic), which makes equality testing, evaluation and
-Taylor expansion around q = 1 well defined.
+Taylor expansion around q = 1 well defined.  The Taylor expansion, the
+residual recursion in `counting` and its reports share one small set of
+truncated power-series ("jet") operations defined here.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Iterable, Sequence, Union
+
+from .numtheory import integer_binomial
 
 Scalar = Union[int, Fraction]
 
@@ -294,6 +298,41 @@ def format_poly(coeffs: Sequence[Fraction], var: str, latex: bool = False) -> st
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
+
+
+# -- jets: power series in one variable x, taken modulo x^n ------------------
+#
+# A jet is a sequence of exact coefficients in ascending powers of x; shorter
+# inputs are padded with zeros and every result has length exactly n.
+
+
+def trunc_mul(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Fraction]:
+    """The product a * b modulo x^n."""
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i]):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def trunc_inv(a: Sequence[Scalar], n: int) -> list[Fraction]:
+    """The inverse 1 / a modulo x^n; PoleError if a has zero constant term."""
+    if not a or a[0] == 0:
+        raise PoleError("a series with zero constant term has no inverse")
+    out: list[Fraction] = []
+    for k in range(n):
+        acc = Fraction(1 if k == 0 else 0)
+        for j in range(1, min(k, len(a) - 1) + 1):
+            acc -= a[j] * out[k - j]
+        out.append(acc / a[0])
+    return out
+
+
+def binomial_jet(e: int, c: Scalar, n: int) -> list[Fraction]:
+    """(1 + c x)^e modulo x^n, for any integer exponent e."""
+    return [Fraction(integer_binomial(e, k) * c**k) for k in range(n)]
 
 
 # -- polynomial gcd -----------------------------------------------------------
@@ -596,18 +635,10 @@ class RationalFunction:
         """
         if order < 0:
             raise ValueError("order must be nonnegative")
+        length = order + 1
         num = self._num.shifted(1).coeffs
         den = self._den.shifted(1).coeffs
-        if not den or den[0] == 0:
-            raise PoleError("pole at q = 1")
-        d0 = den[0]
-        out = []
-        for n in range(order + 1):
-            acc = num[n] if n < len(num) else Fraction(0)
-            for k in range(1, min(n, len(den) - 1) + 1):
-                acc -= den[k] * out[n - k]
-            out.append(acc / d0)
-        return tuple(out)
+        return tuple(trunc_mul(num, trunc_inv(den, length), length))
 
     # -- comparison / formatting ------------------------------------------------
 

@@ -26,9 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .numtheory import integer_binomial
 from .qpoly import QPoly, RationalFunction
-from .series import DimVector, Series, TruncationSpec, height
+from .series import Series, TruncationSpec, height
 
 
 class _Infinity:
@@ -291,27 +290,3 @@ def q_binomial_series(lam: Sequence[int], trunc: TruncationSpec) -> Series:
     if len(lam) != trunc.nvars:
         raise ValueError("lambda length must match the variable count")
     return Series(trunc, {a: qbinom_vec(lam, a) for a in trunc.vectors()})
-
-
-def q_binomial_series_at_one(lam: Sequence[int], trunc: TruncationSpec
-                             ) -> dict[DimVector, Fraction]:
-    """The q = 1 limit of q_binomial_series, via prod_i (1-x_i)^{-lam^i-1}.
-
-    Coefficient of x^alpha is prod_i of the x^k coefficient of
-    (1-x)^{-n-1}, i.e. (-1)^k C(-n-1, k); exact integers as Fractions.
-    """
-    lam = tuple(lam)
-    if len(lam) != trunc.nvars:
-        raise ValueError("lambda length must match the variable count")
-    out = {}
-    for alpha in trunc.vectors():
-        val = 1
-        for n, k in zip(lam, alpha):
-            if k:
-                sign = -1 if k % 2 else 1
-                val *= sign * integer_binomial(-n - 1, k)
-                if val == 0:
-                    break
-        if val:
-            out[alpha] = Fraction(val)
-    return out

@@ -171,14 +171,14 @@ class Series:
         return [(a, self._c[a]) for a in self.support()]
 
     def _compatible(self, other: "Series") -> None:
-        if (self.trunc.nvars, self.trunc.max_height) != (
-            other.trunc.nvars,
-            other.trunc.max_height,
-        ):
+        # The support filter is part of the truncation: combining a cone
+        # series with a full one would silently drop terms on one side only.
+        a, b = self.trunc, other.trunc
+        if a != b:
             raise TruncationError(
-                f"incompatible truncations: {self.trunc.nvars} vars to height "
-                f"{self.trunc.max_height} vs {other.trunc.nvars} vars to height "
-                f"{other.trunc.max_height}"
+                f"incompatible truncations: {a.nvars} vars to height "
+                f"{a.max_height} vs {b.nvars} vars to height {b.max_height}"
+                + ("" if a.support is b.support else ", different support filters")
             )
 
     # -- ring operations -----------------------------------------------------

@@ -12,9 +12,9 @@ import pytest
 from quivercount.counting import (
     CountingContext,
     absolutely_stable_table,
+    loop_layer_checks,
     necklace_count,
     positivity_report,
-    residual_at_one,
     residual_q1_expansion,
     residual_series,
     residual_series_recursive,
@@ -56,6 +56,16 @@ KRONECKER = Quiver.from_matrix([[0, 2], [0, 0]])
 
 def loop(m):
     return Quiver.from_matrix([[m]])
+
+
+def taylor_layers(series, order):
+    """Layers 0..order of the (q-1) expansions of the coefficients of series."""
+    layers = [{} for _ in range(order + 1)]
+    for alpha, c in series.items():
+        for n, value in enumerate(c.taylor_at_one(order)):
+            if value:
+                layers[n][alpha] = value
+    return layers
 
 
 def exp_of_table(ctx, table):
@@ -282,18 +292,19 @@ def test_criterion_06_residual_series_cross_algorithm(loop_tables_h6):
         direct = residual_series(ctx, table)
         recursive = residual_series_recursive(ctx)
         assert direct == recursive, m
-        slice0 = {a: c.taylor_at_one(0)[0] for a, c in direct.items()
-                  if c.taylor_at_one(0)[0]}
-        assert slice0 == residual_at_one(ctx), m
+        assert residual_q1_expansion(ctx, 3) == taylor_layers(recursive, 3), m
 
     ctx = CountingContext.create(A2, max_height=6)
     table = absolutely_stable_table(ctx)
-    assert residual_series(ctx, table) == residual_series_recursive(ctx)
-    assert residual_at_one(ctx) == {(0, 0): 1}
+    recursive = residual_series_recursive(ctx)
+    assert residual_series(ctx, table) == recursive
+    assert residual_q1_expansion(ctx, 3) == taylor_layers(recursive, 3)
+    assert residual_q1_expansion(ctx, 0)[0] == {(0, 0): 1}
 
     print("ACCEPTANCE 6 PASS: residual series agrees between the Exp form and "
           "the recursion to height 6 (loops m=1..4 and the one-arrow quiver); "
-          "q=1 slice consistent; no pole at q=1")
+          "the (q-1) jet recursion matches its Taylor layers to order 3; "
+          "no pole at q=1")
 
 
 # -- criterion 7: the q=1 limit is 1 - m t -----------------------------------------
@@ -303,8 +314,8 @@ def test_criterion_07_q1_limit_and_binomial_identity():
     for m in (1, 2, 3, 4):
         ctx = CountingContext.create(loop(m), max_height=8)
         expected = {(0,): Fraction(1), (1,): Fraction(-m)}
-        assert residual_at_one(ctx) == expected, m
         assert residual_q1_expansion(ctx, 0)[0] == expected, m
+        assert residual_q1_expansion(ctx, 2)[0] == expected, m
 
     for m in range(1, 5):
         for n in range(1, 9):
@@ -314,7 +325,7 @@ def test_criterion_07_q1_limit_and_binomial_identity():
             assert coeff == 0, (m, n)
 
     print("ACCEPTANCE 7 PASS: q=1 limit equals 1 - m t to height 8 for "
-          "m=1..4 via both routes; the supporting binomial identity vanishes "
+          "m=1..4 at jet orders 0 and 2; the supporting binomial identity vanishes "
           "for n=1..8")
 
 
@@ -348,49 +359,17 @@ def test_criterion_09_positivity_and_expansion_reports(loop_tables_h6, capsys):
                 f"{'yes' if row.all_nonnegative else 'NO'}")
 
         layers = residual_q1_expansion(ctx, 2)
-        length = 7
-        got = [layers[1].get((k,), Fraction(0)) for k in range(length)]
-        conj = _conjectured_second_layer(m, length)
+        match, degrees = loop_layer_checks(ctx, layers)
         lines.append(f"  m={m}: second layer vs C(m,2) t(t-1)/(1-mt)^2 to "
-                     f"t^6: {'match' if got == conj else 'MISMATCH'}")
+                     f"t^6: {'match' if match else 'MISMATCH'}")
         for n in (1, 2):
-            coeffs = [layers[n].get((k,), Fraction(0)) for k in range(length)]
-            prod = _mul_lists(coeffs, _power_one_minus_mt(m, 3 * n - 1, length),
-                              length)
-            degree = max((k for k, c in enumerate(prod) if c), default=None)
             lines.append(f"  m={m} n={n}: observed t-degree of "
-                         f"layer_n*(1-mt)^{3 * n - 1} = {degree} "
+                         f"layer_n*(1-mt)^{3 * n - 1} = {degrees[n]} "
                          f"(conjectured {3 * n - 1})")
     assert len(lines) == 2 * (6 + 3)  # six positivity rows plus three report lines per m
     print("ACCEPTANCE 9 PASS (report only):")
     for line in lines:
         print(line)
-
-
-def _power_one_minus_mt(m, e, length):
-    out = []
-    for k in range(length):
-        if e >= 0:
-            out.append(Fraction(integer_binomial(e, k) * (-m) ** k))
-        else:
-            out.append(Fraction(integer_binomial(-e + k - 1, k) * m**k))
-    return out
-
-
-def _mul_lists(a, b, length):
-    out = [Fraction(0)] * length
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y and i + j < length:
-                    out[i + j] += x * y
-    return out
-
-
-def _conjectured_second_layer(m, length):
-    tt = [Fraction(0), Fraction(-1), Fraction(1)] + [Fraction(0)] * (length - 3)
-    prod = _mul_lists(tt, _power_one_minus_mt(m, -2, length), length)
-    return [integer_binomial(m, 2) * c for c in prod]
 
 
 # -- criterion 10: endomorphism-degree bookkeeping -------------------------------------

@@ -137,6 +137,21 @@ def test_theta_from_quiver_file(tmp_path, capsys):
     assert main(["r-series", "--quiver", str(path), "--slope", "1/2"]) == 1
 
 
+def test_zero_slope_denominator_is_a_usage_error(quiver_file, capsys):
+    assert main(["r-series", "--quiver", quiver_file("kronecker"),
+                 "--theta", "1,0", "--slope", "1/0"]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_a_usage_error(quiver_file, capsys, budget):
+    assert main(["verify", "--quiver", quiver_file("loop1"),
+                 "--max-height", "2", "--budget", budget]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "--budget" in captured.err
+    assert captured.out == ""
+
+
 def test_bad_prime_validation(quiver_file):
     assert main(["verify", "--quiver", quiver_file("loop1"),
                  "--primes", "4"]) == 1

@@ -7,10 +7,10 @@ from quivercount.counting import (
     CountingContext,
     absolutely_stable_table,
     gl_order_poly,
+    loop_layer_checks,
     necklace_count,
     positivity_report,
     rep_ratio,
-    residual_at_one,
     residual_q1_expansion,
     residual_series,
     residual_series_recursive,
@@ -40,10 +40,21 @@ INV_1Q = RationalFunction(1, ONE - Q)
 A2 = Quiver.from_arrows(("1", "2"), [("1", "2")])
 A3 = Quiver.from_arrows(("1", "2", "3"), [("1", "2"), ("2", "3")])
 KRONECKER = Quiver.from_matrix([[0, 2], [0, 0]])
+CYCLIC = Quiver.from_matrix([[0, 2], [1, 0]])
 
 
 def loop(m):
     return Quiver.from_matrix([[m]])
+
+
+def taylor_layers(series, order):
+    """Layers 0..order of the (q-1) expansions of the coefficients of series."""
+    layers = [{} for _ in range(order + 1)]
+    for alpha, c in series.items():
+        for n, value in enumerate(c.taylor_at_one(order)):
+            if value:
+                layers[n][alpha] = value
+    return layers
 
 
 def exp_of_table(ctx, table):
@@ -252,7 +263,7 @@ class TestResidualSeries:
         table = absolutely_stable_table(ctx)
         assert residual_series(ctx, table) == Series.one(ctx.trunc)
         assert residual_series_recursive(ctx) == Series.one(ctx.trunc)
-        assert residual_at_one(ctx) == {(0, 0): 1}
+        assert residual_q1_expansion(ctx, 0)[0] == {(0, 0): 1}
         layers = residual_q1_expansion(ctx, 2)
         assert layers[0] == {(0, 0): 1}
         assert layers[1] == {} and layers[2] == {}
@@ -266,12 +277,23 @@ class TestResidualSeries:
     def test_loop_value_at_one(self):
         for m in (1, 2, 3, 4):
             ctx = CountingContext.create(loop(m), max_height=6)
-            assert residual_at_one(ctx) == {(0,): 1, (1,): -m}
+            assert residual_q1_expansion(ctx, 0)[0] == {(0,): 1, (1,): -m}
 
     def test_at_one_matches_taylor_slice(self):
-        for m in (2, 3):
-            ctx = CountingContext.create(loop(m), max_height=5)
-            assert residual_at_one(ctx) == residual_q1_expansion(ctx, 0)[0]
+        # the cyclic quiver is a two-vertex case with nonzero layers
+        for quiver in (loop(2), loop(3), CYCLIC):
+            ctx = CountingContext.create(quiver, max_height=5)
+            assert residual_q1_expansion(ctx, 3) == \
+                taylor_layers(residual_series_recursive(ctx), 3)
+
+    def test_loop_layer_checks(self):
+        for m in (1, 2, 3, 4):
+            ctx = CountingContext.create(loop(m), max_height=6)
+            layers = residual_q1_expansion(ctx, 2)
+            assert loop_layer_checks(ctx, layers) == \
+                (True, [0, None, None] if m == 1 else [0, 2, 5]), m
+            layers[1][(3,)] = layers[1].get((3,), 0) + 1
+            assert loop_layer_checks(ctx, layers)[0] is False, m
 
     def test_requires_zero_stability(self):
         ctx = CountingContext.create(KRONECKER, theta=(1, 0), mu=Fraction(1, 2),

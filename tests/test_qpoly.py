@@ -3,8 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quivercount.qpoly import PoleError, QPoly, RationalFunction, poly_gcd
+from quivercount.qpoly import (
+    PoleError,
+    QPoly,
+    RationalFunction,
+    binomial_jet,
+    poly_gcd,
+    trunc_inv,
+    trunc_mul,
+)
 
 Q = QPoly.gen()
 ONE = QPoly.one()
@@ -189,3 +199,58 @@ class TestRationalFunction:
     def test_str(self):
         assert str(RationalFunction(ONE + Q)) == "q + 1"
         assert "/" in str(RationalFunction(1, ONE - Q))
+
+
+small_polys = st.lists(
+    st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2))),
+    min_size=1, max_size=4,
+).map(QPoly)
+orders = st.integers(0, 5)
+
+
+def pad(coeffs, n):
+    coeffs = list(coeffs)[:n]
+    return coeffs + [Fraction(0)] * (n - len(coeffs))
+
+
+def jet_of(p, n):
+    """The (q-1)-basis coefficients of p as a jet of length n."""
+    return pad(p.qminus1_coeffs(), n)
+
+
+class TestJets:
+    @settings(max_examples=60, deadline=None)
+    @given(small_polys, small_polys, orders)
+    def test_product(self, a, b, order):
+        n = order + 1
+        got = trunc_mul(jet_of(a, n), jet_of(b, n), n)
+        assert got == jet_of(a * b, n)
+        assert tuple(got) == RationalFunction(a * b).taylor_at_one(order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_polys, small_polys, small_polys, orders)
+    def test_quotient(self, a, b, c, order):
+        n = order + 1
+        if b.evaluate(1) == 0:
+            with pytest.raises(PoleError):
+                trunc_inv(jet_of(b, n), n)
+            return
+        inv_b = trunc_inv(jet_of(b, n), n)
+        assert trunc_mul(inv_b, jet_of(b, n), n) == [1] + [0] * order
+        # an exact quotient (b c) / b comes back as c
+        assert trunc_mul(jet_of(b * c, n), inv_b, n) == jet_of(c, n)
+        # a / b agrees with the expansion of the reduced rational function
+        assert tuple(trunc_mul(jet_of(a, n), inv_b, n)) == \
+            RationalFunction(a, b).taylor_at_one(order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-6, 6), st.integers(-3, 3), orders)
+    def test_binomial_jet(self, e, c, order):
+        n = order + 1
+        if e >= 0:
+            assert binomial_jet(e, c, n) == pad((QPoly([1, c]) ** e).coeffs, n)
+        assert trunc_mul(binomial_jet(e, c, n), binomial_jet(-e, c, n), n) == \
+            [1] + [0] * order
+        # with c = 1 the jet variable is t = q - 1, so (1 + t)^e is q^e
+        assert tuple(binomial_jet(e, 1, n)) == \
+            RationalFunction.q_power(e).taylor_at_one(order)

@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quivercount.counting import qbinom_jet
 from quivercount.qpoly import QPoly, RationalFunction
 from quivercount.quiver import (
     INFINITY,
     Quiver,
     q_binomial_series,
-    q_binomial_series_at_one,
     q_exponential,
     qbinom,
     qbinom_vec,
@@ -213,23 +215,25 @@ class TestGeneratingSeries:
             assert q_binomial_series(lam, tr) == expected
 
     def test_at_one_examples(self):
+        # at q = 1 the series is prod_i (1 - x_i)^(-lam^i - 1)
         tr = TruncationSpec(2, 4)
-        geometric = q_binomial_series_at_one((0, 0), tr)
-        assert all(v == 1 for v in geometric.values())
-        trivial = q_binomial_series_at_one((-1, -1), tr)
-        assert trivial == {(0, 0): 1}
-        tr1 = TruncationSpec(1, 5)
+        for alpha in tr.vectors():
+            assert qbinom_jet((0, 0), alpha, 0) == (1,)  # geometric
+            assert qbinom_jet((-1, -1), alpha, 0) == ((1,) if alpha == (0, 0) else (0,))
         for n in range(0, 4):
-            vals = q_binomial_series_at_one((n,), tr1)
             for k in range(6):
-                assert vals.get((k,), 0) == math.comb(n + k, k)
+                assert qbinom_jet((n,), (k,), 0) == (math.comb(n + k, k),)
 
     def test_at_one_matches_taylor_slice(self):
         tr = TruncationSpec(2, 3)
         for lam in [(1, 1), (3, -2), (-4, 0)]:
             series = q_binomial_series(lam, tr)
-            at_one = q_binomial_series_at_one(lam, tr)
             for alpha in tr.vectors():
-                coeff = series.coeff(alpha)
-                expected = at_one.get(alpha, Fraction(0))
-                assert coeff.taylor_at_one(0)[0] == expected
+                assert qbinom_jet(lam, alpha, 2) == series.coeff(alpha).taylor_at_one(2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-6, 6), min_size=2, max_size=2),
+           st.lists(st.integers(0, 3), min_size=2, max_size=2),
+           st.integers(0, 3))
+    def test_weight_jet_matches_taylor(self, lam, beta, order):
+        assert qbinom_jet(lam, beta, order) == qbinom_vec(lam, beta).taylor_at_one(order)

@@ -1,8 +1,10 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
+from quivercount.counting import CountingContext, semistable_series
 from quivercount.qpoly import QPoly, RationalFunction
 from quivercount.quiver import Quiver, q_exponential
 from quivercount.series import (
@@ -67,6 +69,22 @@ class TestSeriesBasics:
             a * b
         with pytest.raises(TruncationError):
             a + Series.one(TruncationSpec(2, 3))
+
+    def test_support_filter_is_part_of_the_truncation(self):
+        # the slope-cone series keeps 3 terms, the full series 15, so a sum
+        # taken on either truncation would depend on the operand order
+        kronecker = Quiver.from_matrix([[0, 2], [0, 0]])
+        ctx = CountingContext.create(kronecker, theta=(1, 0), mu=Fraction(1, 2),
+                                     max_height=4)
+        a = semistable_series(ctx)
+        b = q_exponential(TruncationSpec(2, 4))
+        for combine in (lambda x, y: x + y, lambda x, y: x * y,
+                        lambda x, y: twisted_mul(x, y, kronecker.ringel_matrix())):
+            with pytest.raises(TruncationError):
+                combine(a, b)
+            with pytest.raises(TruncationError):
+                combine(b, a)
+        assert a + a == a * 2
 
     def test_two_variable_product_of_q_exponentials(self):
         # the coefficient of x^(a,b) in the 2-variable q-exponential factors
