@@ -70,6 +70,19 @@ def necklace_count(colors: int, beads: int) -> int:
 
 
 @dataclass(frozen=True)
+class SlopeCone:
+    """Support filter of the slope-mu cone: zero or theta-slope mu.
+
+    A value, not a closure, so that equal contexts give equal truncations."""
+
+    theta: tuple[int, ...]
+    mu: Fraction
+
+    def __call__(self, alpha: DimVector) -> bool:
+        return height(alpha) == 0 or slope(self.theta, alpha) == self.mu
+
+
+@dataclass(frozen=True)
 class CountingContext:
     """A quiver with stability, target slope and slope-cone truncation."""
 
@@ -87,11 +100,7 @@ class CountingContext:
         if len(theta) != n:
             raise ValueError("theta length must match the vertex count")
         mu = Fraction(mu)
-
-        def in_cone(alpha: DimVector) -> bool:
-            return height(alpha) == 0 or slope(theta, alpha) == mu
-
-        trunc = TruncationSpec(n, max_height, in_cone)
+        trunc = TruncationSpec(n, max_height, SlopeCone(theta, mu))
         ctx = cls(quiver, theta, mu, trunc)
         if not any(height(a) > 0 for a in trunc.vectors()):
             raise ValueError(

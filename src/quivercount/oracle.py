@@ -9,9 +9,20 @@ follow from the stabilizer formula: a stable point with endomorphism field
 of degree r has automorphism group F_{p^r}^*, so its orbit has exactly
 #GL / (p^r - 1) points, and the division is asserted to be exact.
 
-The mass counts run on contiguous blocks of the point index range with
-vectorized integer arithmetic; results are identical to the per-point
-functions, which are kept as the simple reference implementation.
+The mass counts run on contiguous blocks of the point index range, one
+digits array (points x entries) per block; results are identical to the
+per-point functions, which are kept as the simple reference implementation.
+
+- Subspace search: each candidate subspace tuple is one integer matrix whose
+  columns give the entries of C X B^T for every arrow, so a block is one
+  matrix product digits @ M followed by a remainder test.  Digits and matrix
+  entries lie in [0, p) and [0, (p-1)^2], so every product entry is at most
+  dim (p-1)^3; the product runs in float64, exact while that bound is below
+  2^53, and in int64 otherwise.
+- Ranks: a stack of n matrices is eliminated as one contiguous
+  (rows, cols, n) array, in place, in the smallest signed dtype holding
+  every intermediate, which lies in [-(p-1)^2, p-1]: int8 for p <= 11,
+  int16 for p <= 181 and int64 beyond.
 
 Budgets are explicit: exceeding them raises, it never degrades silently.
 """
@@ -121,18 +132,14 @@ class RepPoint:
                 raise ValueError(f"matrix shape mismatch for arrow {i}->{j}")
 
 
-def _point_from_digits(quiver: Quiver, alpha: DimVector, p: int,
-                       digits: Sequence[int]) -> RepPoint:
-    mats = []
+def _arrow_layout(quiver: Quiver, alpha: DimVector) -> list[tuple[int, int, int]]:
+    """Per arrow: (source index, target index, flat offset into the digits)."""
+    layout = []
     pos = 0
     for i, j in quiver.arrow_list():
-        rows, cols = alpha[j], alpha[i]
-        mat = tuple(
-            tuple(digits[pos + r * cols + c] for c in range(cols)) for r in range(rows)
-        )
-        pos += rows * cols
-        mats.append(mat)
-    return RepPoint(quiver, alpha, p, tuple(mats))
+        layout.append((i, j, pos))
+        pos += alpha[j] * alpha[i]
+    return layout
 
 
 def enumerate_points(quiver: Quiver, alpha: Sequence[int], p: int,
@@ -144,15 +151,17 @@ def enumerate_points(quiver: Quiver, alpha: Sequence[int], p: int,
     """
     _check_prime(p)
     alpha = tuple(alpha)
-    total = _check_point_budget(quiver, alpha, p, budget)
-    ndigits = rep_space_dim(quiver, alpha)
-    for n in range(total):
-        digits = []
-        t = n
-        for _ in range(ndigits):
-            digits.append(t % p)
-            t //= p
-        yield _point_from_digits(quiver, alpha, p, digits)
+    _check_point_budget(quiver, alpha, p, budget)
+    spans = [(off, alpha[j], alpha[i]) for i, j, off in _arrow_layout(quiver, alpha)]
+    # product() varies its last entry fastest, so reversing each tuple puts
+    # the least significant digit first
+    for high_first in _cartesian(range(p), repeat=rep_space_dim(quiver, alpha)):
+        digits = high_first[::-1]
+        mats = tuple(
+            tuple(digits[off + r * cols:off + (r + 1) * cols] for r in range(rows))
+            for off, rows, cols in spans
+        )
+        yield RepPoint(quiver, alpha, p, mats)
 
 
 # -- linear algebra mod p (plain python; small matrices only) --------------------
@@ -333,86 +342,125 @@ def _digit_blocks(total: int, ndigits: int, p: int) -> Iterator[np.ndarray]:
         yield digits
 
 
-def _arrow_layout(quiver: Quiver, alpha: DimVector) -> list[tuple[int, int, int]]:
-    """Per arrow: (source index, target index, flat offset into the digits)."""
-    layout = []
-    pos = 0
-    for i, j in quiver.arrow_list():
-        layout.append((i, j, pos))
-        pos += alpha[j] * alpha[i]
-    return layout
-
-
 def _candidate_constraints(quiver: Quiver, alpha: DimVector, p: int,
-                           dims_list: Sequence[DimVector]):
-    """For every subspace tuple of the given dimension vectors, the list of
-    (arrow, annihilator, basis-transpose) triples that certify invariance."""
+                           dims_list: Sequence[DimVector]) -> list[np.ndarray]:
+    """For every subspace tuple of the given dimension vectors, one integer
+    (dim, k) matrix M with digits @ M = 0 mod p exactly where the tuple is
+    invariant.
+
+    An arrow h: i -> j with source basis rows B and target annihilator rows C
+    keeps the tuple iff C X_h B^T = 0; its columns of M give vec(C X_h B^T)
+    straight from the digits, M[off + s*cols + t, r*d + u] = C[r,s] B^T[t,u].
+    A tuple that no arrow can move has k = 0 and is invariant everywhere.
+    """
     layout = _arrow_layout(quiver, alpha)
+    dim = rep_space_dim(quiver, alpha)
     candidates = []
     for dims in dims_list:
         per_vertex = [subspace_bases(alpha[i], dims[i], p) for i in range(len(alpha))]
         for bases in _cartesian(*per_vertex):
-            constraints = []
-            for h, (i, j, off) in enumerate(layout):
+            blocks = []
+            for i, j, off in layout:
                 if not bases[i]:
                     continue
                 ann = _annihilator(bases[j], alpha[j], p)
                 if not ann:
                     continue
-                C = np.array(ann, dtype=np.int64)
-                BT = np.array(bases[i], dtype=np.int64).T
-                constraints.append((i, j, off, C, BT))
-            candidates.append(constraints)
+                C = np.array(ann, dtype=np.int64)              # (k, rows)
+                BT = np.array(bases[i], dtype=np.int64).T      # (cols, d)
+                block = np.zeros((dim, C.shape[0] * BT.shape[1]), dtype=np.int64)
+                block[off:off + alpha[j] * alpha[i]] = np.kron(C.T, BT)
+                blocks.append(block)
+            candidates.append(np.hstack(blocks) if blocks
+                              else np.zeros((dim, 0), dtype=np.int64))
     return candidates
 
 
-def _no_invariant_mask(digits: np.ndarray, alpha: DimVector, p: int,
-                       candidates) -> np.ndarray:
+def _column_groups(candidates: Sequence[np.ndarray], width: int):
+    """Runs of consecutive candidates, each stacked into one matrix of at
+    most `width` columns, with the first column of every candidate in it."""
+    def stacked(run):
+        return np.hstack(run), np.cumsum([0] + [m.shape[1] for m in run[:-1]])
+
+    run: list[np.ndarray] = []
+    cols = 0
+    for m in candidates:
+        if run and cols + m.shape[1] > width:
+            yield stacked(run)
+            run, cols = [], 0
+        run.append(m)
+        cols += m.shape[1]
+    if run:
+        yield stacked(run)
+
+
+def _no_invariant_mask(digits: np.ndarray, p: int,
+                       candidates: Sequence[np.ndarray]) -> np.ndarray:
     """True where no candidate subspace tuple is invariant."""
-    n = digits.shape[0]
+    n, dim = digits.shape
+    if any(m.shape[1] == 0 for m in candidates):
+        return np.zeros(n, dtype=bool)
+    # digits and matrix entries lie in [0, p) and [0, (p-1)^2], so every
+    # product entry is at most dim (p-1)^3: exact in float64 below 2^53
+    exact_float = dim * (p - 1) ** 3 < 1 << 53
+    x = digits.astype(np.float64) if exact_float else digits.astype(np.int64)
     ok = np.ones(n, dtype=bool)
-    for constraints in candidates:
-        invariant = np.ones(n, dtype=bool)
-        for i, j, off, C, BT in constraints:
-            rows, cols = alpha[j], alpha[i]
-            X = digits[:, off:off + rows * cols].reshape(n, rows, cols)
-            prod = np.einsum("rs,nst,tu->nru", C, X, BT) % p
-            invariant &= ~prod.any(axis=(1, 2))
-            if not invariant.any():
-                break
-        ok &= ~invariant
+    # a candidate has at most dim columns (k <= rows and d <= cols for each
+    # arrow), so no product block is larger than the digits block
+    for stacked, starts in _column_groups(candidates, dim):
+        prod = x @ stacked.astype(x.dtype)
+        np.fmod(prod, p, out=prod)  # the remainder: prod >= 0, and fmod is exact
+        moved = np.logical_or.reduceat(prod != 0, starts, axis=1)
+        ok &= moved.all(axis=1)
         if not ok.any():
             break
     return ok
 
 
+def _elim_dtype(p: int) -> type:
+    """Smallest signed dtype holding every intermediate of the elimination
+    below, which lie in [-(p-1)^2, p-1]: int8 to p = 11 (100 <= 127),
+    int16 to p = 181 (32400 <= 32767)."""
+    if p <= 11:
+        return np.int8
+    if p <= 181:
+        return np.int16
+    return np.int64
+
+
 def _batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks over F_p of a stack of matrices, by vectorized elimination."""
-    a = mats % p
-    n, nrows, ncols = a.shape
+    """Ranks over F_p of a stack of matrices, by vectorized elimination.
+
+    The (n, rows, cols) stack is held as one contiguous (rows, cols, n)
+    array in the dtype of `_elim_dtype`, so every step is a vector
+    operation across the stack.  A pivot row is never swapped: eliminating
+    it against itself zeroes it, which retires it, and every other row has
+    a zero in the pivot column, so the rank of what is left drops by one.
+    """
+    n, nrows, ncols = mats.shape
     if n == 0 or nrows == 0 or ncols == 0:
         return np.zeros(n, dtype=np.int64)
-    inv_table = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int64)
+    dtype = _elim_dtype(p)
+    a = np.ascontiguousarray(np.moveaxis(mats % p, 0, -1), dtype=dtype)
+    inv_table = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=dtype)
     rank = np.zeros(n, dtype=np.int64)
-    row_idx = np.arange(nrows)
     for col in range(ncols):
-        colvals = a[:, :, col]
-        eligible = (colvals != 0) & (row_idx[None, :] >= rank[:, None])
-        has = eligible.any(axis=1)
+        column = a[:, col, :]
+        nonzero = column != 0
+        has = nonzero.any(axis=0)
         if not has.any():
             continue
-        idx = np.nonzero(has)[0]
-        r0 = rank[idx]
-        piv = np.argmax(eligible[idx], axis=1)
-        swap_tmp = a[idx, r0, :].copy()
-        a[idx, r0, :] = a[idx, piv, :]
-        a[idx, piv, :] = swap_tmp
-        pivot_vals = a[idx, r0, col]
-        a[idx, r0, :] = (a[idx, r0, :] * inv_table[pivot_vals][:, None]) % p
-        col_rest = a[idx, :, col].copy()
-        col_rest[np.arange(idx.size), r0] = 0
-        a[idx, :, :] = (a[idx, :, :] - col_rest[:, :, None] * a[idx, r0, None, :]) % p
-        rank[idx] += 1
+        rank += has
+        if col + 1 == ncols:
+            break
+        # the first nonzero row (row 0 where the column is zero; its scale
+        # factor is then 0 and the update below changes nothing)
+        piv = nonzero.argmax(axis=0)
+        pivot_row = np.take_along_axis(a[:, col:, :], piv[None, None, :], axis=0)[0]
+        scaled = pivot_row[1:] * inv_table[pivot_row[0]] % p
+        rest = a[:, col + 1:, :]
+        rest -= column[:, None, :] * scaled
+        rest %= p
     return rank
 
 
@@ -427,20 +475,23 @@ def _batch_end_dims(digits: np.ndarray, quiver: Quiver, alpha: DimVector,
     neq = sum(alpha[j] * alpha[i] for i, j, _ in layout)
     if neq == 0:
         return np.full(n, unknowns, dtype=np.int64)
-    system = np.zeros((n, neq, unknowns), dtype=np.int64)
+    # built in the elimination layout and dtype: an entry is at most one
+    # digit minus another, inside [-(p-1), p-1]
+    dtype = _elim_dtype(p)
+    x = np.ascontiguousarray(digits.T, dtype=dtype)
+    system = np.zeros((neq, unknowns, n), dtype=dtype)
     eq = 0
     for i, j, off in layout:
         ai, aj = alpha[i], alpha[j]
-        X = digits[:, off:off + aj * ai].reshape(n, aj, ai)
         for r in range(aj):
             for c in range(ai):
-                row = eq + r * ai + c
+                row = system[eq + r * ai + c]
                 for s in range(aj):
-                    system[:, row, offsets[j] + r * aj + s] += X[:, s, c]
+                    row[offsets[j] + r * aj + s] += x[off + s * ai + c]
                 for s in range(ai):
-                    system[:, row, offsets[i] + s * ai + c] -= X[:, r, s]
+                    row[offsets[i] + s * ai + c] -= x[off + r * ai + s]
         eq += aj * ai
-    return unknowns - _batch_rank(system, p)
+    return unknowns - _batch_rank(system.transpose(2, 0, 1), p)
 
 
 def count_semistable_ratio(quiver: Quiver, alpha: Sequence[int],
@@ -468,7 +519,7 @@ def count_semistable_ratio(quiver: Quiver, alpha: Sequence[int],
     candidates = _candidate_constraints(quiver, alpha, p, viol)
     count = 0
     for digits in _digit_blocks(total, dim, p):
-        count += int(_no_invariant_mask(digits, alpha, p, candidates).sum())
+        count += int(_no_invariant_mask(digits, p, candidates).sum())
     return Fraction(count, glo)
 
 
@@ -487,7 +538,7 @@ def _stable_end_tally(quiver: Quiver, alpha: DimVector, theta: tuple[int, ...],
     dim = rep_space_dim(quiver, alpha)
     tally: dict[int, int] = {}
     for digits in _digit_blocks(total, dim, p):
-        mask = _no_invariant_mask(digits, alpha, p, candidates)
+        mask = _no_invariant_mask(digits, p, candidates)
         stable_digits = digits[mask]
         if stable_digits.shape[0] == 0:
             continue

@@ -55,16 +55,22 @@ class Quiver:
         n = len(self.vertices)
         if n == 0:
             raise ValueError("quiver needs at least one vertex")
+        if len(set(self.vertices)) != n:
+            raise ValueError("vertex names must be distinct")
         if len(self.arrow_counts) != n or any(len(row) != n for row in self.arrow_counts):
             raise ValueError("arrow matrix must be square with one row per vertex")
-        if any(c < 0 for row in self.arrow_counts for c in row):
-            raise ValueError("arrow counts must be nonnegative")
+        if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 0
+                   for row in self.arrow_counts for c in row):
+            raise ValueError("arrow counts must be nonnegative integers")
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[int]],
                     vertices: Optional[Sequence[str]] = None) -> "Quiver":
+        if not isinstance(matrix, (list, tuple)) or \
+                not all(isinstance(row, (list, tuple)) for row in matrix):
+            raise ValueError("arrow matrix must be a list of rows")
         n = len(matrix)
         if vertices is None:
             vertices = [str(i + 1) for i in range(n)]
@@ -73,11 +79,13 @@ class Quiver:
     @classmethod
     def from_arrows(cls, vertices: Sequence[str],
                     arrows: Sequence[Sequence[str]]) -> "Quiver":
+        if not isinstance(arrows, (list, tuple)):
+            raise ValueError("arrows must be a list of [source, target] pairs")
         index = {v: i for i, v in enumerate(vertices)}
         n = len(vertices)
         counts = [[0] * n for _ in range(n)]
         for arrow in arrows:
-            if len(arrow) != 2:
+            if not isinstance(arrow, (list, tuple)) or len(arrow) != 2:
                 raise ValueError(f"arrow {arrow!r} must be a [source, target] pair")
             src, dst = arrow
             if src not in index or dst not in index:
@@ -87,7 +95,7 @@ class Quiver:
 
     @classmethod
     def from_json(cls, data: dict) -> "Quiver":
-        if "vertices" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
             raise ValueError("quiver JSON needs a 'vertices' list")
         vertices = [str(v) for v in data["vertices"]]
         if "matrix" in data:

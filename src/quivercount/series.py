@@ -178,7 +178,7 @@ class Series:
             raise TruncationError(
                 f"incompatible truncations: {a.nvars} vars to height "
                 f"{a.max_height} vs {b.nvars} vars to height {b.max_height}"
-                + ("" if a.support is b.support else ", different support filters")
+                + ("" if a.support == b.support else ", different support filters")
             )
 
     # -- ring operations -----------------------------------------------------

@@ -152,6 +152,37 @@ def test_budget_below_one_is_a_usage_error(quiver_file, capsys, budget):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("data", [
+    {"vertices": ["v"], "matrix": [["a"]]},
+    {"vertices": ["v"], "matrix": [[1.5]]},
+    {"vertices": ["v"], "matrix": [[True]]},
+    {"vertices": ["v"], "matrix": [[-1]]},
+    {"vertices": ["v"], "matrix": [1]},
+    {"vertices": 5, "matrix": [[1]]},
+    {"vertices": ["v"], "arrows": 5},
+    {"vertices": ["v"], "arrows": [5]},
+    3,
+])
+def test_malformed_quiver_is_a_usage_error(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["a-series", "--quiver", str(path), "--max-height", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("data", [
+    {"vertices": ["v", "v"], "arrows": [["v", "v"]]},
+    {"vertices": ["v", "v"], "matrix": [[0, 1], [0, 0]]},
+])
+def test_duplicate_vertex_names_are_a_usage_error(tmp_path, capsys, data):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(data))
+    assert main(["a-series", "--quiver", str(path), "--max-height", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "distinct" in captured.err
+
+
 def test_bad_prime_validation(quiver_file):
     assert main(["verify", "--quiver", quiver_file("loop1"),
                  "--primes", "4"]) == 1

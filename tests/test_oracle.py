@@ -1,6 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quivercount.counting import (
     CountingContext,
@@ -12,6 +16,15 @@ from quivercount.oracle import (
     Budget,
     BudgetError,
     RepPoint,
+    _batch_end_dims,
+    _batch_rank,
+    _candidate_constraints,
+    _elim_dtype,
+    _no_invariant_mask,
+    _proper_subdims,
+    _rref,
+    _tuple_is_invariant,
+    _violating_tuples,
     count_absolutely_stable,
     count_semistable_ratio,
     count_stable_with_end_dim,
@@ -23,10 +36,13 @@ from quivercount.oracle import (
     rep_space_dim,
     subspace_bases,
 )
-from quivercount.quiver import Quiver
+from quivercount.quiver import Quiver, slope
 
 A2 = Quiver.from_arrows(("1", "2"), [("1", "2")])
 KRONECKER = Quiver.from_matrix([[0, 2], [0, 0]])
+CYCLIC = Quiver.from_matrix([[0, 2], [1, 0]])
+# both ends of the int8 and int16 ranges of the rank kernel, and one past
+PRIMES = (2, 3, 5, 7, 11, 13, 181, 191)
 
 
 def loop(m):
@@ -71,6 +87,18 @@ class TestEnumeration:
         assert len(pt.mats) == 1
         assert len(pt.mats[0]) == 1  # target dimension rows
         assert len(pt.mats[0][0]) == 2
+
+    @pytest.mark.parametrize("quiver, alpha, p", [
+        (KRONECKER, (1, 2), 3),
+        (CYCLIC, (2, 1), 2),
+    ])
+    def test_point_n_has_the_base_p_digits_of_n(self, quiver, alpha, p):
+        dim = rep_space_dim(quiver, alpha)
+        points = list(enumerate_points(quiver, alpha, p))
+        assert len(points) == p**dim
+        for n, pt in enumerate(points):
+            flat = [x for mat in pt.mats for row in mat for x in row]
+            assert flat == [(n // p**e) % p for e in range(dim)]
 
     def test_rep_space_dim(self):
         assert rep_space_dim(loop(2), (3,)) == 18
@@ -201,3 +229,83 @@ class TestCounts:
         tight = Budget(max_points=10)
         with pytest.raises(BudgetError):
             count_absolutely_stable(loop(1), (2,), (0,), 2, tight)
+
+
+class TestKernels:
+    """The blocked kernels against the per-point reference functions."""
+
+    def test_elimination_dtype_bounds(self):
+        assert _elim_dtype(11) == np.int8 and _elim_dtype(13) == np.int16
+        assert _elim_dtype(181) == np.int16 and _elim_dtype(191) == np.int64
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_batch_rank_matches_rref(self, p, data):
+        # U V has rank at most k, so wrong arithmetic shows as too high a
+        # rank; the entries 0 and +-1 of U put p - 1 into the elimination
+        # often, where products reach (p-1)^2; multiples of p are then added
+        # to put entries outside [0, p), negative ones included
+        n = data.draw(st.integers(0, 5))
+        rows = data.draw(st.integers(0, 6))
+        cols = data.draw(st.integers(0, 6))
+        k = data.draw(st.integers(0, max(rows, cols)))
+        sign = st.sampled_from((0, 1, p - 1))
+        u = data.draw(arrays(np.int64, (n, rows, k), elements=sign))
+        v = data.draw(arrays(np.int64, (n, k, cols),
+                             elements=st.one_of(sign, st.integers(0, p - 1))))
+        shift = data.draw(arrays(np.int64, (n, rows, cols), elements=st.integers(-3, 3)))
+        mats = (u @ v) % p + p * shift
+        expected = [len(_rref(m.tolist(), p)[1]) for m in mats]
+        assert _batch_rank(mats, p).tolist() == expected
+
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (4, 0, 3), (4, 3, 0), (0, 0, 0)])
+    def test_batch_rank_of_empty_shapes(self, shape):
+        assert _batch_rank(np.zeros(shape, dtype=np.int64), 5).tolist() == \
+            [0] * shape[0]
+
+    @pytest.mark.parametrize("quiver, alpha, theta", [
+        (loop(2), (2,), (0,)),
+        (KRONECKER, (1, 1), (1, 0)),
+        (KRONECKER, (2, 1), (1, 0)),
+        (A2, (1, 1), (1, 0)),
+        (CYCLIC, (1, 1), (0, 0)),
+        (CYCLIC, (2, 1), (1, 0)),
+    ])
+    @pytest.mark.parametrize("p", PRIMES)
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_mask_and_end_dims_match_per_point(self, quiver, alpha, theta, p, data):
+        # the two halves of a stable tally: the subspace search, then the
+        # endomorphism dimensions of the points it keeps
+        dim = rep_space_dim(quiver, alpha)
+        digit = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+        digits = data.draw(arrays(np.int64, (data.draw(st.integers(1, 12)), dim),
+                                  elements=digit))
+        points = [_point(quiver, alpha, p, row) for row in digits.tolist()]
+        mu = slope(theta, alpha)
+        for strict in (True, False):
+            dims = [d for d in _proper_subdims(alpha)
+                    if (slope(theta, d) > mu if strict else slope(theta, d) >= mu)]
+            mask = _no_invariant_mask(
+                digits, p, _candidate_constraints(quiver, alpha, p, dims))
+            assert mask.tolist() == [
+                not any(_tuple_is_invariant(pt, bases, p)
+                        for bases in _violating_tuples(pt, theta, strict))
+                for pt in points
+            ]
+        kept = [pt for pt, keep in zip(points, mask) if keep]
+        assert _batch_end_dims(digits[mask], quiver, alpha, p).tolist() == \
+            [endomorphism_dim(pt) for pt in kept]
+
+
+def _point(quiver, alpha, p, digits):
+    """The point whose flattened entries are the given digits."""
+    mats = []
+    pos = 0
+    for i, j in quiver.arrow_list():
+        rows, cols = alpha[j], alpha[i]
+        mats.append(tuple(tuple(digits[pos + r * cols:pos + (r + 1) * cols])
+                          for r in range(rows)))
+        pos += rows * cols
+    return RepPoint(quiver, alpha, p, tuple(mats))

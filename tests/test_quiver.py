@@ -57,6 +57,17 @@ class TestQuiverStructure:
         with pytest.raises(ValueError):
             Quiver.from_json({"vertices": ["a", "b"], "matrix": [[0, 1]]})
 
+    def test_duplicate_vertex_names(self):
+        with pytest.raises(ValueError, match="distinct"):
+            Quiver.from_arrows(("v", "v"), [("v", "v")])
+        with pytest.raises(ValueError, match="distinct"):
+            Quiver.from_matrix([[0, 1], [0, 0]], ("v", "v"))
+
+    @pytest.mark.parametrize("entry", ["a", 1.5, True, -1, None])
+    def test_arrow_counts_are_nonnegative_ints(self, entry):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            Quiver.from_matrix([[entry]])
+
     def test_json_round_trip(self):
         q = KRONECKER
         assert Quiver.from_json(json.loads(json.dumps(q.to_json()))) == q

@@ -86,6 +86,20 @@ class TestSeriesBasics:
                 combine(b, a)
         assert a + a == a * 2
 
+    def test_equal_contexts_combine(self):
+        # the slope-cone filter is compared by value, so two separately
+        # created but equal contexts give compatible series
+        kronecker = Quiver.from_matrix([[0, 2], [0, 0]])
+
+        def cone_series(mu):
+            return semistable_series(CountingContext.create(
+                kronecker, theta=(1, 0), mu=mu, max_height=4))
+
+        a, b = cone_series(Fraction(1, 2)), cone_series(Fraction(1, 2))
+        assert a.trunc == b.trunc and a + b == a * 2
+        with pytest.raises(TruncationError, match="different support filters"):
+            a + cone_series(Fraction(1, 3))
+
     def test_two_variable_product_of_q_exponentials(self):
         # the coefficient of x^(a,b) in the 2-variable q-exponential factors
         tr2 = TruncationSpec(2, 4)
