@@ -25,17 +25,26 @@ per-point functions, which are kept as the simple reference implementation.
   int16 for p <= 181 and int64 beyond.
 
 Budgets are explicit: exceeding them raises, it never degrades silently.
+
+The float64 products go through the BLAS that numpy links (OpenBLAS), which
+by default starts one worker thread per available CPU.  The blocks here are
+too small for those threads to shorten the run; they only add CPU time (an
+unpinned loop2 verify on two cores used 1.8x its wall time).  So this module
+sets OPENBLAS_NUM_THREADS to 1 before numpy is first imported, unless the
+environment already sets it.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as _cartesian
 from typing import Iterator, Sequence
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import numpy as np  # noqa: E402  (after the BLAS thread default above)
 
 from .numtheory import is_prime
 from .quiver import Quiver, slope

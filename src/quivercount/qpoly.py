@@ -1,6 +1,23 @@
 """Exact arithmetic in Q(q): polynomials in q and normalized rational functions.
 
-All coefficients are `fractions.Fraction`, so every operation is exact.
+A polynomial stores integer numerators over one positive common denominator,
+in lowest terms, so every operation is exact integer arithmetic and
+`QPoly.coeffs` hands out `fractions.Fraction` values only on request.
+
+- Products of long operands use Kronecker substitution: both numerator lists
+  are packed into single Python integers at a power of two, CPython's
+  Karatsuba multiplies those, and the product's digits are unpacked (see
+  D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
+  substitution", arXiv:0712.4046).
+- Division is fraction-free.  `exact_div` divides by the primitive part of
+  the divisor over Z; by Gauss's lemma an exact quotient of an integer
+  polynomial by a primitive one has integer coefficients, so a leading term
+  the divisor's lead does not divide proves the division inexact.  The same
+  pseudo-division gives `divmod` and the remainders of `poly_gcd`.
+- The shift q -> q + c, and with it the (q-1) basis, is an integer Taylor
+  shift by repeated additions (von zur Gathen & Gerhard, "Fast algorithms
+  for Taylor shifts", ISSAC 1997); a rational c is scaled to a shift by 1.
+
 Rational functions are kept in a canonical form (numerator and denominator
 coprime, denominator monic), which makes equality testing, evaluation and
 Taylor expansion around q = 1 well defined.  The Taylor expansion, the
@@ -11,7 +28,8 @@ truncated power-series ("jet") operations defined here.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from itertools import accumulate as _accumulate
+from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, Sequence, Union
 
 from .numtheory import integer_binomial
@@ -39,26 +57,58 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
+def _canonical(n: list[int], d: int) -> tuple[tuple[int, ...], int]:
+    """The canonical (numerators, denominator) of the coefficients n[i] / d."""
+    while n and not n[-1]:
+        n.pop()
+    if not n:
+        return (), 1
+    if d < 0:
+        n, d = [-c for c in n], -d
+    if d != 1:
+        g = _int_gcd(d, *n)
+        if g != 1:
+            n, d = [c // g for c in n], d // g
+    return tuple(n), d
+
+
 class QPoly:
     """A polynomial in q with rational coefficients.
 
-    Stored densely, index i = coefficient of q^i; the highest stored
-    coefficient is nonzero (the zero polynomial stores nothing).
+    Stored as integer numerators over one common denominator: coefficient i
+    (of q^i) is _n[i] / _d.  The form is canonical -- _d > 0,
+    gcd(_d, *_n) == 1 and the last numerator is nonzero (the zero
+    polynomial is ((), 1)) -- so equality and hashing are structural.
     Instances are immutable and hashable.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        c = [_as_fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "_c", tuple(c))
+        c = list(coeffs)
+        d = 1
+        for x in c:
+            if isinstance(x, Fraction):
+                d = _int_lcm(d, x.denominator)
+            elif not isinstance(x, int):
+                raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+        n, d = _canonical([x.numerator * (d // x.denominator) for x in c], d)
+        _SET_N(self, n)
+        _SET_D(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def _make(cls, n: list[int], d: int = 1) -> "QPoly":
+        """The polynomial sum n[i]/d q^i; n is consumed."""
+        p = object.__new__(cls)
+        n, d = _canonical(n, d)
+        _SET_N(p, n)
+        _SET_D(p, d)
+        return p
 
     @classmethod
     def zero(cls) -> "QPoly":
@@ -83,78 +133,87 @@ class QPoly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._c
+        d = self._d
+        return tuple(Fraction(c, d) for c in self._n)
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self._c) - 1
+        return len(self._n) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     @property
     def is_one(self) -> bool:
-        return len(self._c) == 1 and self._c[0] == 1
+        return self._n == (1,) and self._d == 1
 
     def leading(self) -> Fraction:
-        if not self._c:
+        if not self._n:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._c[-1]
+        return Fraction(self._n[-1], self._d)
 
     def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self._c):
-            return self._c[i]
+        if 0 <= i < len(self._n):
+            return Fraction(self._n[i], self._d)
         return Fraction(0)
 
     def has_integer_coeffs(self) -> bool:
-        return all(c.denominator == 1 for c in self._c)
+        return self._d == 1
 
     # -- arithmetic --------------------------------------------------------
 
+    @staticmethod
+    def _coerce(x) -> "QPoly":
+        if isinstance(x, QPoly):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return QPoly._make([x.numerator], x.denominator)
+        return None
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly((other,))
-        if not isinstance(other, QPoly):
+        other = QPoly._coerce(other)
+        if other is None:
             return NotImplemented
-        a, b = self._c, other._c
+        a, da, b, db = self._n, self._d, other._n, other._d
+        if da != db:
+            g = _int_gcd(da, db)
+            a = [c * (db // g) for c in a]
+            b = [c * (da // g) for c in b]
+            da = da // g * db
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return QPoly._make(out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly([-c for c in self._c])
+        p = object.__new__(QPoly)
+        _SET_N(p, tuple(-c for c in self._n))
+        _SET_D(p, self._d)
+        return p
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, QPoly) else -_as_fraction(other))
+        other = QPoly._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
-                return QPoly()
-            return QPoly([x * c for x in self._c])
+            c = other.numerator
+            return QPoly._make([x * c for x in self._n], self._d * other.denominator)
         if not isinstance(other, QPoly):
             return NotImplemented
-        a, b = self._c, other._c
-        if not a or not b:
+        if not self._n or not other._n:
             return QPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return QPoly(out)
+        return QPoly._make(_int_mul(self._n, other._n), self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -175,21 +234,12 @@ class QPoly:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._c)
-        dv = other.degree
-        lead = other._c[-1]
-        quot = [Fraction(0)] * max(len(rem) - dv, 0)
-        while len(rem) - 1 >= dv and rem:
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            shift = len(rem) - 1 - dv
-            factor = rem[-1] / lead
-            quot[shift] = factor
-            for i, c in enumerate(other._c):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return QPoly(quot), QPoly(rem)
+        # s a_n = quot b_n + rem over Z, where self = a_n / a_d and
+        # other = b_n / b_d; so self = (quot b_d / (s a_d)) other + rem / (s a_d).
+        s, quot, rem = _int_pdivmod(self._n, other._n)
+        den = s * self._d
+        db = other._d
+        return QPoly._make([c * db for c in quot], den), QPoly._make(rem, den)
 
     def __floordiv__(self, other: "QPoly"):
         q, _ = divmod(self, other)
@@ -200,19 +250,34 @@ class QPoly:
         return r
 
     def exact_div(self, other: "QPoly") -> "QPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ValueError("inexact polynomial division")
-        return q
+        """The quotient self / other; ValueError unless it is a polynomial.
+
+        Divides the numerators by the primitive part of other's numerators;
+        by Gauss's lemma that quotient has integer coefficients whenever it
+        exists, so _int_pdivmod can stop at the first inexact step.
+        """
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        b = other._n
+        content = _int_gcd(*b)
+        if content != 1:
+            b = [c // content for c in b]
+        _, quot, _ = _int_pdivmod(self._n, b, exact=True)
+        return QPoly._make([c * other._d for c in quot], self._d * content)
 
     # -- substitutions -----------------------------------------------------
 
     def evaluate(self, v: Scalar) -> Fraction:
+        """The value at q = v, by integer Horner on v's numerator and
+        denominator: sum n_i v^i = (sum n_i p^i r^(deg-i)) / r^deg, v = p/r."""
         v = _as_fraction(v)
-        acc = Fraction(0)
-        for c in reversed(self._c):
-            acc = acc * v + c
-        return acc
+        p, r = v.numerator, v.denominator
+        acc, scale = 0, 1
+        for c in reversed(self._n):
+            acc = acc * p + c * scale
+            scale *= r
+        # scale is now r^(deg+1)
+        return Fraction(acc * r, self._d * scale)
 
     def adams(self, k: int) -> "QPoly":
         """Substitute q -> q^k (k >= 1)."""
@@ -220,19 +285,25 @@ class QPoly:
             raise ValueError("adams index must be >= 1")
         if k == 1 or self.is_zero:
             return self
-        out = [Fraction(0)] * (self.degree * k + 1)
-        for i, c in enumerate(self._c):
-            out[i * k] = c
-        return QPoly(out)
+        out = [0] * (self.degree * k + 1)
+        out[::k] = self._n
+        return QPoly._make(out, self._d)
 
     def shifted(self, c: Scalar) -> "QPoly":
-        """Return the polynomial r with r(t) = self(t + c)."""
+        """Return the polynomial r with r(t) = self(t + c).
+
+        For c = p/r, the integer polynomial h(x) = sum n_i p^i r^(deg-i) x^i
+        satisfies self(t + c) = h(r t / p + 1) / r^deg, so one integer Taylor
+        shift by 1 (_taylor_shift_one) serves every c.
+        """
         c = _as_fraction(c)
-        shift = QPoly((c, 1))
-        acc = QPoly()
-        for a in reversed(self._c):
-            acc = acc * shift + a
-        return acc
+        p, r = c.numerator, c.denominator
+        deg = self.degree
+        if p == 0 or deg < 1:
+            return self
+        h = _taylor_shift_one([x * p**i * r ** (deg - i) for i, x in enumerate(self._n)])
+        return QPoly._make([x * r**j * p ** (deg - j) for j, x in enumerate(h)],
+                           self._d * (p * r) ** deg)
 
     def qminus1_coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients in the (q-1) basis: self = sum c_n (q-1)^n.
@@ -245,32 +316,131 @@ class QPoly:
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly((other,))
-        if not isinstance(other, QPoly):
+        other = QPoly._coerce(other)
+        if other is None:
             return NotImplemented
-        return self._c == other._c
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash(("QPoly", self._c))
+        return hash(("QPoly", self._n, self._d))
 
     # -- formatting / serialization -----------------------------------------
 
     def __str__(self):
-        return format_poly(self._c, "q")
+        return format_poly(self.coeffs, "q")
 
     def __repr__(self):
         return f"QPoly[{self}]"
 
     def latex(self) -> str:
-        return format_poly(self._c, "q", latex=True)
+        return format_poly(self.coeffs, "q", latex=True)
 
     def to_json(self) -> list[str]:
-        return [fraction_to_str(c) for c in self._c]
+        return [fraction_to_str(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "QPoly":
         return cls([Fraction(s) for s in data])
+
+
+_SET_N = QPoly._n.__set__
+_SET_D = QPoly._d.__set__
+
+
+# -- integer coefficient lists ------------------------------------------------
+#
+# Numerator arithmetic on lists of Python ints, lowest degree first.
+
+# Below this many coefficients in the shorter factor, the schoolbook product
+# is used.  On an x86-64 Xeon with CPython 3.11, Kronecker packing overtakes
+# it at 6-8 coefficients for coefficients of up to 64 bits and at 16-24 for
+# 512-bit ones; the counts in this package stay below 32 bits.
+_KRONECKER_MIN = 12
+
+
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two nonempty integer coefficient sequences.
+
+    Long operands use Kronecker substitution: each is packed into one integer
+    at x = 2^(8k), CPython multiplies the two (Karatsuba), and the product's
+    base-2^(8k) digits are its coefficients.  Every coefficient is below
+    half = 2^(8k-1) in absolute value, so adding half to each digit makes all
+    digits nonnegative and carry-free, and they unpack through to_bytes.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) < _KRONECKER_MIN:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, y in enumerate(b):
+            if y:
+                j = i + len(a)
+                out[i:j] = [o + x * y for o, x in zip(out[i:j], a)]
+        return out
+    bound = len(b) * max(map(abs, a)) * max(map(abs, b))
+    k = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * k - 1)
+    m = len(a) + len(b) - 1
+    data = (_pack(a, k, half) * _pack(b, k, half) + _bias(m, k, half)).to_bytes(m * k, "little")
+    return [int.from_bytes(data[i:i + k], "little") - half for i in range(0, m * k, k)]
+
+
+def _bias(m: int, k: int, half: int) -> int:
+    """sum_{i<m} half x^i at x = 2^(8k)."""
+    return int.from_bytes(half.to_bytes(k, "little") * m, "little")
+
+
+def _pack(v: Sequence[int], k: int, half: int) -> int:
+    """sum v_i x^i at x = 2^(8k), for |v_i| < half."""
+    return int.from_bytes(b"".join((c + half).to_bytes(k, "little") for c in v),
+                          "little") - _bias(len(v), k, half)
+
+
+def _int_pdivmod(u: Sequence[int], v: Sequence[int],
+                 exact: bool = False) -> tuple[int, list[int], list[int]]:
+    """Fraction-free division: (s, quot, rem) with s u = quot v + rem over Z.
+
+    s > 0 and rem has fewer than len(v) entries.  A step whose leading term
+    the lead of v does not divide first scales everything by the smallest
+    positive factor that makes it divide, so s is 1 when every step divides.
+    With exact=True such a step, or a nonzero remainder, raises ValueError
+    instead.
+    """
+    dv = len(v) - 1
+    lead = v[-1]
+    r = list(u)
+    quot = [0] * max(len(r) - dv, 0)
+    s = 1
+    for i in range(len(r) - 1, dv - 1, -1):
+        c = r[i]
+        if not c:
+            continue
+        if c % lead:
+            if exact:
+                raise ValueError("inexact polynomial division")
+            m = abs(lead) // _int_gcd(c, lead)
+            r = [m * x for x in r[:i]]
+            quot = [m * x for x in quot]
+            s *= m
+            c *= m
+        f = c // lead
+        shift = i - dv
+        quot[shift] = f
+        r[shift:i] = [x - f * y for x, y in zip(r[shift:i], v)]
+    rem = r[:dv]
+    if exact and any(rem):
+        raise ValueError("inexact polynomial division")
+    return s, quot, rem
+
+
+def _taylor_shift_one(a: list[int]) -> list[int]:
+    """Coefficients of a(x + 1), by the repeated additions of the Horner scheme
+    (von zur Gathen & Gerhard, "Fast algorithms for Taylor shifts", ISSAC 1997):
+    pass i replaces a[j] by a[j] + a[j+1] for j = n-1 down to i, which is a
+    suffix sum."""
+    n = len(a) - 1
+    for i in range(n):
+        a[i:] = reversed(list(_accumulate(reversed(a[i:]))))
+    return a
 
 
 def format_poly(coeffs: Sequence[Fraction], var: str, latex: bool = False) -> str:
@@ -341,21 +511,12 @@ def binomial_jet(e: int, c: Scalar, n: int) -> list[Fraction]:
 # step) to avoid the coefficient blow-up of naive Euclid over Q.
 
 
-def _int_content(v: list[int]) -> int:
-    g = 0
-    for c in v:
-        g = _int_gcd(g, abs(c))
-        if g == 1:
-            return 1
-    return g
-
-
 def _int_primitive(v: list[int]) -> list[int]:
     while v and v[-1] == 0:
         v.pop()
     if not v:
         return v
-    g = _int_content(v)
+    g = _int_gcd(*v)
     if v[-1] < 0:
         g = -g
     if g != 1:
@@ -363,45 +524,16 @@ def _int_primitive(v: list[int]) -> list[int]:
     return v
 
 
-def _int_prem(u: list[int], v: list[int]) -> list[int]:
-    dv = len(v) - 1
-    lead = v[-1]
-    r = list(u)
-    while r and len(r) - 1 >= dv:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        s = r[-1]
-        r = [lead * c for c in r]
-        shift = len(r) - 1 - dv
-        for i, c in enumerate(v):
-            r[shift + i] -= s * c
-        r.pop()
-    return r
-
-
-def _to_int_poly(p: QPoly) -> list[int]:
-    scale = 1
-    for c in p.coeffs:
-        scale = scale * c.denominator // _int_gcd(scale, c.denominator)
-    return [int(c * scale) for c in p.coeffs]
-
-
 def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
     """Monic gcd of two polynomials (zero if both are zero)."""
-    if a.is_zero and b.is_zero:
-        return QPoly()
-    if a.is_zero or b.is_zero:
-        src = b if a.is_zero else a
-        return src * (1 / src.leading())
-    u = _int_primitive(_to_int_poly(a))
-    v = _int_primitive(_to_int_poly(b))
+    u = _int_primitive(list(a._n))
+    v = _int_primitive(list(b._n))
     if len(u) < len(v):
         u, v = v, u
     while v:
-        u, v = v, _int_primitive(_int_prem(u, v))
-    lead = Fraction(u[-1])
-    return QPoly([Fraction(c) / lead for c in u])
+        u, v = v, _int_primitive(_int_pdivmod(u, v)[2])
+    # u is primitive with a positive lead, so u / lead is already canonical
+    return QPoly._make(u, u[-1] if u else 1)
 
 
 _ONE_POLY = QPoly((1,))
@@ -656,7 +788,7 @@ class RationalFunction:
             return str(self._num)
         num = str(self._num)
         den = str(self._den)
-        if self._num.degree > 0 and len(self._num.coeffs) - self._num.coeffs.count(Fraction(0)) > 1:
+        if self._num.degree > 0 and len(self._num._n) - self._num._n.count(0) > 1:
             num = f"({num})"
         if self._den.degree > 0:
             den = f"({den})"

@@ -193,10 +193,14 @@ def topological_order(quiver: Quiver) -> tuple[int, ...]:
 
 
 def parse_theta(data: dict, nvertices: int) -> tuple[int, ...]:
-    theta = tuple(int(t) for t in data["theta"])
+    """The stability weights of a quiver file: a list of nvertices ints."""
+    theta = data["theta"]
+    if not isinstance(theta, list) or \
+            not all(isinstance(t, int) and not isinstance(t, bool) for t in theta):
+        raise ValueError("theta must be a list of integers")
     if len(theta) != nvertices:
         raise ValueError("theta length must match the vertex count")
-    return theta
+    return tuple(theta)
 
 
 def slope(theta: Sequence[int], alpha: Sequence[int]) -> Fraction:

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
@@ -7,8 +10,10 @@ from quivercount.cli import main
 QUIVERS = {
     "loop1": {"vertices": ["v"], "matrix": [[1]]},
     "loop2": {"vertices": ["v"], "matrix": [[2]]},
+    "loop4": {"vertices": ["v"], "matrix": [[4]]},
     "a2": {"vertices": ["1", "2"], "arrows": [["1", "2"]]},
     "kronecker": {"vertices": ["1", "2"], "arrows": [["1", "2"], ["1", "2"]]},
+    "cyclic": {"vertices": ["1", "2"], "arrows": [["1", "2"], ["1", "2"], ["2", "1"]]},
 }
 
 
@@ -137,6 +142,19 @@ def test_theta_from_quiver_file(tmp_path, capsys):
     assert main(["r-series", "--quiver", str(path), "--slope", "1/2"]) == 1
 
 
+@pytest.mark.parametrize("theta", [[1.7, 0], [True, 0], ["1", "0"], 5, [None, 0],
+                                   [[1], 0], "10"],
+                         ids=["float", "bool", "str", "scalar", "null", "nested", "text"])
+def test_malformed_file_theta_is_a_usage_error(tmp_path, capsys, theta):
+    # the file's stability is taken as given or refused, never coerced
+    path = tmp_path / "kron_theta.json"
+    path.write_text(json.dumps(dict(QUIVERS["kronecker"], theta=theta)))
+    assert main(["a-series", "--quiver", str(path), "--max-height", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "theta" in captured.err
+    assert captured.out == ""
+
+
 def test_zero_slope_denominator_is_a_usage_error(quiver_file, capsys):
     assert main(["r-series", "--quiver", quiver_file("kronecker"),
                  "--theta", "1,0", "--slope", "1/0"]) == 1
@@ -207,3 +225,27 @@ def test_determinism(quiver_file, capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+# sha256 of stdout, recorded from the Fraction-coefficient implementation of
+# qpoly; the arithmetic is exact, so the integer core must reproduce them.
+EXACT_OUTPUTS = [
+    (["f-expand", "--quiver", "loop4", "--max-height", "6", "--q1-order", "1"],
+     "1c235af407af1888d95b4217ea0fcfb6cc3594441ec89a6976d695ff0e88ab61"),
+    (["a-series", "--quiver", "cyclic", "--max-height", "6"],
+     "214fe8a25c4d0123dbf73665f4bbad9f51a69b60983a43b6fc46ec09bacbd6b3"),
+    (["a-series", "--quiver", "kronecker", "--theta", "1,0", "--slope", "1/2",
+      "--max-height", "10"],
+     "96acb268a2f8aa6d37b9a828377217c6a2c17fc46105ede24e396e43de22d8f2"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", EXACT_OUTPUTS,
+                         ids=["loop4-f-expand", "cyclic-a-series", "kronecker-cone"])
+def test_exact_outputs_are_unchanged(quiver_file, argv, digest):
+    argv = list(argv)
+    argv[2] = quiver_file(argv[2])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

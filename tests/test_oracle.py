@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -309,3 +312,17 @@ def _point(quiver, alpha, p, digits):
                           for r in range(rows)))
         pos += rows * cols
     return RepPoint(quiver, alpha, p, tuple(mats))
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+def test_blas_threads_default_to_one(preset, expected):
+    # importing the oracle sets the BLAS thread default, and a value the
+    # environment already has wins
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import os, quivercount.oracle; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == expected

@@ -1,15 +1,18 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivercount.qpoly import (
+    _KRONECKER_MIN,
     PoleError,
     QPoly,
     RationalFunction,
+    _int_mul,
     binomial_jet,
     poly_gcd,
     trunc_inv,
@@ -254,3 +257,179 @@ class TestJets:
         # with c = 1 the jet variable is t = q - 1, so (1 + t)^e is q^e
         assert tuple(binomial_jet(e, 1, n)) == \
             RationalFunction.q_power(e).taylor_at_one(order)
+
+
+# -- the integer core, against plain Fraction references ----------------------
+
+def is_canonical(p):
+    n, d = p._n, p._d
+    return (all(type(c) is int for c in n) and type(d) is int and d > 0
+            and (not n or n[-1] != 0) and gcd(d, *n) == 1)
+
+
+def strip(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def ref_mul(a, b):
+    """Schoolbook product of two coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def ref_horner(coeffs, v):
+    """sum coeffs[i] v^i, for a scalar v or a polynomial v given as a list."""
+    if not isinstance(v, list):
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * v + c
+        return acc
+    acc = []
+    for c in reversed(coeffs):
+        acc = ref_mul(acc, v) or [0]
+        acc[0] += c
+    return strip(acc)
+
+
+# small, negative and wider-than-64-bit integers and fractions
+integers = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+scalars = st.one_of(integers, st.builds(Fraction, integers, st.integers(1, 2**40)))
+polys = st.lists(scalars, max_size=7).map(QPoly)
+nonzero_polys = polys.filter(lambda p: not p.is_zero)
+int_lists = st.lists(integers, min_size=1, max_size=2 * _KRONECKER_MIN + 4)
+shifts = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-9, 9),
+                                                 st.integers(1, 6)))
+small_rfs = st.builds(RationalFunction, small_polys,
+                      small_polys.filter(lambda p: not p.is_zero))
+
+
+class TestIntegerCore:
+    @given(st.lists(scalars, max_size=7))
+    def test_construction_is_canonical(self, coeffs):
+        p = QPoly(coeffs)
+        assert is_canonical(p)
+        assert list(p.coeffs) == strip(coeffs)
+        assert QPoly(p.coeffs) == p and hash(QPoly(p.coeffs)) == hash(p)
+        assert QPoly(list(p.coeffs) + [0, Fraction(0)]) == p
+        assert p.has_integer_coeffs() == all(c.denominator == 1 for c in p.coeffs)
+
+    @given(polys, polys, polys)
+    def test_ring_laws(self, a, b, c):
+        for x in (a + b, a - b, a * b, -a, a * Fraction(3, 7), a * 0):
+            assert is_canonical(x)
+        assert (a + b) + c == a + (b + c) and a + b == b + a
+        assert (a * b) * c == a * (b * c) and a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert (a - a).is_zero and a + QPoly() == a and a * QPoly.one() == a
+        # equal values built differently have equal hashes
+        assert hash((a + b) - b) == hash(a) and hash(a * b) == hash(b * a)
+
+    @given(polys, polys)
+    def test_operations_match_fraction_coefficients(self, a, b):
+        ca, cb = list(a.coeffs), list(b.coeffs)
+        assert list((a * b).coeffs) == strip(ref_mul(ca, cb))
+        n = max(len(ca), len(cb))
+        pad_a, pad_b = ca + [0] * (n - len(ca)), cb + [0] * (n - len(cb))
+        assert list((a + b).coeffs) == strip(x + y for x, y in zip(pad_a, pad_b))
+
+    @given(int_lists, int_lists)
+    def test_int_mul_matches_schoolbook(self, a, b):
+        # lengths reach past _KRONECKER_MIN, so both routes are exercised
+        assert _int_mul(a, b) == ref_mul(a, b)
+        assert _int_mul(b, a) == ref_mul(a, b)
+
+    def test_int_mul_kronecker_edge_digits(self):
+        n = _KRONECKER_MIN + 1
+        for a, b in [([-1] * n, [-1] * n), ([2**64] * n, [-(2**64)] * n),
+                     ([1] + [0] * (n - 2) + [-1], [-(2**200)] + [0] * (n - 1) + [1]),
+                     ([2**70 - 1, -(2**70)] * n, [1, -1] * n)]:
+            assert _int_mul(a, b) == ref_mul(a, b)
+        # constant factors make the middle coefficient reach the digit-size
+        # bound len * max|a| * max|b|, at every bit length up to 16
+        for n in (_KRONECKER_MIN, _KRONECKER_MIN + 3):
+            for x in range(1, 48):
+                assert _int_mul([x] * n, [x] * n) == ref_mul([x] * n, [x] * n)
+                assert _int_mul([x] * n, [-x] * n) == ref_mul([x] * n, [-x] * n)
+
+    @given(polys, nonzero_polys)
+    def test_exact_div_round_trip(self, a, b):
+        quot = (a * b).exact_div(b)
+        assert quot == a and is_canonical(quot)
+
+    @given(polys, nonzero_polys)
+    def test_inexact_division_raises(self, a, b):
+        _, rem = divmod(a, b)
+        if rem.is_zero:
+            assert a.exact_div(b) * b == a
+        else:
+            with pytest.raises(ValueError, match="inexact"):
+                a.exact_div(b)
+
+    def test_inexact_lead_raises(self):
+        # the quotient (q + 1)/2 is not integral over the primitive divisor
+        with pytest.raises(ValueError, match="inexact"):
+            QPoly([1, 2, 1]).exact_div(QPoly([1, 2]))
+        assert QPoly([1, 2, 1]).exact_div(QPoly([2, 2])) == \
+            QPoly([Fraction(1, 2), Fraction(1, 2)])
+
+    @given(polys, nonzero_polys)
+    def test_divmod_reconstruction(self, a, b):
+        quot, rem = divmod(a, b)
+        assert is_canonical(quot) and is_canonical(rem)
+        assert quot * b + rem == a
+        assert rem.degree < b.degree
+        assert a // b == quot and a % b == rem
+
+    @given(polys, shifts)
+    def test_shift_matches_horner(self, p, c):
+        expected = ref_horner(list(p.coeffs), [c, Fraction(1)])
+        shifted = p.shifted(c)
+        assert is_canonical(shifted)
+        assert list(shifted.coeffs) == expected
+        assert shifted.shifted(-c) == p
+
+    @given(polys)
+    def test_qminus1_coeffs_match_horner(self, p):
+        assert list(p.qminus1_coeffs()) == ref_horner(list(p.coeffs), [1, 1])
+
+    @given(polys, shifts)
+    def test_evaluate_matches_horner(self, p, v):
+        value = p.evaluate(v)
+        assert isinstance(value, Fraction)
+        assert value == ref_horner(list(p.coeffs), Fraction(v))
+
+    @given(polys, st.integers(1, 4))
+    def test_adams(self, p, k):
+        spread = p.adams(k)
+        assert is_canonical(spread)
+        assert spread == QPoly(ref_horner(list(p.coeffs), [0] * k + [1]))
+
+
+class TestRationalFunctionLaws:
+    @settings(max_examples=60)
+    @given(small_rfs, small_rfs, small_rfs)
+    def test_field_laws(self, a, b, c):
+        assert (a + b) + c == a + (b + c) and a + b == b + a
+        assert (a * b) * c == a * (b * c) and a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert (a - a).is_zero
+        if not a.is_zero:
+            assert a * a.inverse() == RationalFunction.one()
+        if not b.is_zero:
+            assert (a * b) / b == a and hash((a * b) / b) == hash(a)
+
+    @settings(max_examples=60)
+    @given(small_rfs, small_rfs)
+    def test_normal_form(self, a, b):
+        for x in (a + b, a * b):
+            assert is_canonical(x.num) and is_canonical(x.den)
+            assert x.den.leading() == 1
+            assert poly_gcd(x.num, x.den).degree == 0
