@@ -8,6 +8,7 @@ from .series import (
     TruncationSpec,
     adams,
     height,
+    monomial_twist,
     ordinary_exp,
     ordinary_log,
     ordinary_pow,
@@ -15,8 +16,6 @@ from .series import (
     plethystic_log,
     plethystic_pow,
     series_bar,
-    twist_by_quadratic,
-    twist_by_weights,
     twisted_inverse,
     twisted_mul,
 )

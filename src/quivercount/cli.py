@@ -306,12 +306,12 @@ def cmd_necklaces(colors: int, max_beads: int, fmt: str, out) -> int:
 # -- argument parsing ------------------------------------------------------------
 
 
-def _add_common(sub, with_primes=False, with_q1=False):
+def _add_common(sub, formats=("text", "json"), with_primes=False, with_q1=False):
     sub.add_argument("--quiver", required=True, help="path to a quiver JSON file")
     sub.add_argument("--theta", default="", help="stability weights, comma separated")
     sub.add_argument("--slope", default="0", help="target slope as P/Q")
     sub.add_argument("--max-height", type=int, default=6, dest="max_height")
-    sub.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    sub.add_argument("--format", choices=formats, default="text")
     sub.add_argument("--budget", type=int, default=None,
                      help="maximum number of points to enumerate")
     if with_primes:
@@ -328,8 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("a-series", help="absolutely stable class counts"))
-    _add_common(sub.add_parser("r-series", help="semistable ratio series"))
+    with_latex = ("text", "json", "latex")
+    _add_common(sub.add_parser("a-series", help="absolutely stable class counts"),
+                formats=with_latex)
+    _add_common(sub.add_parser("r-series", help="semistable ratio series"),
+                formats=with_latex)
     sc = sub.add_parser("s-count", help="stable classes by endomorphism degree")
     _add_common(sc)
     sc.add_argument("--end-degree", type=int, default=2, dest="end_degree")

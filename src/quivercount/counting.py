@@ -31,17 +31,17 @@ from typing import Optional, Sequence
 
 from .numtheory import divisors, integer_binomial, mobius
 from .qpoly import QPoly, RationalFunction, binomial_jet, trunc_inv, trunc_mul
-from .quiver import INFINITY, Quiver, qbinom_vec, slope
+from .quiver import Quiver, q_exponential, qbinom_vec, slope
 from .series import (
     DimVector,
     Series,
     TruncationSpec,
     height,
+    monomial_twist,
     plethystic_exp,
     plethystic_log,
     series_bar,
     subvectors,
-    twist_by_quadratic,
     twisted_inverse,
     vec_scale,
     vec_sub,
@@ -244,10 +244,7 @@ def semistable_series_closed(ctx: CountingContext) -> Series:
     """
     if not ctx.is_trivial_stability:
         raise ValueError("closed form requires the zero stability")
-    base = Series(
-        ctx.trunc, {a: qbinom_vec(INFINITY, a) for a in ctx.trunc.vectors()}
-    )
-    return series_bar(twist_by_quadratic(base, ctx.quiver.tits_form))
+    return series_bar(monomial_twist(q_exponential(ctx.trunc), ctx.quiver.tits_form))
 
 
 # -- absolutely stable counts --------------------------------------------------

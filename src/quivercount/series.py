@@ -10,6 +10,16 @@ cone).  On top of the plain ring structure this module provides
 * the twisted product x^a o x^b = q^{-<a,b>} x^{a+b} and its inverse,
 * graded monomial rescalings and the bar conjugation q -> 1/q.
 
+There is one product, ``twisted_mul``; the plain product is its case with
+no form.  The twisted inverse and the ordinary exp and log are all solved
+height by height from one recurrence (``_solve_by_height``): the inverse
+from the defining identity g o a = 1, and exp and log from the Euler
+operator D x^alpha = |alpha| x^alpha, which turns f = exp(a) into
+D f = f D a and f = log(a) into D a = a D f (Brent & Kung, "Fast
+algorithms for manipulating formal power series", J. ACM 1978).  Each
+coefficient then takes one pass over the pairs below it instead of
+max_height series powers.
+
 Everything is exact; truncating the psi_k sums at k = max_height loses
 nothing because psi_k raises height by a factor k.
 """
@@ -69,7 +79,15 @@ def subvectors(alpha: DimVector) -> Iterator[DimVector]:
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Height bound plus optional support restriction for a series."""
+    """Height bound plus optional support restriction for a series.
+
+    The support must be closed under differences within the height bound:
+    if alpha and beta <= alpha are admitted, so is alpha - beta.  Then a
+    product, inverse, exp or log computed on the support equals the one
+    computed on the full truncation, restricted to the support; the
+    height-by-height recurrences rely on it.  The slope cones of
+    ``counting.SlopeCone`` qualify, as theta is linear.
+    """
 
     nvars: int
     max_height: int
@@ -213,23 +231,7 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, Series):
-            self._compatible(other)
-            trunc = self.trunc
-            out: dict[DimVector, RationalFunction] = {}
-            for a, ca in self._c.items():
-                ha = height(a)
-                for b, cb in other._c.items():
-                    if ha + height(b) > trunc.max_height:
-                        continue
-                    key = vec_add(a, b)
-                    if not trunc.admits(key):
-                        continue
-                    prod = ca * cb
-                    if key in out:
-                        out[key] = out[key] + prod
-                    else:
-                        out[key] = prod
-            return Series(trunc, out)
+            return twisted_mul(self, other)
         rf = _coerce_rf(other)
         if rf is None:
             return NotImplemented
@@ -260,31 +262,6 @@ class Series:
     def __repr__(self):
         return f"Series[{self}]"
 
-    # -- serialization ------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "max_height": self.trunc.max_height,
-            "terms": [
-                {"alpha": list(a), "coeff": c.to_json()}
-                for a, c in sorted(self._c.items())
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict, nvars: Optional[int] = None,
-                  support: Optional[Callable[[DimVector], bool]] = None) -> "Series":
-        terms = data["terms"]
-        if nvars is None:
-            if not terms:
-                raise ValueError("cannot infer variable count from an empty series")
-            nvars = len(terms[0]["alpha"])
-        trunc = TruncationSpec(nvars, data["max_height"], support)
-        return cls(
-            trunc,
-            {tuple(t["alpha"]): RationalFunction.from_json(t["coeff"]) for t in terms},
-        )
-
 
 # -- twisted product ---------------------------------------------------------
 
@@ -301,8 +278,13 @@ def form_pairing(form: Sequence[Sequence[int]], alpha: DimVector, beta: DimVecto
     return total
 
 
-def twisted_mul(a: Series, b: Series, form: Sequence[Sequence[int]]) -> Series:
-    """Product for x^a o x^b = q^{-<a,b>} x^{a+b}, truncated like a * b."""
+def _times_q_power(c: RationalFunction, n: int) -> RationalFunction:
+    return c * RationalFunction.q_power(n) if n else c
+
+
+def twisted_mul(a: Series, b: Series,
+                form: Optional[Sequence[Sequence[int]]] = None) -> Series:
+    """Product for x^a o x^b = q^{-<a,b>} x^{a+b}; with no form, a * b."""
     a._compatible(b)
     trunc = a.trunc
     out: dict[DimVector, RationalFunction] = {}
@@ -314,42 +296,54 @@ def twisted_mul(a: Series, b: Series, form: Sequence[Sequence[int]]) -> Series:
             key = vec_add(ka, kb)
             if not trunc.admits(key):
                 continue
-            term = ca * cb * RationalFunction.q_power(-form_pairing(form, ka, kb))
-            if key in out:
-                out[key] = out[key] + term
-            else:
-                out[key] = term
+            term = ca * cb
+            if form is not None:
+                term = _times_q_power(term, -form_pairing(form, ka, kb))
+            out[key] = out[key] + term if key in out else term
+    return Series(trunc, out)
+
+
+def _solve_by_height(
+    known: Series,
+    weigh: Callable[[DimVector, DimVector, RationalFunction], RationalFunction],
+    finish: Callable[[DimVector, RationalFunction], RationalFunction],
+) -> Series:
+    """The series f with f_alpha = finish(alpha, s_alpha), solved in height order.
+
+    s_alpha is sum_{0 < beta <= alpha} w(beta, alpha-beta) known_beta
+    f_{alpha-beta}, where weigh(beta, alpha-beta, c) returns w c.  The
+    term beta = 0 drops out by itself: f_alpha is not solved yet.
+    """
+    trunc = known.trunc
+    out: dict[DimVector, RationalFunction] = {}
+    for alpha in trunc.vectors():
+        acc = RationalFunction.zero()
+        for beta in subvectors(alpha):
+            kb = known._c.get(beta)
+            if kb is None:
+                continue
+            rest = vec_sub(alpha, beta)
+            f = out.get(rest)
+            if f is not None:
+                acc = acc + weigh(beta, rest, kb * f)
+        val = finish(alpha, acc)
+        if not val.is_zero:
+            out[alpha] = val
     return Series(trunc, out)
 
 
 def twisted_inverse(a: Series, form: Sequence[Sequence[int]]) -> Series:
     """The g with twisted_mul(a, g, form) = 1, built height by height."""
-    trunc = a.trunc
-    zero = trunc.zero_vector()
+    zero = a.trunc.zero_vector()
     a0 = a.coeff(zero)
     if a0.is_zero:
         raise ZeroDivisionError("series with zero constant term is not invertible")
     inv0 = a0.inverse()
-    out: dict[DimVector, RationalFunction] = {zero: inv0}
-    for alpha in trunc.vectors():
-        if alpha == zero:
-            continue
-        acc = RationalFunction.zero()
-        for beta in subvectors(alpha):
-            if beta == zero:
-                continue
-            ab = a._c.get(beta)
-            if ab is None:
-                continue
-            rest = vec_sub(alpha, beta)
-            g = out.get(rest)
-            if g is None:
-                continue
-            acc = acc + ab * g * RationalFunction.q_power(-form_pairing(form, beta, rest))
-        val = -(inv0 * acc)
-        if not val.is_zero:
-            out[alpha] = val
-    return Series(trunc, out)
+    return _solve_by_height(
+        a,
+        lambda beta, rest, c: _times_q_power(c, -form_pairing(form, beta, rest)),
+        lambda alpha, acc: inv0 if alpha == zero else -(inv0 * acc),
+    )
 
 
 # -- Adams operations and twists ------------------------------------------------
@@ -375,59 +369,40 @@ def series_bar(a: Series) -> Series:
     return Series(a.trunc, {alpha: c.bar() for alpha, c in a._c.items()})
 
 
-def _monomial_twist(a: Series, exponent: Callable[[DimVector], int]) -> Series:
+def monomial_twist(a: Series, exponent: Callable[[DimVector], int]) -> Series:
+    """Multiply the coefficient of x^alpha by q^{exponent(alpha)}."""
     return Series(
-        a.trunc,
-        {
-            alpha: c * RationalFunction.q_power(exponent(alpha))
-            for alpha, c in a._c.items()
-        },
+        a.trunc, {alpha: _times_q_power(c, exponent(alpha)) for alpha, c in a._c.items()}
     )
-
-
-def twist_by_quadratic(a: Series, qform: Callable[[DimVector], int]) -> Series:
-    """Multiply the coefficient of x^alpha by q^{qform(alpha)}."""
-    return _monomial_twist(a, qform)
-
-
-def twist_by_weights(a: Series, weights: Sequence[int]) -> Series:
-    """Multiply the coefficient of x^alpha by q^{sum_i weights[i]*alpha[i]}."""
-    weights = tuple(weights)
-    if len(weights) != a.trunc.nvars:
-        raise ValueError("weight vector length must match the variable count")
-    return _monomial_twist(a, lambda alpha: sum(w * x for w, x in zip(weights, alpha)))
 
 
 # -- ordinary exp/log (coefficientwise classical series) -------------------------
 
 
 def ordinary_exp(a: Series) -> Series:
-    """exp(a) = sum a^n / n! for a with zero constant term."""
+    """exp(a) for a with zero constant term, from D exp(a) = exp(a) D a."""
     if not a.constant_term.is_zero:
         raise ValueError("ordinary_exp needs a zero constant term")
-    acc = Series.one(a.trunc)
-    term = Series.one(a.trunc)
-    for n in range(1, a.trunc.max_height + 1):
-        term = term * a * Fraction(1, n)
-        if term.is_zero:
-            break
-        acc = acc + term
-    return acc
+    zero = a.trunc.zero_vector()
+    return _solve_by_height(
+        a,
+        lambda beta, rest, c: c * height(beta),
+        lambda alpha, acc: (RationalFunction.one() if alpha == zero
+                            else acc * Fraction(1, height(alpha))),
+    )
 
 
 def ordinary_log(a: Series) -> Series:
-    """log(a) = sum (-1)^{n+1} (a-1)^n / n for a with constant term 1."""
+    """log(a) for a with constant term 1, from D a = a D log(a)."""
     if not a.constant_term.is_one:
         raise ValueError("ordinary_log needs constant term 1")
-    u = a - 1
-    acc = Series.zero(a.trunc)
-    power = Series.one(a.trunc)
-    for n in range(1, a.trunc.max_height + 1):
-        power = power * u
-        if power.is_zero:
-            break
-        acc = acc + power * Fraction((-1) ** (n + 1), n)
-    return acc
+    zero = a.trunc.zero_vector()
+    return _solve_by_height(
+        a,
+        lambda beta, rest, c: c * height(rest),
+        lambda alpha, acc: (RationalFunction.zero() if alpha == zero
+                            else a.coeff(alpha) - acc * Fraction(1, height(alpha))),
+    )
 
 
 def ordinary_pow(f: Series, g: Series) -> Series:

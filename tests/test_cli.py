@@ -155,6 +155,19 @@ def test_malformed_file_theta_is_a_usage_error(tmp_path, capsys, theta):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command,code", [
+    ("a-series", 0), ("r-series", 0), ("s-count", 1), ("f-expand", 1), ("verify", 1),
+])
+def test_latex_only_where_rendered(quiver_file, capsys, command, code):
+    assert main([command, "--quiver", quiver_file("loop1"), "--max-height", "2",
+                 "--format", "latex"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and "invalid choice: 'latex'" in captured.err
+    else:
+        assert "$" in captured.out
+
+
 def test_zero_slope_denominator_is_a_usage_error(quiver_file, capsys):
     assert main(["r-series", "--quiver", quiver_file("kronecker"),
                  "--theta", "1,0", "--slope", "1/0"]) == 1

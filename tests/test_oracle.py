@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import quivercount
 from quivercount.counting import (
     CountingContext,
     absolutely_stable_table,
@@ -319,6 +320,9 @@ def test_blas_threads_default_to_one(preset, expected):
     # importing the oracle sets the BLAS thread default, and a value the
     # environment already has wins
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(quivercount.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     code = ("import os, quivercount.oracle; "

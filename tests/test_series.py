@@ -1,27 +1,30 @@
-import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quivercount.counting import CountingContext, semistable_series
+from quivercount.counting import CountingContext, SlopeCone, semistable_series
 from quivercount.qpoly import QPoly, RationalFunction
-from quivercount.quiver import Quiver, q_exponential
+from quivercount.quiver import Quiver, q_exponential, slope
 from quivercount.series import (
     Series,
     TruncationError,
     TruncationSpec,
     adams,
+    form_pairing,
+    monomial_twist,
     ordinary_exp,
     ordinary_log,
     plethystic_exp,
     plethystic_log,
     plethystic_pow,
     series_bar,
-    twist_by_quadratic,
-    twist_by_weights,
+    subvectors,
     twisted_inverse,
     twisted_mul,
+    vec_sub,
 )
 
 ONE = QPoly.one()
@@ -108,17 +111,6 @@ class TestSeriesBasics:
         p1 = q_exponential(tr1)
         for (a, b), c in p2.items():
             assert c == p1.coeff((a,)) * p1.coeff((b,))
-
-    def test_json_round_trip_and_ordering(self):
-        tr = TruncationSpec(2, 3)
-        s = Series(tr, {(1, 1): RationalFunction(Q), (0, 1): 2, (2, 0): 3})
-        data = json.loads(json.dumps(s.to_json()))
-        alphas = [tuple(t["alpha"]) for t in data["terms"]]
-        assert alphas == sorted(alphas)
-        assert Series.from_json(data) == s
-        with pytest.raises(ValueError):
-            Series.from_json({"max_height": 3, "terms": []})
-        assert Series.from_json({"max_height": 3, "terms": []}, nvars=2).is_zero
 
 
 class TestTwisted:
@@ -264,19 +256,19 @@ class TestTwists:
         rng = random.Random(21)
         tr = TruncationSpec(2, 3)
         s = rand_series(rng, tr, rand_rf(rng))
-        assert twist_by_weights(s, (0, 0)) == s
-        assert twist_by_weights(twist_by_weights(s, (2, -1)), (-2, 1)) == s
-        with pytest.raises(ValueError):
-            twist_by_weights(s, (1,))
+        assert monomial_twist(s, lambda a: 0) == s
+        there = monomial_twist(s, lambda a: 2 * a[0] - a[1])
+        assert there != s
+        assert monomial_twist(there, lambda a: a[1] - 2 * a[0]) == s
 
     def test_quadratic_twist(self):
         loop2 = Quiver.from_matrix([[2]])
         tr = TruncationSpec(1, 3)
         s = Series(tr, {(0,): 1, (2,): 1})
-        t = twist_by_quadratic(s, loop2.tits_form)
+        t = monomial_twist(s, loop2.tits_form)
         assert t.coeff((0,)) == RationalFunction.one()
         assert t.coeff((2,)) == RationalFunction.q_power(-4)  # (1-m) d^2 = -4
-        twice = twist_by_quadratic(t, loop2.tits_form)
+        twice = monomial_twist(t, loop2.tits_form)
         assert twice.coeff((2,)) == RationalFunction.q_power(-8)
 
     def test_bar(self):
@@ -296,3 +288,143 @@ class TestTwists:
                     RationalFunction.one() - RationalFunction.q_power(-i)
                 ).inverse()
             assert barp.coeff((k,)) == expected
+
+
+# -- the series recurrences against the loops they replaced ---------------------
+
+
+def reference_exp(a):
+    """exp(a) as the power sum sum_n a^n / n!."""
+    acc = term = Series.one(a.trunc)
+    for n in range(1, a.trunc.max_height + 1):
+        term = term * a * Fraction(1, n)
+        acc = acc + term
+    return acc
+
+
+def reference_log(a):
+    """log(a) as the power sum sum_n (-1)^{n+1} (a-1)^n / n."""
+    u = a - 1
+    acc, power = Series.zero(a.trunc), Series.one(a.trunc)
+    for n in range(1, a.trunc.max_height + 1):
+        power = power * u
+        acc = acc + power * Fraction((-1) ** (n + 1), n)
+    return acc
+
+
+def reference_twisted_inverse(a, form):
+    """The twisted inverse by a direct loop over alpha and 0 < beta <= alpha."""
+    trunc = a.trunc
+    zero = trunc.zero_vector()
+    inv0 = a.constant_term.inverse()
+    out = {zero: inv0}
+    for alpha in trunc.vectors():
+        if alpha == zero:
+            continue
+        acc = RationalFunction.zero()
+        for beta in subvectors(alpha):
+            rest = vec_sub(alpha, beta)
+            if beta != zero and rest in out:
+                acc = acc + a.coeff(beta) * out[rest] * \
+                    RationalFunction.q_power(-form_pairing(form, beta, rest))
+        out[alpha] = -(inv0 * acc)
+    return Series(trunc, out)
+
+
+def reference_twisted_mul(a, b, form):
+    """Each coefficient of the twisted product from its defining sum."""
+    coeffs = {}
+    for alpha in a.trunc.vectors():
+        acc = RationalFunction.zero()
+        for beta in subvectors(alpha):
+            rest = vec_sub(alpha, beta)
+            acc = acc + a.coeff(beta) * b.coeff(rest) * \
+                RationalFunction.q_power(-form_pairing(form, beta, rest))
+        coeffs[alpha] = acc
+    return Series(a.trunc, coeffs)
+
+
+def restrict(s, trunc):
+    return Series(trunc, s.items())
+
+
+small_rfs = st.builds(
+    RationalFunction,
+    st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(QPoly),
+    st.sampled_from([ONE, ONE - Q, ONE + Q, ONE - QPoly.monomial(2)]),
+)
+
+
+@st.composite
+def truncations(draw):
+    """1-3 variables to height <= 4, either full or on a slope cone, plus a
+    pairing matrix; the cone's slope is that of a drawn vector, so it is
+    never empty."""
+    nvars = draw(st.integers(1, 3))
+    max_height = draw(st.integers(1, 4))
+    full = TruncationSpec(nvars, max_height)
+    trunc = full
+    if draw(st.booleans()):
+        theta = tuple(draw(st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars)))
+        gamma = draw(st.sampled_from([a for a in full.vectors() if sum(a)]))
+        trunc = TruncationSpec(nvars, max_height, SlopeCone(theta, slope(theta, gamma)))
+    form = draw(st.lists(st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars),
+                         min_size=nvars, max_size=nvars))
+    return full, trunc, form
+
+
+def series_on(draw, trunc, constant):
+    coeffs = {alpha: draw(st.one_of(st.just(0), small_rfs))
+              for alpha in trunc.vectors() if sum(alpha)}
+    coeffs[trunc.zero_vector()] = constant
+    return Series(trunc, coeffs)
+
+
+@st.composite
+def cases(draw, constant=None):
+    """(full truncation, truncation, form, series) with the given constant
+    term, or a random one."""
+    full, trunc, form = draw(truncations())
+    c = draw(small_rfs) if constant is None else constant
+    return full, trunc, form, series_on(draw, trunc, c)
+
+
+class TestRecurrences:
+    @settings(max_examples=40)
+    @given(cases(constant=0))
+    def test_exp_matches_power_sum_and_cone_restriction(self, case):
+        full, trunc, _, a = case
+        e = ordinary_exp(a)
+        assert e == reference_exp(a)
+        assert e == restrict(ordinary_exp(restrict(a, full)), trunc)
+        assert ordinary_log(e) == a
+
+    @settings(max_examples=40)
+    @given(cases(constant=1))
+    def test_log_matches_power_sum_and_cone_restriction(self, case):
+        full, trunc, _, a = case
+        f = ordinary_log(a)
+        assert f == reference_log(a)
+        assert f == restrict(ordinary_log(restrict(a, full)), trunc)
+        assert ordinary_exp(f) == a
+
+    @settings(max_examples=40)
+    @given(cases().filter(lambda case: not case[3].constant_term.is_zero))
+    def test_twisted_inverse_matches_loop_and_cone_restriction(self, case):
+        full, trunc, form, a = case
+        g = twisted_inverse(a, form)
+        assert g == reference_twisted_inverse(a, form)
+        assert g == restrict(twisted_inverse(restrict(a, full), form), trunc)
+        assert twisted_mul(a, g, form) == Series.one(trunc)
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_twisted_mul_matches_coefficient_sum(self, data):
+        full, trunc, form, a = data.draw(cases())
+        b = series_on(data.draw, trunc, data.draw(small_rfs))
+        zero_form = [[0] * trunc.nvars for _ in range(trunc.nvars)]
+        assert twisted_mul(a, b, form) == reference_twisted_mul(a, b, form)
+        assert twisted_mul(a, b, zero_form) == a * b
+        assert a * b == reference_twisted_mul(a, b, zero_form)
+        assert twisted_mul(a, b, form) == restrict(
+            twisted_mul(restrict(a, full), restrict(b, full), form), trunc)
