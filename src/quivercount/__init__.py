@@ -48,20 +48,5 @@ from .counting import (
     semistable_series_closed,
     stable_end_degree_poly,
 )
-from .oracle import (
-    Budget,
-    BudgetError,
-    DivisibilityError,
-    RepPoint,
-    count_absolutely_stable,
-    count_semistable_ratio,
-    count_stable_with_end_dim,
-    endomorphism_dim,
-    enumerate_points,
-    gl_order,
-    is_semistable,
-    is_stable,
-)
-from .verify import VerificationReport, VerificationRow, run_verification
 
 __version__ = "0.1.0"

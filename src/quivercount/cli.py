@@ -33,11 +33,9 @@ from .counting import (
     stable_end_degree_poly,
 )
 from .numtheory import is_prime
-from .oracle import DEFAULT_BUDGET, Budget, DivisibilityError
 from .qpoly import PoleError, QPoly, format_poly
 from .quiver import Quiver, parse_theta
 from .series import DimVector, height
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,7 +52,7 @@ class RunConfig:
     primes: tuple[int, ...]
     q1_order: int
     output_format: str
-    budget: Budget
+    budget: Optional[int]  # verify's point budget; None for the default
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -87,11 +85,9 @@ class RunConfig:
         q1_order = getattr(args, "q1_order", 2)
         if q1_order < 0:
             raise ValueError("--q1-order must be >= 0")
-        budget = DEFAULT_BUDGET
-        if getattr(args, "budget", None) is not None:
-            if args.budget < 1:
-                raise ValueError("--budget must be >= 1")
-            budget = Budget(max_points=args.budget)
+        budget = getattr(args, "budget", None)
+        if budget is not None and budget < 1:
+            raise ValueError("--budget must be >= 1")
         return cls(quiver, theta, mu, max_height, primes, q1_order,
                    args.format, budget)
 
@@ -265,9 +261,14 @@ def cmd_f_expand(config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig, out, tamper: bool = False) -> int:
+def cmd_verify(config: RunConfig, out) -> int:
+    # imported here: the oracle needs numpy, which no other subcommand loads
+    from .oracle import DEFAULT_MAX_POINTS
+    from .verify import run_verification
+
     ctx = config.context()
-    report = run_verification(ctx, config.primes, config.budget, tamper=tamper)
+    report = run_verification(ctx, config.primes,
+                              config.budget or DEFAULT_MAX_POINTS)
     if config.output_format == "json":
         json.dump(report.to_json(), out, indent=2)
         out.write("\n")
@@ -312,8 +313,6 @@ def _add_common(sub, formats=("text", "json"), with_primes=False, with_q1=False)
     sub.add_argument("--slope", default="0", help="target slope as P/Q")
     sub.add_argument("--max-height", type=int, default=6, dest="max_height")
     sub.add_argument("--format", choices=formats, default="text")
-    sub.add_argument("--budget", type=int, default=None,
-                     help="maximum number of points to enumerate")
     if with_primes:
         sub.add_argument("--primes", default="2,3", help="verification primes, CSV")
     if with_q1:
@@ -321,8 +320,16 @@ def _add_common(sub, formats=("text", "json"), with_primes=False, with_q1=False)
                          help="number of (q-1) expansion layers")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one stderr line, as every other usage error
+    is reported; subparsers are made of the same class."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quivercount",
         description="Exact counting of stable quiver representations over "
                     "finite fields.")
@@ -340,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(fx, with_q1=True)
     vf = sub.add_parser("verify", help="compare formulas against brute force")
     _add_common(vf, with_primes=True)
-    vf.add_argument("--corrupt-table", action="store_true",
-                    help=argparse.SUPPRESS)
+    vf.add_argument("--budget", type=int, default=None,
+                    help="maximum number of points the oracle may enumerate")
     nk = sub.add_parser("necklaces", help="primitive necklace numbers")
     nk.add_argument("--colors", type=int, required=True)
     nk.add_argument("--max-beads", type=int, default=6, dest="max_beads")
@@ -369,9 +376,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "f-expand":
             return cmd_f_expand(config, out)
         if args.command == "verify":
-            return cmd_verify(config, out, tamper=args.corrupt_table)
+            return cmd_verify(config, out)
         parser.error(f"unknown command {args.command}")
-    except (InvariantError, DivisibilityError, PoleError) as exc:
+    except (InvariantError, PoleError) as exc:
         sys.stderr.write(f"invariant violation: {exc}\n")
         return EXIT_INVARIANT
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -252,10 +252,9 @@ def semistable_series_closed(ctx: CountingContext) -> Series:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Polynomial counts per dimension vector, tagged with their origin."""
+    """Polynomial counts per dimension vector."""
 
     entries: dict[DimVector, QPoly]
-    provenance: str
     context: CountingContext
 
     def poly(self, alpha: Sequence[int]) -> QPoly:
@@ -307,7 +306,7 @@ def absolutely_stable_table(ctx: CountingContext) -> CountTable:
                 f"count at {alpha} has non-integer coefficients: {poly}"
             )
         entries[alpha] = poly
-    return CountTable(entries, "twisted-inversion", ctx)
+    return CountTable(entries, ctx)
 
 
 def stable_end_degree_poly(ctx: CountingContext, table: CountTable,
@@ -338,16 +337,6 @@ def stable_end_degree_poly(ctx: CountingContext, table: CountTable,
                 f"evaluates to {value} at q = {p}"
             )
     return poly
-
-
-def stable_end_degree_at(ctx: CountingContext, table: CountTable,
-                         beta: Sequence[int], r: int) -> QPoly:
-    """s for dimension vector beta and degree r; beta must be divisible by r."""
-    beta = tuple(beta)
-    if any(b % r for b in beta):
-        raise ValueError(f"dimension vector {beta} is not divisible by {r}")
-    base = tuple(b // r for b in beta)
-    return stable_end_degree_poly(ctx, table, base, r)
 
 
 # -- the residual series and its q = 1 behaviour -----------------------------------

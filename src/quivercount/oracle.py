@@ -24,7 +24,12 @@ per-point functions, which are kept as the simple reference implementation.
   every intermediate, which lies in [-(p-1)^2, p-1]: int8 for p <= 11,
   int16 for p <= 181 and int64 beyond.
 
-Budgets are explicit: exceeding them raises, it never degrades silently.
+Two limits keep a run bounded, and exceeding either raises BudgetError,
+never a silent degradation: `max_points` (default DEFAULT_MAX_POINTS =
+2^24) caps the points of one enumeration, and `stable_height(p)` (4 at
+p = 2, else 3) caps the height of a dimension vector whose subspace search
+runs at p.  The `verify` harness uses the same `stable_height` to choose
+its rows.
 
 The float64 products go through the BLAS that numpy links (OpenBLAS), which
 by default starts one worker thread per available CPU.  The blocks here are
@@ -41,11 +46,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as _cartesian
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402  (after the BLAS thread default above)
 
+from .counting import InvariantError
 from .numtheory import is_prime
 from .quiver import Quiver, slope
 from .series import DimVector, height, subvectors
@@ -55,27 +61,17 @@ class BudgetError(RuntimeError):
     """An enumeration would exceed the configured budget."""
 
 
-class DivisibilityError(RuntimeError):
+class DivisibilityError(InvariantError):
     """An orbit count failed to divide evenly; invariant violation."""
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Enumeration limits: total points and, for subspace searches, the
-    largest dimension-vector height per prime."""
-
-    max_points: int = 1 << 24
-    stability_heights: tuple[tuple[int, int], ...] = ((2, 4),)
-    default_stability_height: int = 3
-
-    def stable_height(self, p: int) -> int:
-        for prime, bound in self.stability_heights:
-            if prime == p:
-                return bound
-        return self.default_stability_height
+DEFAULT_MAX_POINTS = 1 << 24
+T = TypeVar("T")
 
 
-DEFAULT_BUDGET = Budget()
+def stable_height(p: int) -> int:
+    """Largest height of a dimension vector whose subspace search runs at p."""
+    return 4 if p == 2 else 3
 
 
 def _check_prime(p: int) -> None:
@@ -97,18 +93,18 @@ def gl_order(alpha: Sequence[int], p: int) -> int:
     return total
 
 
-def _check_point_budget(quiver: Quiver, alpha: DimVector, p: int, budget: Budget) -> int:
+def _check_point_budget(quiver: Quiver, alpha: DimVector, p: int, max_points: int) -> int:
     total = p ** rep_space_dim(quiver, alpha)
-    if total > budget.max_points:
+    if total > max_points:
         raise BudgetError(
             f"{total} points for alpha={tuple(alpha)} at p={p} exceeds the budget "
-            f"of {budget.max_points}; use a smaller alpha or prime, or raise the budget"
+            f"of {max_points}; use a smaller alpha or prime, or raise the budget"
         )
     return total
 
 
-def _check_stability_budget(alpha: DimVector, p: int, budget: Budget) -> None:
-    bound = budget.stable_height(p)
+def _check_stability_budget(alpha: DimVector, p: int) -> None:
+    bound = stable_height(p)
     if height(alpha) > bound:
         raise BudgetError(
             f"subspace search at height {height(alpha)} exceeds the bound {bound} "
@@ -152,7 +148,7 @@ def _arrow_layout(quiver: Quiver, alpha: DimVector) -> list[tuple[int, int, int]
 
 
 def enumerate_points(quiver: Quiver, alpha: Sequence[int], p: int,
-                     budget: Budget = DEFAULT_BUDGET) -> Iterator[RepPoint]:
+                     max_points: int = DEFAULT_MAX_POINTS) -> Iterator[RepPoint]:
     """Every point of the representation space exactly once.
 
     Deterministic order: point n has flattened entries equal to the base-p
@@ -160,7 +156,7 @@ def enumerate_points(quiver: Quiver, alpha: Sequence[int], p: int,
     """
     _check_prime(p)
     alpha = tuple(alpha)
-    _check_point_budget(quiver, alpha, p, budget)
+    _check_point_budget(quiver, alpha, p, max_points)
     spans = [(off, alpha[j], alpha[i]) for i, j, off in _arrow_layout(quiver, alpha)]
     # product() varies its last entry fastest, so reversing each tuple puts
     # the least significant digit first
@@ -503,9 +499,36 @@ def _batch_end_dims(digits: np.ndarray, quiver: Quiver, alpha: DimVector,
     return unknowns - _batch_rank(system.transpose(2, 0, 1), p)
 
 
+def _violating_dims(alpha: DimVector, theta: Sequence[int],
+                    strict: bool) -> list[DimVector]:
+    """Proper sub-dimension vectors of slope > (strict) or >= the slope of
+    alpha: the only ones whose invariant subspaces break (semi)stability."""
+    mu = slope(theta, alpha)
+    return [d for d in _proper_subdims(alpha)
+            if (slope(theta, d) > mu if strict else slope(theta, d) >= mu)]
+
+
+def _scan(quiver: Quiver, alpha: DimVector, p: int, viol: Sequence[DimVector],
+          max_points: int, per_block: Callable[[np.ndarray, np.ndarray], T]
+          ) -> Iterator[T]:
+    """per_block(digits, mask) for every block of points of the
+    representation space; the mask is True where no subspace tuple of a
+    dimension vector in `viol` is invariant.
+
+    Only the result of per_block outlives its block, so no more than one
+    digits block is held while the next one is scanned.
+    """
+    total = _check_point_budget(quiver, alpha, p, max_points)
+    if viol:
+        _check_stability_budget(alpha, p)
+    candidates = _candidate_constraints(quiver, alpha, p, viol)
+    for digits in _digit_blocks(total, rep_space_dim(quiver, alpha), p):
+        yield per_block(digits, _no_invariant_mask(digits, p, candidates))
+
+
 def count_semistable_ratio(quiver: Quiver, alpha: Sequence[int],
                            theta: Sequence[int], p: int,
-                           budget: Budget = DEFAULT_BUDGET) -> Fraction:
+                           max_points: int = DEFAULT_MAX_POINTS) -> Fraction:
     """#semistable points / #GL, exactly.
 
     Only dimension vectors of slope above the point's slope can violate
@@ -517,38 +540,22 @@ def count_semistable_ratio(quiver: Quiver, alpha: Sequence[int],
     alpha = tuple(alpha)
     if height(alpha) == 0:
         return Fraction(1)
-    glo = gl_order(alpha, p)
-    mu = slope(theta, alpha)
-    viol = [d for d in _proper_subdims(alpha) if slope(theta, d) > mu]
-    dim = rep_space_dim(quiver, alpha)
+    viol = _violating_dims(alpha, theta, strict=True)
     if not viol:
-        return Fraction(p**dim, glo)
-    total = _check_point_budget(quiver, alpha, p, budget)
-    _check_stability_budget(alpha, p, budget)
-    candidates = _candidate_constraints(quiver, alpha, p, viol)
-    count = 0
-    for digits in _digit_blocks(total, dim, p):
-        count += int(_no_invariant_mask(digits, p, candidates).sum())
-    return Fraction(count, glo)
+        return Fraction(p ** rep_space_dim(quiver, alpha), gl_order(alpha, p))
+    count = sum(_scan(quiver, alpha, p, viol, max_points,
+                      lambda _, mask: int(mask.sum())))
+    return Fraction(count, gl_order(alpha, p))
 
 
 @lru_cache(maxsize=128)
 def _stable_end_tally(quiver: Quiver, alpha: DimVector, theta: tuple[int, ...],
-                      p: int, budget: Budget) -> tuple[tuple[int, int], ...]:
+                      p: int, max_points: int) -> tuple[tuple[int, int], ...]:
     """(end_dim, point count) pairs over all stable points."""
-    if height(alpha) == 0:
-        return ()
-    total = _check_point_budget(quiver, alpha, p, budget)
-    mu = slope(theta, alpha)
-    viol = [d for d in _proper_subdims(alpha) if slope(theta, d) >= mu]
-    if viol:
-        _check_stability_budget(alpha, p, budget)
-    candidates = _candidate_constraints(quiver, alpha, p, viol)
-    dim = rep_space_dim(quiver, alpha)
+    viol = _violating_dims(alpha, theta, strict=False)
     tally: dict[int, int] = {}
-    for digits in _digit_blocks(total, dim, p):
-        mask = _no_invariant_mask(digits, p, candidates)
-        stable_digits = digits[mask]
+    for stable_digits in _scan(quiver, alpha, p, viol, max_points,
+                               lambda digits, mask: digits[mask]):
         if stable_digits.shape[0] == 0:
             continue
         ends = _batch_end_dims(stable_digits, quiver, alpha, p)
@@ -558,44 +565,36 @@ def _stable_end_tally(quiver: Quiver, alpha: DimVector, theta: tuple[int, ...],
     return tuple(sorted(tally.items()))
 
 
-def _orbit_classes(n_points: int, aut_order: int, glo: int, label: str) -> int:
-    numerator = n_points * aut_order
-    if numerator % glo:
-        raise DivisibilityError(
-            f"{label}: {n_points} points with automorphism order {aut_order} "
-            f"do not split into whole orbits of GL order {glo}"
-        )
-    return numerator // glo
-
-
-def count_absolutely_stable(quiver: Quiver, alpha: Sequence[int],
-                            theta: Sequence[int], p: int,
-                            budget: Budget = DEFAULT_BUDGET) -> int:
-    """Isomorphism classes of stable points with scalar endomorphisms only.
-
-    Such a point has automorphism group F_p^*, so the class count is
-    (#points) * (p-1) / #GL; exact divisibility is asserted.
-    """
-    _check_prime(p)
-    alpha = tuple(alpha)
-    if height(alpha) == 0:
-        return 0
-    tally = dict(_stable_end_tally(quiver, alpha, tuple(theta), p, budget))
-    return _orbit_classes(tally.get(1, 0), p - 1, gl_order(alpha, p),
-                          f"absolutely stable classes at {alpha}, p={p}")
-
-
 def count_stable_with_end_dim(quiver: Quiver, alpha: Sequence[int],
                               theta: Sequence[int], p: int, r: int,
-                              budget: Budget = DEFAULT_BUDGET) -> int:
+                              max_points: int = DEFAULT_MAX_POINTS) -> int:
     """Isomorphism classes of stable points whose endomorphism ring is the
-    field with p^r elements (automorphism group of order p^r - 1)."""
+    field with p^r elements.
+
+    Such a point has automorphism group F_{p^r}^*, so the class count is
+    (#points) * (p^r - 1) / #GL; exact divisibility is asserted.
+    """
     _check_prime(p)
     if r < 1:
         raise ValueError("endomorphism degree must be >= 1")
     alpha = tuple(alpha)
     if height(alpha) == 0:
         return 0
-    tally = dict(_stable_end_tally(quiver, alpha, tuple(theta), p, budget))
-    return _orbit_classes(tally.get(r, 0), p**r - 1, gl_order(alpha, p),
-                          f"stable classes with degree {r} at {alpha}, p={p}")
+    tally = dict(_stable_end_tally(quiver, alpha, tuple(theta), p, max_points))
+    numerator = tally.get(r, 0) * (p**r - 1)
+    glo = gl_order(alpha, p)
+    if numerator % glo:
+        raise DivisibilityError(
+            f"stable classes with degree {r} at {alpha}, p={p}: {tally.get(r, 0)} "
+            f"points with automorphism order {p**r - 1} do not split into whole "
+            f"orbits of GL order {glo}"
+        )
+    return numerator // glo
+
+
+def count_absolutely_stable(quiver: Quiver, alpha: Sequence[int],
+                            theta: Sequence[int], p: int,
+                            max_points: int = DEFAULT_MAX_POINTS) -> int:
+    """Isomorphism classes of stable points with scalar endomorphisms only,
+    that is, with endomorphism field of degree 1."""
+    return count_stable_with_end_dim(quiver, alpha, theta, p, 1, max_points)

@@ -45,10 +45,6 @@ def fraction_to_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
@@ -337,10 +333,6 @@ class QPoly:
 
     def to_json(self) -> list[str]:
         return [fraction_to_str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "QPoly":
-        return cls([Fraction(s) for s in data])
 
 
 _SET_N = QPoly._n.__set__
@@ -804,7 +796,3 @@ class RationalFunction:
 
     def to_json(self) -> dict:
         return {"num": self._num.to_json(), "den": self._den.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RationalFunction":
-        return cls(QPoly.from_json(data["num"]), QPoly.from_json(data["den"]))

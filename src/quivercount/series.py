@@ -244,14 +244,10 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return (
-            self.trunc.nvars == other.trunc.nvars
-            and self.trunc.max_height == other.trunc.max_height
-            and self._c == other._c
-        )
+        return self.trunc == other.trunc and self._c == other._c
 
     def __hash__(self):
-        return hash((self.trunc.nvars, self.trunc.max_height, frozenset(self._c.items())))
+        return hash((self.trunc, frozenset(self._c.items())))
 
     def __str__(self):
         if self.is_zero:

@@ -1,16 +1,18 @@
 """Formula-vs-oracle verification harness.
 
-For every dimension vector in the slope cone up to the budgeted height and
-every configured prime, the exact rational-function values are evaluated at
-the prime and compared with brute-force counts:
+For every configured prime p and every dimension vector in the slope cone
+up to height `oracle.stable_height(p)`, the exact rational-function values
+are evaluated at p and compared with brute-force counts:
 
 * point ratio          #R / #GL
 * semistable ratio     #semistable / #GL
 * class counts         absolutely stable, and stable with endomorphism
-                       field of degree r >= 2 where the dimension divides.
+                       field of degree 2 <= r <= 4 where the dimension
+                       divides.
 
-Rows whose enumeration would exceed the budget are reported as skipped,
-never silently dropped; a report is OK when no comparison failed.
+Rows whose enumeration would pass `max_points` points (default
+`oracle.DEFAULT_MAX_POINTS`) are reported as skipped, never silently
+dropped; a report is OK when no comparison failed.
 """
 
 from __future__ import annotations
@@ -21,15 +23,13 @@ from typing import Optional, Sequence
 
 from .counting import (
     CountingContext,
-    CountTable,
     absolutely_stable_table,
     rep_ratio,
     semistable_ratio,
     stable_end_degree_poly,
 )
 from .oracle import (
-    DEFAULT_BUDGET,
-    Budget,
+    DEFAULT_MAX_POINTS,
     BudgetError,
     count_absolutely_stable,
     count_semistable_ratio,
@@ -37,11 +37,12 @@ from .oracle import (
     enumerate_points,
     gl_order,
     rep_space_dim,
+    stable_height,
 )
-from .qpoly import QPoly
 from .series import DimVector, height
 
 _ENUMERATION_CAP = 1 << 16
+_MAX_END_DEGREE = 4
 
 
 @dataclass(frozen=True)
@@ -94,21 +95,9 @@ class VerificationReport:
         }
 
 
-def _tampered(table: CountTable) -> CountTable:
-    # Test hook: corrupt the first entry so mismatch reporting can be exercised.
-    entries = dict(table.entries)
-    first = min(entries, key=lambda a: (height(a), a))
-    entries[first] = entries[first] + QPoly.one()
-    return CountTable(entries, table.provenance + "+corrupted", table.context)
-
-
 def run_verification(ctx: CountingContext, primes: Sequence[int],
-                     budget: Budget = DEFAULT_BUDGET,
-                     max_end_degree: int = 4,
-                     tamper: bool = False) -> VerificationReport:
+                     max_points: int = DEFAULT_MAX_POINTS) -> VerificationReport:
     table = absolutely_stable_table(ctx)
-    if tamper:
-        table = _tampered(table)
     quiver, theta = ctx.quiver, ctx.theta
     rows: list[VerificationRow] = []
 
@@ -124,7 +113,7 @@ def run_verification(ctx: CountingContext, primes: Sequence[int],
                                     formula_value == oracle_value))
 
     for p in primes:
-        bound = min(ctx.trunc.max_height, budget.stable_height(p))
+        bound = min(ctx.trunc.max_height, stable_height(p))
         for alpha in ctx.trunc.vectors():
             h = height(alpha)
             if h == 0 or h > bound:
@@ -133,17 +122,17 @@ def run_verification(ctx: CountingContext, primes: Sequence[int],
             def t_oracle(alpha=alpha, p=p):
                 if p ** rep_space_dim(quiver, alpha) > _ENUMERATION_CAP:
                     raise BudgetError("point stream too long to enumerate")
-                n = sum(1 for _ in enumerate_points(quiver, alpha, p, budget))
+                n = sum(1 for _ in enumerate_points(quiver, alpha, p, max_points))
                 return Fraction(n, gl_order(alpha, p))
 
             add("points/GL", alpha, p, rep_ratio(quiver, alpha).evaluate(p), t_oracle)
             add("semistable/GL", alpha, p, semistable_ratio(ctx, alpha).evaluate(p),
                 lambda alpha=alpha, p=p: count_semistable_ratio(
-                    quiver, alpha, theta, p, budget))
+                    quiver, alpha, theta, p, max_points))
             add("abs-stable classes", alpha, p, table.poly(alpha).evaluate(p),
                 lambda alpha=alpha, p=p: count_absolutely_stable(
-                    quiver, alpha, theta, p, budget))
-            for r in range(2, max_end_degree + 1):
+                    quiver, alpha, theta, p, max_points))
+            for r in range(2, _MAX_END_DEGREE + 1):
                 if any(a % r for a in alpha):
                     continue
                 base = tuple(a // r for a in alpha)
@@ -153,5 +142,5 @@ def run_verification(ctx: CountingContext, primes: Sequence[int],
                 add(f"stable classes end-degree {r}", alpha, p,
                     s_poly.evaluate(p),
                     lambda alpha=alpha, p=p, r=r: count_stable_with_end_dim(
-                        quiver, alpha, theta, p, r, budget))
+                        quiver, alpha, theta, p, r, max_points))
     return VerificationReport(tuple(rows))

@@ -2,9 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import quivercount
+from quivercount import oracle
 from quivercount.cli import main
 
 QUIVERS = {
@@ -99,11 +104,21 @@ def test_verify_ok(quiver_file):
                  "--max-height", "3", "--primes", "2"]) == 0
 
 
-def test_verify_corrupted_table_exits_three(quiver_file, capsys):
+def test_verify_corrupted_table_exits_three(quiver_file, capsys, corrupt_table):
     code = main(["verify", "--quiver", quiver_file("loop1"),
-                 "--max-height", "2", "--primes", "2", "--corrupt-table"])
+                 "--max-height", "2", "--primes", "2"])
     assert code == 3
     assert "mismatch" in capsys.readouterr().err
+
+
+def test_orbit_division_failure_exits_two(quiver_file, capsys, monkeypatch):
+    # one point with trivial endomorphisms cannot make whole GL orbits at
+    # alpha = (2,), p = 2, where #GL = 6
+    monkeypatch.setattr(oracle, "_stable_end_tally", lambda *args: ((1, 1),))
+    assert main(["verify", "--quiver", quiver_file("loop1"),
+                 "--max-height", "2", "--primes", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("invariant violation: ")
 
 
 def test_verify_json(quiver_file, capsys):
@@ -262,3 +277,35 @@ def test_exact_outputs_are_unchanged(quiver_file, argv, digest):
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--quiver", "loop1", "--format", "latex"],
+    ["a-series", "--quiver", "loop1", "--no-such-flag"],
+    ["a-series", "--max-height", "2"],
+    ["a-series", "--quiver", "loop1", "--budget", "5"],
+], ids=["bad-choice", "unknown-flag", "missing-quiver", "budget-off-verify"])
+def test_argparse_errors_are_one_line(quiver_file, capsys, argv):
+    argv = [quiver_file(a) if a in QUIVERS else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["a-series", "--quiver", "cyclic", "--max-height", "3"],
+    ["f-expand", "--quiver", "loop2", "--max-height", "3", "--q1-order", "1"],
+    ["necklaces", "--colors", "2", "--max-beads", "3"],
+], ids=["a-series", "f-expand", "necklaces"])
+def test_exact_subcommands_never_import_numpy(quiver_file, argv):
+    # numpy serves only the brute-force oracle, which only `verify` runs
+    argv = [quiver_file(a) if a in QUIVERS else a for a in argv]
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(quivercount.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = ("import sys; from quivercount.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, 'numpy' in sys.modules, file=sys.stderr)")
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.stderr.strip() == "0 False"

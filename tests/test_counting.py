@@ -18,7 +18,6 @@ from quivercount.counting import (
     semistable_ratio_reference,
     semistable_series,
     semistable_series_closed,
-    stable_end_degree_at,
     stable_end_degree_poly,
 )
 from quivercount.qpoly import QPoly, RationalFunction
@@ -250,11 +249,13 @@ class TestEndDegreeCounts:
                                          Series.one(tr) * RationalFunction(s))
             assert lhs == rhs
 
-    def test_divisibility_guard(self):
+    def test_degree_two_is_the_mobius_sum(self):
+        # s_{2 alpha, 2} = (a_alpha(q^2) - a_alpha(q)) / 2
+        a1 = self.table.poly((1,))
+        assert stable_end_degree_poly(self.ctx, self.table, (1,), 2) == \
+            (a1.adams(2) - a1) * Fraction(1, 2)
         with pytest.raises(ValueError):
-            stable_end_degree_at(self.ctx, self.table, (3,), 2)
-        assert stable_end_degree_at(self.ctx, self.table, (2,), 2) == \
-            stable_end_degree_poly(self.ctx, self.table, (1,), 2)
+            stable_end_degree_poly(self.ctx, self.table, (1,), 0)
 
 
 class TestResidualSeries:

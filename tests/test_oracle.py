@@ -17,7 +17,6 @@ from quivercount.counting import (
     stable_end_degree_poly,
 )
 from quivercount.oracle import (
-    Budget,
     BudgetError,
     RepPoint,
     _batch_end_dims,
@@ -78,9 +77,8 @@ class TestEnumeration:
     def test_budget(self):
         with pytest.raises(BudgetError, match="budget"):
             list(enumerate_points(loop(2), (4,), 2))
-        tight = Budget(max_points=3)
         with pytest.raises(BudgetError):
-            list(enumerate_points(loop(1), (1,), 5, tight))
+            list(enumerate_points(loop(1), (1,), 5, max_points=3))
 
     def test_prime_required(self):
         with pytest.raises(ValueError):
@@ -230,9 +228,8 @@ class TestCounts:
         # semistability at zero stability needs no enumeration at all
         got = count_semistable_ratio(loop(2), (3,), (0,), 3)
         assert got == Fraction(3**18, gl_order((3,), 3))
-        tight = Budget(max_points=10)
         with pytest.raises(BudgetError):
-            count_absolutely_stable(loop(1), (2,), (0,), 2, tight)
+            count_absolutely_stable(loop(1), (2,), (0,), 2, max_points=10)
 
 
 class TestKernels:

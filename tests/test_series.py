@@ -103,6 +103,21 @@ class TestSeriesBasics:
         with pytest.raises(TruncationError, match="different support filters"):
             a + cone_series(Fraction(1, 3))
 
+    def test_equality_and_hash_include_the_support_filter(self):
+        # equal coefficients on different supports are different series,
+        # as they cannot be combined; equal contexts give equal series
+        kronecker = Quiver.from_matrix([[0, 2], [0, 0]])
+        cone = TruncationSpec(2, 3, SlopeCone((1, 0), Fraction(1, 2)))
+        coeffs = {(0, 0): 1, (1, 1): 2}
+        assert Series(cone, coeffs) != Series(TruncationSpec(2, 3), coeffs)
+
+        def cone_series():
+            return semistable_series(CountingContext.create(
+                kronecker, theta=(1, 0), mu=Fraction(1, 2), max_height=4))
+
+        a, b = cone_series(), cone_series()
+        assert a == b and hash(a) == hash(b)
+
     def test_two_variable_product_of_q_exponentials(self):
         # the coefficient of x^(a,b) in the 2-variable q-exponential factors
         tr2 = TruncationSpec(2, 4)

@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 from quivercount.counting import CountingContext
-from quivercount.oracle import Budget
 from quivercount.quiver import Quiver
 from quivercount.verify import run_verification
 
@@ -32,9 +31,9 @@ def test_kronecker_slope_half():
     assert ("abs-stable classes", (2, 2)) in checked
 
 
-def test_tampered_table_reports_mismatch():
+def test_tampered_table_reports_mismatch(corrupt_table):
     ctx = CountingContext.create(LOOP1, max_height=2)
-    report = run_verification(ctx, primes=(2,), tamper=True)
+    report = run_verification(ctx, primes=(2,))
     assert not report.ok
     assert report.failures()
     assert all(row.quantity != "semistable/GL" for row in report.failures())
@@ -42,7 +41,7 @@ def test_tampered_table_reports_mismatch():
 
 def test_budget_rows_are_skipped_not_failed():
     ctx = CountingContext.create(Quiver.from_matrix([[2]]), max_height=3)
-    report = run_verification(ctx, primes=(3,), budget=Budget(max_points=100))
+    report = run_verification(ctx, primes=(3,), max_points=100)
     assert report.ok
     assert report.n_skipped > 0
     skipped = [row for row in report.rows if row.match is None]
