@@ -28,7 +28,6 @@ from .quiver import (
     parse_theta,
     qbinom_vec,
     slope,
-    topological_order,
 )
 from .counting import (
     CountingContext,

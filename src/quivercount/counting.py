@@ -3,11 +3,13 @@
 The pipeline for a quiver with stability theta and a fixed slope mu is:
 
 1. For each dimension vector alpha in the slope cone, the semistable ratio
-   #semistable points / #GL is a rational function of q.  It is assembled
-   from the ratios q^{dim R_alpha} / #GL_alpha(q) over *all* ordered
+   #semistable points / #GL is a rational function of q.  It is the sum of
+   the ratios q^{dim R_alpha} / #GL_alpha(q) over *all* ordered
    decompositions of alpha whose proper prefix sums have slope > mu, with an
    alternating sign and a q-power twist.  A memoized prefix-sum recursion
-   computes this; a literal tuple enumeration is kept as a reference.
+   computes #GL_alpha times this sum, the semistable point count, in Z[q];
+   the ratio is one division by #GL_alpha.  A literal tuple enumeration in
+   Q(q) is kept as a reference.
 
 2. The generating series r of these ratios is inverted with respect to the
    twisted product, and the plethystic Log of the inverse, multiplied by
@@ -31,7 +33,7 @@ from typing import Optional, Sequence
 
 from .numtheory import divisors, integer_binomial, mobius
 from .qpoly import QPoly, RationalFunction, binomial_jet, trunc_inv, trunc_mul
-from .quiver import Quiver, q_exponential, qbinom_vec, slope
+from .quiver import Quiver, _qbinom_poly, q_exponential, qbinom_vec, slope
 from .series import (
     DimVector,
     Series,
@@ -127,6 +129,15 @@ def gl_order_poly(n: int) -> QPoly:
     return poly
 
 
+def _gl_order(alpha: Sequence[int]) -> QPoly:
+    """#GL_alpha = prod_i #GL_{alpha_i} as a polynomial in q."""
+    den = QPoly.one()
+    for a in alpha:
+        if a:
+            den = den * gl_order_poly(a)
+    return den
+
+
 def rep_ratio(quiver: Quiver, alpha: Sequence[int]) -> RationalFunction:
     """#R_alpha / #GL_alpha as a rational function of q.
 
@@ -135,34 +146,37 @@ def rep_ratio(quiver: Quiver, alpha: Sequence[int]) -> RationalFunction:
     """
     alpha = tuple(alpha)
     dim = sum(a * a for a in alpha) - quiver.tits_form(alpha)
-    den = QPoly.one()
-    for a in alpha:
-        if a:
-            den = den * gl_order_poly(a)
-    return RationalFunction(QPoly.monomial(dim), den)
+    return RationalFunction(QPoly.monomial(dim), _gl_order(alpha))
 
 
-def _hn_value(ctx: CountingContext, delta: DimVector) -> RationalFunction:
-    """Signed sum over decompositions of delta with prefix slopes > ctx.mu.
+def _hn_count(ctx: CountingContext, delta: DimVector) -> QPoly:
+    """#GL_delta times the signed sum over decompositions of delta with
+    prefix slopes > ctx.mu: the semistable point count, in Z[q].
 
-    Recursion over the last part: splitting off gamma leaves a prefix whose
-    own slope must exceed mu and whose interior prefixes are handled by the
-    memoized subproblem.  The q-twist picked up by the split is
-    q^{-<gamma, prefix>}.
+    Recursion over the last part (Reineke's Harder-Narasimhan recursion):
+    splitting off gamma leaves a prefix whose own slope must exceed mu and
+    whose interior prefixes are handled by the memoized subproblem.  Scaled
+    by #GL, the split's weight q^{-<gamma, prefix>} #R_gamma #GL_delta /
+    (#GL_gamma #GL_prefix) is the polynomial
+    q^{gamma.delta - <gamma, delta>} prod_i [delta_i; gamma_i]_q.
     """
     cached = ctx._hn_cache.get(delta)
     if cached is not None:
         return cached
     quiver = ctx.quiver
-    total = rep_ratio(quiver, delta)
+    total = QPoly.monomial(sum(d * d for d in delta) - quiver.tits_form(delta))
     for gamma in subvectors(delta):
         if height(gamma) == 0 or gamma == delta:
             continue
         prefix = vec_sub(delta, gamma)
         if ctx.slope_of(prefix) <= ctx.mu:
             continue
-        twist = RationalFunction.q_power(-quiver.ringel_form(gamma, prefix))
-        total = total - twist * _hn_value(ctx, prefix) * rep_ratio(quiver, gamma)
+        term = _hn_count(ctx, prefix)
+        for p, g in zip(prefix, gamma):
+            if g:
+                term = term * _qbinom_poly(p, g)
+        dot = sum(g * d for g, d in zip(gamma, delta))
+        total = total - term * QPoly.monomial(dot - quiver.ringel_form(gamma, delta))
     ctx._hn_cache[delta] = total
     return total
 
@@ -176,7 +190,7 @@ def semistable_ratio(ctx: CountingContext, alpha: Sequence[int]) -> RationalFunc
         raise ValueError(
             f"alpha {alpha} has slope {ctx.slope_of(alpha)}, context expects {ctx.mu}"
         )
-    return _hn_value(ctx, alpha)
+    return RationalFunction(_hn_count(ctx, alpha), _gl_order(alpha))
 
 
 def _decompositions(alpha: DimVector):

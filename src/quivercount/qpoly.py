@@ -13,7 +13,7 @@ in lowest terms, so every operation is exact integer arithmetic and
   the divisor over Z; by Gauss's lemma an exact quotient of an integer
   polynomial by a primitive one has integer coefficients, so a leading term
   the divisor's lead does not divide proves the division inexact.  The same
-  pseudo-division gives `divmod` and the remainders of `poly_gcd`.
+  pseudo-division gives the remainders of `poly_gcd`.
 - The shift q -> q + c, and with it the (q-1) basis, is an integer Taylor
   shift by repeated additions (von zur Gathen & Gerhard, "Fast algorithms
   for Taylor shifts", ISSAC 1997); a rational c is scaled to a shift by 1.
@@ -224,26 +224,6 @@ class QPoly:
             base = base * base
             n >>= 1
         return result
-
-    def __divmod__(self, other: "QPoly"):
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        # s a_n = quot b_n + rem over Z, where self = a_n / a_d and
-        # other = b_n / b_d; so self = (quot b_d / (s a_d)) other + rem / (s a_d).
-        s, quot, rem = _int_pdivmod(self._n, other._n)
-        den = s * self._d
-        db = other._d
-        return QPoly._make([c * db for c in quot], den), QPoly._make(rem, den)
-
-    def __floordiv__(self, other: "QPoly"):
-        q, _ = divmod(self, other)
-        return q
-
-    def __mod__(self, other: "QPoly"):
-        _, r = divmod(self, other)
-        return r
 
     def exact_div(self, other: "QPoly") -> "QPoly":
         """The quotient self / other; ValueError unless it is a polynomial.
@@ -603,10 +583,6 @@ class RationalFunction:
             return cls._make(QPoly.monomial(n), _ONE_POLY)
         return cls._make(_ONE_POLY, QPoly.monomial(-n))
 
-    @classmethod
-    def from_fraction(cls, c: Scalar) -> "RationalFunction":
-        return cls(QPoly((c,)))
-
     # -- queries --------------------------------------------------------------
 
     @property
@@ -709,18 +685,6 @@ class RationalFunction:
         if other is None:
             return NotImplemented
         return other * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = RationalFunction.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # -- substitutions -------------------------------------------------------
 

@@ -151,43 +151,6 @@ class Quiver:
     def tits_form(self, alpha: Sequence[int]) -> int:
         return self.ringel_form(alpha, alpha)
 
-    def is_acyclic(self) -> bool:
-        try:
-            topological_order(self)
-        except ValueError:
-            return False
-        return True
-
-
-def topological_order(quiver: Quiver) -> tuple[int, ...]:
-    """Vertex order with all arrows pointing forward; errors on cycles.
-
-    Reordering is never done implicitly: the quiver keeps its given vertex
-    order and callers apply this permutation explicitly when they need it.
-    """
-    n = quiver.nvertices
-    indeg = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if quiver.arrow_counts[i][j]:
-                if i == j:
-                    raise ValueError("quiver has a loop; no topological order")
-                indeg[j] += quiver.arrow_counts[i][j]
-    order = []
-    ready = [i for i in range(n) if indeg[i] == 0]
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for j in range(n):
-            c = quiver.arrow_counts[v][j]
-            if c:
-                indeg[j] -= c
-                if indeg[j] == 0:
-                    ready.append(j)
-    if len(order) != n:
-        raise ValueError("quiver has an oriented cycle; no topological order")
-    return tuple(order)
-
 
 # -- stability ---------------------------------------------------------------
 

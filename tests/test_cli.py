@@ -265,11 +265,22 @@ EXACT_OUTPUTS = [
     (["a-series", "--quiver", "kronecker", "--theta", "1,0", "--slope", "1/2",
       "--max-height", "10"],
      "96acb268a2f8aa6d37b9a828377217c6a2c17fc46105ede24e396e43de22d8f2"),
+    (["r-series", "--quiver", "kronecker", "--theta", "1,0", "--slope", "1/2",
+      "--max-height", "10"],
+     "3fe4edd6dd7803c844ced6e95d0f00daedf5943108d1fd0fe2e55c314541855b"),
+    (["r-series", "--quiver", "cyclic", "--theta", "1,0", "--slope", "1/2",
+      "--max-height", "8", "--format", "json"],
+     "2085be6128992699ccc1ed80aee9f991601ecfcd21990a1c91dadc8d35d03e59"),
+    (["s-count", "--quiver", "cyclic", "--theta", "1,0", "--slope", "1/2",
+      "--max-height", "8", "--end-degree", "2"],
+     "c59074b3673fd6e7f6599fd10518421f6eba59da763b48da65da2f2f629eade0"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", EXACT_OUTPUTS,
-                         ids=["loop4-f-expand", "cyclic-a-series", "kronecker-cone"])
+                         ids=["loop4-f-expand", "cyclic-a-series", "kronecker-cone",
+                              "kronecker-cone-r-series", "cyclic-cone-r-series-json",
+                              "cyclic-cone-s-count"])
 def test_exact_outputs_are_unchanged(quiver_file, argv, digest):
     argv = list(argv)
     argv[2] = quiver_file(argv[2])

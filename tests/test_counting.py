@@ -20,6 +20,7 @@ from quivercount.counting import (
     semistable_series_closed,
     stable_end_degree_poly,
 )
+from quivercount import qpoly
 from quivercount.qpoly import QPoly, RationalFunction
 from quivercount.quiver import INFINITY, Quiver, qbinom_vec
 from quivercount.series import (
@@ -141,6 +142,19 @@ class TestSemistableRatio:
                     continue
                 assert semistable_ratio(ctx, alpha) == \
                     semistable_ratio_reference(ctx, alpha), (quiver, theta, alpha)
+
+    @pytest.mark.parametrize("quiver,height", [(KRONECKER, 10), (CYCLIC, 8)],
+                             ids=["kronecker", "cyclic"])
+    def test_recursion_runs_without_gcds(self, monkeypatch, quiver, height):
+        # the recursion runs on point counts in Z[q]; only the final division
+        # by #GL normalizes, once per cone vector
+        calls = []
+        gcd = qpoly.poly_gcd
+        monkeypatch.setattr(qpoly, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+        ctx = CountingContext.create(quiver, theta=(1, 0), mu=Fraction(1, 2),
+                                     max_height=height)
+        semistable_series(ctx)
+        assert 0 < len(calls) <= sum(1 for _ in ctx.trunc.vectors())
 
     def test_series_constant_term(self):
         ctx = CountingContext.create(A2, max_height=3)

@@ -6,12 +6,14 @@ over F_2; and the inversion round trip must close for every shape, including
 quivers with oriented cycles and mixed loops/arrows.
 """
 
+import math
 import random
 from fractions import Fraction
 
 from quivercount.counting import (
     CountingContext,
     absolutely_stable_table,
+    gl_order_poly,
     semistable_ratio,
     semistable_ratio_reference,
     semistable_series,
@@ -63,6 +65,10 @@ def test_recursion_reference_and_oracle_agree_on_random_quivers():
             if not 0 < height(alpha) <= 4:
                 continue
             value = semistable_ratio(ctx, alpha)
+            # times #GL_alpha it is the semistable point count, in Z[q]
+            points = value * math.prod(map(gl_order_poly, alpha), start=QPoly.one())
+            assert points.is_polynomial and points.as_poly().has_integer_coeffs(), \
+                (ctx.quiver, ctx.theta, alpha)
             if height(alpha) <= 3:
                 assert value == semistable_ratio_reference(ctx, alpha), \
                     (ctx.quiver, ctx.theta, alpha)

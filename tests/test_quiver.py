@@ -17,7 +17,6 @@ from quivercount.quiver import (
     qbinom,
     qbinom_vec,
     slope,
-    topological_order,
 )
 from quivercount.series import (
     Series,
@@ -104,14 +103,6 @@ class TestQuiverStructure:
         assert A2.ringel_matrix() == ((1, -1), (0, 1))
         assert loop(2).ringel_matrix() == ((-1,),)
 
-    def test_topological_order(self):
-        assert topological_order(A3) == (0, 1, 2)
-        backwards = Quiver.from_arrows(("1", "2"), [("2", "1")])
-        assert topological_order(backwards) == (1, 0)
-        with pytest.raises(ValueError):
-            topological_order(loop(1))
-        assert A3.is_acyclic() and not loop(1).is_acyclic()
-
 
 class TestSlope:
     def test_examples(self):
@@ -182,7 +173,7 @@ class TestQBinomials:
 
     def test_acyclic_vanishing_has_reflected_factor(self):
         # in topological order, the last supported vertex contributes [-n, n]
-        order = topological_order(A3)
+        order = (0, 1, 2)
         alpha = (1, 2, 1)
         R = A3.ringel_matrix()
         lam = tuple(-sum(R[i][j] * alpha[j] for j in range(3)) for i in range(3))
