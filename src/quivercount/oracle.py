@@ -12,17 +12,29 @@ of degree r has automorphism group F_{p^r}^*, so its orbit has exactly
 The mass counts run on contiguous blocks of the point index range, one
 digits array (points x entries) per block; results are identical to the
 per-point functions, which are kept as the simple reference implementation.
+A block is the p^k points that share their high digits, so the low k digits
+are one table, built once per scan and held in the smallest signed dtype.
 
 - Subspace search: each candidate subspace tuple is one integer matrix whose
   columns give the entries of C X B^T for every arrow, so a block is one
   matrix product digits @ M followed by a remainder test.  Digits and matrix
   entries lie in [0, p) and [0, (p-1)^2], so every product entry is at most
   dim (p-1)^3; the product runs in float64, exact while that bound is below
-  2^53, and in int64 otherwise.
+  2^53, and in int64 otherwise.  The float64 remainder is
+  prod - p floor(prod / p), exact below 2^53 because the rounded quotient
+  of prod = kp + j (0 <= j < p) stays in [k, k + 1); the int64 one is an
+  integer remainder.  The candidates are stacked once per scan into groups
+  of at most dim columns, and one product of the remainders with a 0/1
+  column-to-candidate matrix G tests every candidate of a group: remainders
+  are >= 0, so a candidate is invariant where its entry of rem @ G is 0.
 - Ranks: a stack of n matrices is eliminated as one contiguous
-  (rows, cols, n) array, in place, in the smallest signed dtype holding
-  every intermediate, which lies in [-(p-1)^2, p-1]: int8 for p <= 11,
-  int16 for p <= 181 and int64 beyond.
+  (rows, cols, n) array, in place.  Reduction mod p is lazy: a step reduces
+  only the column it eliminates and the gathered pivot row, and subtracts
+  products in [0, (p-1)^2] from the rest unreduced.  An entry of column c
+  takes at most c of them, so entries lie in [-(cols-1)(p-1)^2, p-1], a
+  spread of (cols-1)(p-1)^2 + p-1, and the array is held in the smallest of
+  int8, int16 and int64 holding that range: int8 for 9 columns up to p = 5,
+  for 129 at p = 2.
 
 Two limits keep a run bounded, and exceeding either raises BudgetError,
 never a silent degradation: `max_points` (default DEFAULT_MAX_POINTS =
@@ -93,23 +105,24 @@ def gl_order(alpha: Sequence[int], p: int) -> int:
     return total
 
 
-def _check_point_budget(quiver: Quiver, alpha: DimVector, p: int, max_points: int) -> int:
+def _check_point_budget(quiver: Quiver, alpha: DimVector, p: int, max_points: int) -> None:
     total = p ** rep_space_dim(quiver, alpha)
     if total > max_points:
         raise BudgetError(
             f"{total} points for alpha={tuple(alpha)} at p={p} exceeds the budget "
             f"of {max_points}; use a smaller alpha or prime, or raise the budget"
         )
-    return total
 
 
 def _check_stability_budget(alpha: DimVector, p: int) -> None:
-    bound = stable_height(p)
-    if height(alpha) > bound:
-        raise BudgetError(
-            f"subspace search at height {height(alpha)} exceeds the bound {bound} "
-            f"for p={p}; use a smaller alpha or raise the budget"
-        )
+    # max_points never changes the bound, so the advice names what does
+    bound, h = stable_height(p), height(alpha)
+    if h > bound:
+        advice = "a smaller alpha"
+        if h <= stable_height(2):
+            advice += f", or p = 2, where the bound is {stable_height(2)}"
+        raise BudgetError(f"subspace search at height {h} exceeds the bound {bound} "
+                          f"for p={p}; use {advice}")
 
 
 # -- points -------------------------------------------------------------------
@@ -335,16 +348,50 @@ def endomorphism_dim(point: RepPoint) -> int:
 _BLOCK = 1 << 15
 
 
-def _digit_blocks(total: int, ndigits: int, p: int) -> Iterator[np.ndarray]:
-    """Base-p digit arrays for contiguous index blocks, least digit first."""
-    for start in range(0, total, _BLOCK):
-        idx = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
-        digits = np.empty((idx.size, ndigits), dtype=np.int64)
-        t = idx.copy()
-        for e in range(ndigits):
-            digits[:, e] = t % p
-            t //= p
-        yield digits
+def _signed_dtype(low: int, high: int) -> type:
+    """Smallest of int8, int16 and int64 holding every integer in [low, high]."""
+    for dtype in (np.int8, np.int16, np.int64):
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max:
+            return dtype
+    raise OverflowError(f"[{low}, {high}] does not fit in int64")
+
+
+def _digit_blocks(ndigits: int, p: int) -> Iterator[np.ndarray]:
+    """Base-p digits of the points 0, 1, ..., p^ndigits - 1, least
+    significant digit first, in contiguous blocks of at most _BLOCK rows.
+
+    A block is the p^k points that share their ndigits - k high digits, for
+    the largest k with p^k <= _BLOCK (k = 1 when p > _BLOCK, whose p points
+    are then split), so its low k digits are the same table in every block:
+    the table is built once and the high digits are filled in as constants.
+    Entries are in the smallest signed dtype holding p - 1.
+    """
+    dtype = _signed_dtype(0, p - 1)
+    k = min(ndigits, 1)
+    while k < ndigits and p ** (k + 1) <= _BLOCK:
+        k += 1
+
+    def low_digits(start: int, stop: int) -> np.ndarray:
+        idx = np.arange(start, stop, dtype=np.int64)
+        table = np.empty((idx.size, k), dtype=dtype)
+        for e in range(k):
+            table[:, e] = idx % p
+            idx //= p
+        return table
+
+    width = p ** k
+    table = low_digits(0, min(width, _BLOCK))
+    for high in range(p ** (ndigits - k)):
+        for start in range(0, width, _BLOCK):
+            low = table if start == 0 else low_digits(start, min(start + _BLOCK, width))
+            digits = np.empty((low.shape[0], ndigits), dtype=dtype)
+            digits[:, :k] = low
+            rest = high
+            for e in range(k, ndigits):
+                digits[:, e] = rest % p
+                rest //= p
+            yield digits
 
 
 def _candidate_constraints(quiver: Quiver, alpha: DimVector, p: int,
@@ -381,56 +428,82 @@ def _candidate_constraints(quiver: Quiver, alpha: DimVector, p: int,
     return candidates
 
 
-def _column_groups(candidates: Sequence[np.ndarray], width: int):
-    """Runs of consecutive candidates, each stacked into one matrix of at
-    most `width` columns, with the first column of every candidate in it."""
-    def stacked(run):
-        return np.hstack(run), np.cumsum([0] + [m.shape[1] for m in run[:-1]])
+def _product_dtype(dim: int, p: int) -> type:
+    """float64 while every entry of digits @ M, at most dim (p-1)^3, is
+    below 2^53 (so exact), int64 beyond."""
+    return np.float64 if dim * (p - 1) ** 3 < 1 << 53 else np.int64
 
+
+def _column_groups(candidates: Sequence[np.ndarray], dim: int, p: int
+                   ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Runs of consecutive candidates, each stacked into one matrix of at
+    most `dim` columns, with the 0/1 matrix G whose entry [c, t] is 1 when
+    column c belongs to the run's t-th candidate; both in `_product_dtype`.
+    A candidate with no columns has a zero column in G."""
+    dtype = _product_dtype(dim, p)
+
+    def stacked(run):
+        owner = np.repeat(np.eye(len(run), dtype=dtype),
+                          [m.shape[1] for m in run], axis=0)
+        return np.hstack(run).astype(dtype), owner
+
+    groups = []
     run: list[np.ndarray] = []
     cols = 0
     for m in candidates:
-        if run and cols + m.shape[1] > width:
-            yield stacked(run)
+        if run and cols + m.shape[1] > dim:
+            groups.append(stacked(run))
             run, cols = [], 0
         run.append(m)
         cols += m.shape[1]
     if run:
-        yield stacked(run)
+        groups.append(stacked(run))
+    return groups
 
 
 def _no_invariant_mask(digits: np.ndarray, p: int,
-                       candidates: Sequence[np.ndarray]) -> np.ndarray:
-    """True where no candidate subspace tuple is invariant."""
+                       groups: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """True where no candidate subspace tuple is invariant; `groups` comes
+    from `_column_groups` for the same dim and p.
+
+    The remainder of the float64 product is prod - p floor(prod / p), exact
+    below 2^53: for prod = kp + j with 0 <= j < p, prod / p lies in
+    [k, k + 1 - 1/p], and float64 values in [k, k + 1] lie at most
+    2^-52 max(k, 1) < 2/p apart, so rounding, which never crosses the float
+    k, moves the quotient by less than 1/p: it stays in [k, k + 1) and its
+    floor is k; p k and prod - p k are exact too.
+    The int64 product takes an integer remainder.  Remainders are >= 0, so
+    (rem @ G)[t] is 0 exactly where every column of candidate t is.
+    """
     n, dim = digits.shape
-    if any(m.shape[1] == 0 for m in candidates):
-        return np.zeros(n, dtype=bool)
-    # digits and matrix entries lie in [0, p) and [0, (p-1)^2], so every
-    # product entry is at most dim (p-1)^3: exact in float64 below 2^53
-    exact_float = dim * (p - 1) ** 3 < 1 << 53
-    x = digits.astype(np.float64) if exact_float else digits.astype(np.int64)
+    dtype = _product_dtype(dim, p)
+    x = digits.astype(dtype)
     ok = np.ones(n, dtype=bool)
     # a candidate has at most dim columns (k <= rows and d <= cols for each
     # arrow), so no product block is larger than the digits block
-    for stacked, starts in _column_groups(candidates, dim):
-        prod = x @ stacked.astype(x.dtype)
-        np.fmod(prod, p, out=prod)  # the remainder: prod >= 0, and fmod is exact
-        moved = np.logical_or.reduceat(prod != 0, starts, axis=1)
-        ok &= moved.all(axis=1)
+    for stacked, owner in groups:
+        prod = x @ stacked
+        if dtype is np.float64:
+            quot = prod / p
+            np.floor(quot, out=quot)
+            quot *= p
+            prod -= quot
+        else:
+            prod %= p
+        ok &= (prod @ owner != 0).all(axis=1)
         if not ok.any():
             break
     return ok
 
 
-def _elim_dtype(p: int) -> type:
-    """Smallest signed dtype holding every intermediate of the elimination
-    below, which lie in [-(p-1)^2, p-1]: int8 to p = 11 (100 <= 127),
-    int16 to p = 181 (32400 <= 32767)."""
-    if p <= 11:
-        return np.int8
-    if p <= 181:
-        return np.int16
-    return np.int64
+def _elim_dtype(p: int, ncols: int) -> type:
+    """Smallest signed dtype holding every intermediate of `_batch_rank` on
+    ncols columns.  An entry starts in [0, p) and loses at most one product
+    in [0, (p-1)^2] per earlier column, so entries lie in
+    [-(ncols-1)(p-1)^2, p-1]; a dtype holding that range holds the products
+    too, since (p-1)^2 is a square and so never 2^7 or 2^15.  Nine columns
+    stay int8 at p = 2, 3 and 5."""
+    return _signed_dtype(-(ncols - 1) * (p - 1) ** 2, p - 1)
 
 
 def _batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
@@ -438,19 +511,23 @@ def _batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
 
     The (n, rows, cols) stack is held as one contiguous (rows, cols, n)
     array in the dtype of `_elim_dtype`, so every step is a vector
-    operation across the stack.  A pivot row is never swapped: eliminating
-    it against itself zeroes it, which retires it, and every other row has
-    a zero in the pivot column, so the rank of what is left drops by one.
+    operation across the stack.  Reduction is lazy: a step reduces mod p
+    only the column it eliminates and the pivot row it gathers, and the
+    rest of the array takes the update unreduced.  A pivot row is never
+    swapped: eliminating it against itself makes it 0 mod p, which retires
+    it, and every other row has a zero in the pivot column, so the rank of
+    what is left drops by one.
     """
     n, nrows, ncols = mats.shape
     if n == 0 or nrows == 0 or ncols == 0:
         return np.zeros(n, dtype=np.int64)
-    dtype = _elim_dtype(p)
+    dtype = _elim_dtype(p, ncols)
     a = np.ascontiguousarray(np.moveaxis(mats % p, 0, -1), dtype=dtype)
     inv_table = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=dtype)
     rank = np.zeros(n, dtype=np.int64)
     for col in range(ncols):
         column = a[:, col, :]
+        column %= p
         nonzero = column != 0
         has = nonzero.any(axis=0)
         if not has.any():
@@ -462,10 +539,9 @@ def _batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
         # factor is then 0 and the update below changes nothing)
         piv = nonzero.argmax(axis=0)
         pivot_row = np.take_along_axis(a[:, col:, :], piv[None, None, :], axis=0)[0]
-        scaled = pivot_row[1:] * inv_table[pivot_row[0]] % p
+        scaled = pivot_row[1:] % p * inv_table[pivot_row[0]] % p
         rest = a[:, col + 1:, :]
         rest -= column[:, None, :] * scaled
-        rest %= p
     return rank
 
 
@@ -481,8 +557,9 @@ def _batch_end_dims(digits: np.ndarray, quiver: Quiver, alpha: DimVector,
     if neq == 0:
         return np.full(n, unknowns, dtype=np.int64)
     # built in the elimination layout and dtype: an entry is at most one
-    # digit minus another, inside [-(p-1), p-1]
-    dtype = _elim_dtype(p)
+    # digit minus another, inside [-(p-1), p-1], which a signed dtype
+    # holding p - 1 holds
+    dtype = _elim_dtype(p, unknowns)
     x = np.ascontiguousarray(digits.T, dtype=dtype)
     system = np.zeros((neq, unknowns, n), dtype=dtype)
     eq = 0
@@ -518,12 +595,13 @@ def _scan(quiver: Quiver, alpha: DimVector, p: int, viol: Sequence[DimVector],
     Only the result of per_block outlives its block, so no more than one
     digits block is held while the next one is scanned.
     """
-    total = _check_point_budget(quiver, alpha, p, max_points)
+    _check_point_budget(quiver, alpha, p, max_points)
     if viol:
         _check_stability_budget(alpha, p)
-    candidates = _candidate_constraints(quiver, alpha, p, viol)
-    for digits in _digit_blocks(total, rep_space_dim(quiver, alpha), p):
-        yield per_block(digits, _no_invariant_mask(digits, p, candidates))
+    dim = rep_space_dim(quiver, alpha)
+    groups = _column_groups(_candidate_constraints(quiver, alpha, p, viol), dim, p)
+    for digits in _digit_blocks(dim, p):
+        yield per_block(digits, _no_invariant_mask(digits, p, groups))
 
 
 def count_semistable_ratio(quiver: Quiver, alpha: Sequence[int],

@@ -17,11 +17,14 @@ from quivercount.counting import (
     stable_end_degree_poly,
 )
 from quivercount.oracle import (
+    _BLOCK,
     BudgetError,
     RepPoint,
     _batch_end_dims,
     _batch_rank,
     _candidate_constraints,
+    _column_groups,
+    _digit_blocks,
     _elim_dtype,
     _no_invariant_mask,
     _proper_subdims,
@@ -231,13 +234,60 @@ class TestCounts:
         with pytest.raises(BudgetError):
             count_absolutely_stable(loop(1), (2,), (0,), 2, max_points=10)
 
+    @pytest.mark.parametrize("alpha, p, names_p2", [((4,), 3, True), ((5,), 2, False),
+                                                    ((5,), 3, False)])
+    def test_stability_bound_message_names_what_helps(self, alpha, p, names_p2):
+        # the point budget never moves stable_height(p), so the message must
+        # not send the reader to it; p = 2 helps only up to its bound
+        dim = rep_space_dim(loop(1), alpha)
+        with pytest.raises(BudgetError) as info:
+            count_absolutely_stable(loop(1), alpha, (0,), p, max_points=p**dim)
+        message = str(info.value)
+        assert "budget" not in message
+        assert "smaller alpha" in message
+        assert ("p = 2" in message) == names_p2
+
 
 class TestKernels:
     """The blocked kernels against the per-point reference functions."""
 
     def test_elimination_dtype_bounds(self):
-        assert _elim_dtype(11) == np.int8 and _elim_dtype(13) == np.int16
-        assert _elim_dtype(181) == np.int16 and _elim_dtype(191) == np.int64
+        # entries lie in [-(ncols-1)(p-1)^2, p-1]
+        assert _elim_dtype(2, 9) == np.int8 and _elim_dtype(3, 9) == np.int8
+        assert _elim_dtype(5, 9) == np.int8 and _elim_dtype(5, 10) == np.int16
+        assert _elim_dtype(2, 16) == np.int8 and _elim_dtype(7, 16) == np.int16
+        assert _elim_dtype(11, 2) == np.int8 and _elim_dtype(11, 3) == np.int16
+        assert _elim_dtype(127, 1) == np.int8 and _elim_dtype(131, 1) == np.int16
+        assert _elim_dtype(181, 2) == np.int16 and _elim_dtype(191, 2) == np.int64
+        assert _elim_dtype(13, 228) == np.int16 and _elim_dtype(13, 229) == np.int64
+
+    @pytest.mark.parametrize("p, dtype, limit", [
+        (3, np.int8, 128), (5, np.int8, 128), (11, np.int8, 128),
+        (41, np.int16, 32768), (181, np.int16, 32768),
+    ])
+    def test_batch_rank_at_the_edge_of_each_dtype(self, p, dtype, limit):
+        # the widest system of a tier, and one column more, which needs the
+        # next tier; the row `last` loses (p-1)^2 from its last entry at every
+        # column before it, reaching -(ncols-1)(p-1)^2 exactly, so a dtype one
+        # tier too small wraps it and changes its residue mod p.  Without the
+        # pivot at column ncols - 2, `last` is that column's pivot row, and
+        # the row after it cancels against it only if its last entry, then
+        # -(ncols-2)(p-1)^2, is reduced before it is scaled by 1/(p-1)
+        edge = 1 + limit // (p - 1) ** 2
+        assert _elim_dtype(p, edge) == dtype and _elim_dtype(p, edge + 1) != dtype
+        rng = np.random.default_rng(p)
+        for ncols in (edge, edge + 1):
+            pivots = np.eye(ncols - 1, ncols, dtype=np.int64)
+            pivots[:, -1] = p - 1
+            last = np.full((1, ncols), p - 1, dtype=np.int64)
+            last[0, -1] = 0
+            cancels = np.eye(1, ncols, ncols - 2, dtype=np.int64)
+            cancels[0, -1] = (ncols - 2) % p
+            mats = [np.vstack([pivots, last]), np.vstack([pivots[:-1], last, cancels])]
+            mats += list(rng.choice([0, 1, p - 1], size=(3, ncols, ncols)))
+            mats += [rng.integers(0, p, size=(ncols, ncols))]
+            expected = [len(_rref(m.tolist(), p)[1]) for m in mats]
+            assert _batch_rank(np.array(mats), p).tolist() == expected
 
     @pytest.mark.parametrize("p", PRIMES)
     @settings(max_examples=40)
@@ -246,10 +296,11 @@ class TestKernels:
         # U V has rank at most k, so wrong arithmetic shows as too high a
         # rank; the entries 0 and +-1 of U put p - 1 into the elimination
         # often, where products reach (p-1)^2; multiples of p are then added
-        # to put entries outside [0, p), negative ones included
+        # to put entries outside [0, p), negative ones included.  The shapes
+        # reach those of the end-dim systems: 16 unknowns at height 4
         n = data.draw(st.integers(0, 5))
-        rows = data.draw(st.integers(0, 6))
-        cols = data.draw(st.integers(0, 6))
+        rows = data.draw(st.integers(0, 18))
+        cols = data.draw(st.integers(0, 16))
         k = data.draw(st.integers(0, max(rows, cols)))
         sign = st.sampled_from((0, 1, p - 1))
         u = data.draw(arrays(np.int64, (n, rows, k), elements=sign))
@@ -288,8 +339,9 @@ class TestKernels:
         for strict in (True, False):
             dims = [d for d in _proper_subdims(alpha)
                     if (slope(theta, d) > mu if strict else slope(theta, d) >= mu)]
-            mask = _no_invariant_mask(
-                digits, p, _candidate_constraints(quiver, alpha, p, dims))
+            groups = _column_groups(_candidate_constraints(quiver, alpha, p, dims),
+                                    dim, p)
+            mask = _no_invariant_mask(digits, p, groups)
             assert mask.tolist() == [
                 not any(_tuple_is_invariant(pt, bases, p)
                         for bases in _violating_tuples(pt, theta, strict))
@@ -298,6 +350,56 @@ class TestKernels:
         kept = [pt for pt, keep in zip(points, mask) if keep]
         assert _batch_end_dims(digits[mask], quiver, alpha, p).tolist() == \
             [endomorphism_dim(pt) for pt in kept]
+
+    @pytest.mark.parametrize("quiver, alpha, theta", [
+        (A2, (1, 1), (1, 0)),
+        (A2, (1, 1), (0, 1)),
+        (KRONECKER, (1, 1), (1, 0)),
+    ])
+    @pytest.mark.parametrize("p", [208067, 262147])
+    def test_mask_int64_branch_matches_per_point(self, quiver, alpha, theta, p):
+        # the first primes with (p-1)^3 >= 2^53: the products leave float64
+        # and the remainder must stay an integer one
+        dim = rep_space_dim(quiver, alpha)
+        assert dim * (p - 1) ** 3 >= 1 << 53
+        rng = np.random.default_rng(p + dim)
+        digits = np.vstack([
+            np.zeros((1, dim), dtype=np.int64),
+            np.full((1, dim), p - 1, dtype=np.int64),
+            rng.choice([0, 1, p - 1], size=(500, dim)),
+            rng.integers(0, p, size=(1500, dim)),
+        ])
+        points = [_point(quiver, alpha, p, row) for row in digits.tolist()]
+        mu = slope(theta, alpha)
+        for strict in (True, False):
+            dims = [d for d in _proper_subdims(alpha)
+                    if (slope(theta, d) > mu if strict else slope(theta, d) >= mu)]
+            groups = _column_groups(_candidate_constraints(quiver, alpha, p, dims),
+                                    dim, p)
+            assert _no_invariant_mask(digits, p, groups).tolist() == [
+                not any(_tuple_is_invariant(pt, bases, p)
+                        for bases in _violating_tuples(pt, theta, strict))
+                for pt in points
+            ]
+
+    @pytest.mark.parametrize("p, ndigits", [
+        # one table covers the largest k digits with p^k <= _BLOCK (at least
+        # one): 15, 9, 6, 5 and 2 digits below; each p is tried below, at and
+        # above its k, two above for more than one high digit, and a p past
+        # _BLOCK splits its one digit
+        (2, 14), (2, 15), (2, 16), (2, 17), (3, 8), (3, 9), (3, 10), (3, 11),
+        (5, 5), (5, 6), (5, 7),
+        (7, 4), (7, 5), (7, 6), (181, 1), (181, 2), (181, 3), (65537, 0), (65537, 1),
+    ])
+    def test_digit_blocks_are_the_base_p_digits(self, p, ndigits):
+        start = 0
+        for block in _digit_blocks(ndigits, p):
+            assert 0 < block.shape[0] <= _BLOCK and block.shape[1] == ndigits
+            assert block.dtype.itemsize <= (1 if p < 128 else 8)
+            idx = np.arange(start, start + block.shape[0], dtype=np.int64)
+            assert (block == (idx[:, None] // p ** np.arange(ndigits)) % p).all()
+            start += block.shape[0]
+        assert start == p**ndigits
 
 
 def _point(quiver, alpha, p, digits):
