@@ -33,11 +33,12 @@ from typing import Optional, Sequence
 
 from .numtheory import divisors, integer_binomial, mobius
 from .qpoly import QPoly, RationalFunction, binomial_jet, trunc_inv, trunc_mul
-from .quiver import Quiver, _qbinom_poly, q_exponential, qbinom_vec, slope
+from .quiver import Quiver, _poch_denominator, _qbinom_poly, q_exponential, qbinom_vec, slope
 from .series import (
     DimVector,
     Series,
     TruncationSpec,
+    _solve_by_height,
     height,
     monomial_twist,
     plethystic_exp,
@@ -45,6 +46,7 @@ from .series import (
     series_bar,
     subvectors,
     twisted_inverse,
+    vec_add,
     vec_scale,
     vec_sub,
 )
@@ -122,11 +124,9 @@ class CountingContext:
 
 
 def gl_order_poly(n: int) -> QPoly:
-    """#GL_n as a polynomial in q: prod_{i=0..n-1} (q^n - q^i)."""
-    poly = QPoly.one()
-    for i in range(n):
-        poly = poly * (QPoly.monomial(n) - QPoly.monomial(i))
-    return poly
+    """#GL_n as a polynomial in q: prod_{i=0..n-1} (q^n - q^i), which is
+    (-1)^n q^{n(n-1)/2} prod_{i=1..n} (1 - q^i)."""
+    return QPoly.monomial(n * (n - 1) // 2, (-1) ** n) * _poch_denominator(n)
 
 
 def _gl_order(alpha: Sequence[int]) -> QPoly:
@@ -240,13 +240,8 @@ def semistable_ratio_reference(ctx: CountingContext, alpha: Sequence[int]
 
 def semistable_series(ctx: CountingContext) -> Series:
     """Generating series of the semistable ratios over the slope cone."""
-    coeffs = {}
-    for alpha in ctx.trunc.vectors():
-        if height(alpha) == 0:
-            coeffs[alpha] = RationalFunction.one()
-        else:
-            coeffs[alpha] = semistable_ratio(ctx, alpha)
-    return Series(ctx.trunc, coeffs)
+    return Series(ctx.trunc, {alpha: semistable_ratio(ctx, alpha)
+                              for alpha in ctx.trunc.vectors()})
 
 
 def semistable_series_closed(ctx: CountingContext) -> Series:
@@ -381,37 +376,29 @@ def residual_series(ctx: CountingContext, table: CountTable) -> Series:
     return f
 
 
+def _minus_ringel(R: Sequence[Sequence[int]], alpha: DimVector) -> tuple[int, ...]:
+    """-R alpha: the upper q-binomial index of the residual recursion at alpha."""
+    return tuple(-sum(r * a for r, a in zip(row, alpha)) for row in R)
+
+
 def residual_series_recursive(ctx: CountingContext) -> Series:
     """The same series built without the counting table.
 
     Degree by degree, the coefficient at alpha > 0 is determined by
     requiring the x^alpha coefficient of q_binomial_series(-R alpha) * f to
     vanish; the q-binomial series has constant term 1, so this solves for
-    the new coefficient directly.
+    the new coefficient directly: f_alpha = -sum_{0<beta<=alpha}
+    [-R alpha, beta] f_{alpha-beta}.
     """
     _require_zero_stability(ctx)
     R = ctx.quiver.ringel_matrix()
     trunc = ctx.trunc
     zero = trunc.zero_vector()
-    coeffs: dict[DimVector, RationalFunction] = {zero: RationalFunction.one()}
-    for alpha in trunc.vectors():
-        if alpha == zero:
-            continue
-        lam = tuple(-sum(R[i][j] * alpha[j] for j in range(len(alpha)))
-                    for i in range(len(alpha)))
-        acc = RationalFunction.zero()
-        for beta in subvectors(alpha):
-            if height(beta) == 0:
-                continue
-            prev = coeffs.get(vec_sub(alpha, beta))
-            if prev is None or prev.is_zero:
-                continue
-            weight = qbinom_vec(lam, beta)
-            if not weight.is_zero:
-                acc = acc + weight * prev
-        if not acc.is_zero:
-            coeffs[alpha] = -acc
-    return Series(trunc, coeffs)
+    return _solve_by_height(
+        Series(trunc, {alpha: 1 for alpha in trunc.vectors()}),
+        lambda beta, rest, c: qbinom_vec(_minus_ringel(R, vec_add(beta, rest)), beta) * c,
+        lambda alpha, acc: RationalFunction.one() if alpha == zero else -acc,
+    )
 
 
 def qbinom_jet(lam: Sequence[int], beta: Sequence[int], order: int
@@ -453,8 +440,7 @@ def residual_q1_expansion(ctx: CountingContext, order: int
     for alpha in trunc.vectors():
         if alpha == zero:
             continue
-        lam = tuple(-sum(R[i][j] * alpha[j] for j in range(len(alpha)))
-                    for i in range(len(alpha)))
+        lam = _minus_ringel(R, alpha)
         acc = [Fraction(0)] * length
         for beta in subvectors(alpha):
             prev = jets.get(vec_sub(alpha, beta))

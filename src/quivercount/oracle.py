@@ -27,6 +27,10 @@ are one table, built once per scan and held in the smallest signed dtype.
   of at most dim columns, and one product of the remainders with a 0/1
   column-to-candidate matrix G tests every candidate of a group: remainders
   are >= 0, so a candidate is invariant where its entry of rem @ G is 0.
+  A dimension vector d that no arrow can move (no arrow i -> j with
+  d_i > 0 and d_j < alpha_j) makes every subspace tuple of dimension d
+  invariant at every point; its tuples have no constraint columns, so the
+  scan stops before listing them and every point fails the test.
 - Ranks: a stack of n matrices is eliminated as one contiguous
   (rows, cols, n) array, in place.  Reduction mod p is lazy: a step reduces
   only the column it eliminates and the gathered pivot row, and subtracts
@@ -34,7 +38,9 @@ are one table, built once per scan and held in the smallest signed dtype.
   takes at most c of them, so entries lie in [-(cols-1)(p-1)^2, p-1], a
   spread of (cols-1)(p-1)^2 + p-1, and the array is held in the smallest of
   int8, int16 and int64 holding that range: int8 for 9 columns up to p = 5,
-  for 129 at p = 2.
+  for 129 at p = 2.  Each step inverts only the n gathered pivots, as
+  x^(p-2) mod p by repeated squaring (O(log p) per pivot); no table of all
+  p inverses is built, which cost O(p) per block of points.
 
 Two limits keep a run bounded, and exceeding either raises BudgetError,
 never a silent degradation: `max_points` (default DEFAULT_MAX_POINTS =
@@ -158,6 +164,17 @@ def _arrow_layout(quiver: Quiver, alpha: DimVector) -> list[tuple[int, int, int]
         layout.append((i, j, pos))
         pos += alpha[j] * alpha[i]
     return layout
+
+
+def count_points(quiver: Quiver, alpha: Sequence[int], p: int,
+                 max_points: int = DEFAULT_MAX_POINTS) -> int:
+    """Number of points of the representation space, by one pass over the
+    digit blocks of the mass counts (`enumerate_points` stays the per-point
+    reference)."""
+    _check_prime(p)
+    alpha = tuple(alpha)
+    _check_point_budget(quiver, alpha, p, max_points)
+    return sum(digits.shape[0] for digits in _digit_blocks(rep_space_dim(quiver, alpha), p))
 
 
 def enumerate_points(quiver: Quiver, alpha: Sequence[int], p: int,
@@ -292,17 +309,17 @@ def _violating_tuples(point: RepPoint, theta: Sequence[int], strict: bool):
             yield from _cartesian(*per_vertex)
 
 
+def _no_invariant_tuple(point: RepPoint, theta: Sequence[int], strict: bool) -> bool:
+    return not any(_tuple_is_invariant(point, bases, point.p)
+                   for bases in _violating_tuples(point, theta, strict))
+
+
 def is_semistable(point: RepPoint, theta: Sequence[int]) -> bool:
     """No invariant subspace tuple of slope greater than the point's slope.
 
     The zero representation counts as semistable.
     """
-    if height(point.alpha) == 0:
-        return True
-    for bases in _violating_tuples(point, theta, strict=True):
-        if _tuple_is_invariant(point, bases, point.p):
-            return False
-    return True
+    return height(point.alpha) == 0 or _no_invariant_tuple(point, theta, strict=True)
 
 
 def is_stable(point: RepPoint, theta: Sequence[int]) -> bool:
@@ -310,12 +327,7 @@ def is_stable(point: RepPoint, theta: Sequence[int]) -> bool:
 
     The zero representation is not stable.
     """
-    if height(point.alpha) == 0:
-        return False
-    for bases in _violating_tuples(point, theta, strict=False):
-        if _tuple_is_invariant(point, bases, point.p):
-            return False
-    return True
+    return height(point.alpha) > 0 and _no_invariant_tuple(point, theta, strict=False)
 
 
 def endomorphism_dim(point: RepPoint) -> int:
@@ -506,6 +518,21 @@ def _elim_dtype(p: int, ncols: int) -> type:
     return _signed_dtype(-(ncols - 1) * (p - 1) ** 2, p - 1)
 
 
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p for x in [0, p), by repeated squaring in x's dtype: the
+    inverse of every nonzero x.  The dtype is `_elim_dtype`'s for at least
+    two columns, which holds (p-1)^2, so no square or product overflows."""
+    out = None
+    e = p - 2
+    while e:
+        if e & 1:
+            out = x if out is None else out * x % p
+        e >>= 1
+        if e:
+            x = x * x % p
+    return np.ones_like(x) if out is None else out
+
+
 def _batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks over F_p of a stack of matrices, by vectorized elimination.
 
@@ -513,17 +540,17 @@ def _batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     array in the dtype of `_elim_dtype`, so every step is a vector
     operation across the stack.  Reduction is lazy: a step reduces mod p
     only the column it eliminates and the pivot row it gathers, and the
-    rest of the array takes the update unreduced.  A pivot row is never
-    swapped: eliminating it against itself makes it 0 mod p, which retires
-    it, and every other row has a zero in the pivot column, so the rank of
-    what is left drops by one.
+    rest of the array takes the update unreduced, and only the n gathered
+    pivots are inverted (`_inverse_mod`).  A pivot row is never swapped:
+    eliminating it against itself makes it 0 mod p, which retires it, and
+    every other row has a zero in the pivot column, so the rank of what is
+    left drops by one.
     """
     n, nrows, ncols = mats.shape
     if n == 0 or nrows == 0 or ncols == 0:
         return np.zeros(n, dtype=np.int64)
     dtype = _elim_dtype(p, ncols)
     a = np.ascontiguousarray(np.moveaxis(mats % p, 0, -1), dtype=dtype)
-    inv_table = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=dtype)
     rank = np.zeros(n, dtype=np.int64)
     for col in range(ncols):
         column = a[:, col, :]
@@ -535,11 +562,11 @@ def _batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
         rank += has
         if col + 1 == ncols:
             break
-        # the first nonzero row (row 0 where the column is zero; its scale
-        # factor is then 0 and the update below changes nothing)
+        # the first nonzero row (row 0 where the column is zero; the update
+        # below then subtracts zero, whatever the row is scaled by)
         piv = nonzero.argmax(axis=0)
         pivot_row = np.take_along_axis(a[:, col:, :], piv[None, None, :], axis=0)[0]
-        scaled = pivot_row[1:] % p * inv_table[pivot_row[0]] % p
+        scaled = pivot_row[1:] % p * _inverse_mod(pivot_row[0], p) % p
         rest = a[:, col + 1:, :]
         rest -= column[:, None, :] * scaled
     return rank
@@ -594,10 +621,16 @@ def _scan(quiver: Quiver, alpha: DimVector, p: int, viol: Sequence[DimVector],
 
     Only the result of per_block outlives its block, so no more than one
     digits block is held while the next one is scanned.
+
+    Yields nothing when some d in `viol` is unmovable (no arrow i -> j has
+    d_i > 0 and d_j < alpha_j): every mask would be False.
     """
     _check_point_budget(quiver, alpha, p, max_points)
     if viol:
         _check_stability_budget(alpha, p)
+    arrows = quiver.arrow_list()
+    if any(not any(d[i] > 0 and d[j] < alpha[j] for i, j in arrows) for d in viol):
+        return
     dim = rep_space_dim(quiver, alpha)
     groups = _column_groups(_candidate_constraints(quiver, alpha, p, viol), dim, p)
     for digits in _digit_blocks(dim, p):

@@ -521,49 +521,42 @@ class RationalFunction:
         den = _ONE_POLY if den is None else self._coerce_poly(den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            object.__setattr__(self, "_num", QPoly())
-            object.__setattr__(self, "_den", _ONE_POLY)
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lead = den.leading()
-        if lead != 1:
-            inv = 1 / lead
-            num = num * inv
-            den = den * inv
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+        # a constant denominator has gcd 1 with anything
+        if den.degree > 0 and not num.is_zero:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num = num.exact_div(g)
+                den = den.exact_div(g)
+        self._normalize(num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
+    def _normalize(self, num: QPoly, den: QPoly) -> None:
+        """Store coprime num/den with zero as 0/1 and a monic denominator."""
+        if num.is_zero:
+            den = _ONE_POLY
+        else:
+            lead = den.leading()
+            if lead != 1:
+                inv = 1 / lead
+                num = num * inv
+                den = den * inv
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+
     @staticmethod
     def _coerce_poly(x) -> QPoly:
-        if isinstance(x, QPoly):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QPoly((x,))
-        raise TypeError(f"cannot build polynomial from {type(x).__name__}")
+        poly = QPoly._coerce(x)
+        if poly is None:
+            raise TypeError(f"cannot build polynomial from {type(x).__name__}")
+        return poly
 
     @classmethod
     def _make(cls, num: QPoly, den: QPoly) -> "RationalFunction":
-        # Internal constructor for operands already known to be coprime;
-        # still enforces the monic/zero conventions.
+        """Internal constructor for operands already known to be coprime."""
         self = object.__new__(cls)
-        if num.is_zero:
-            object.__setattr__(self, "_num", QPoly())
-            object.__setattr__(self, "_den", _ONE_POLY)
-            return self
-        lead = den.leading()
-        if lead != 1:
-            inv = 1 / lead
-            num = num * inv
-            den = den * inv
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+        self._normalize(num, den)
         return self
 
     # -- constructors -------------------------------------------------------

@@ -20,7 +20,6 @@ bottom of this module.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -104,11 +103,6 @@ class Quiver:
             return cls.from_arrows(vertices, data["arrows"])
         raise ValueError("quiver JSON needs 'arrows' or 'matrix'")
 
-    @classmethod
-    def load(cls, path) -> "Quiver":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
-
     def to_json(self) -> dict:
         return {
             "vertices": list(self.vertices),
@@ -190,13 +184,9 @@ def _poch_denominator(m: int) -> QPoly:
 
 @lru_cache(maxsize=None)
 def _qbinom_poly(n: int, m: int) -> QPoly:
-    """[n, m] for n >= 0, as a polynomial (exact division, no gcd needed)."""
-    num = QPoly.one()
-    for i in range(1, m + 1):
-        num = num * QPoly([1] + [0] * (n + i - 1) + [-1])
-    for i in range(1, m + 1):
-        num = num.exact_div(QPoly([1] + [0] * (i - 1) + [-1]))
-    return num
+    """[n, m] = (q;q)_{n+m} / ((q;q)_n (q;q)_m) for n >= 0, as a polynomial
+    (exact division, no gcd needed)."""
+    return _poch_denominator(n + m).exact_div(_poch_denominator(n) * _poch_denominator(m))
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,8 @@ operator D x^alpha = |alpha| x^alpha, which turns f = exp(a) into
 D f = f D a and f = log(a) into D a = a D f (Brent & Kung, "Fast
 algorithms for manipulating formal power series", J. ACM 1978).  Each
 coefficient then takes one pass over the pairs below it instead of
-max_height series powers.
+max_height series powers.  The residual q-binomial recursion of
+``counting.residual_series_recursive`` runs on the same solver.
 
 Everything is exact; truncating the psi_k sums at k = max_height loses
 nothing because psi_k raises height by a factor k.
@@ -32,7 +33,7 @@ from itertools import product as _cartesian
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .numtheory import mobius
-from .qpoly import QPoly, RationalFunction
+from .qpoly import RationalFunction
 
 DimVector = tuple[int, ...]
 
@@ -117,14 +118,6 @@ class TruncationSpec:
         return (0,) * self.nvars
 
 
-def _coerce_rf(x) -> Optional[RationalFunction]:
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, (int, Fraction, QPoly)):
-        return RationalFunction(x)
-    return None
-
-
 class Series:
     """Sparse truncated power series; immutable, coefficients exact."""
 
@@ -139,7 +132,7 @@ class Series:
                 raise ValueError(f"key {alpha} has wrong length for {trunc.nvars} variables")
             if not trunc.admits(alpha):
                 continue
-            rf = _coerce_rf(c)
+            rf = RationalFunction._coerce(c)
             if rf is None:
                 raise TypeError(f"bad coefficient type {type(c).__name__}")
             if not rf.is_zero:
@@ -208,7 +201,7 @@ class Series:
             for alpha, c in other._c.items():
                 out[alpha] = out.get(alpha, RationalFunction.zero()) + c
             return Series(self.trunc, out)
-        rf = _coerce_rf(other)
+        rf = RationalFunction._coerce(other)
         if rf is None:
             return NotImplemented
         return self + Series(self.trunc, {self.trunc.zero_vector(): rf})
@@ -221,7 +214,7 @@ class Series:
     def __sub__(self, other):
         if isinstance(other, Series):
             return self + (-other)
-        rf = _coerce_rf(other)
+        rf = RationalFunction._coerce(other)
         if rf is None:
             return NotImplemented
         return self + (-rf)
@@ -232,7 +225,7 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             return twisted_mul(self, other)
-        rf = _coerce_rf(other)
+        rf = RationalFunction._coerce(other)
         if rf is None:
             return NotImplemented
         if rf.is_zero:

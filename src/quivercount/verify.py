@@ -32,9 +32,9 @@ from .oracle import (
     DEFAULT_MAX_POINTS,
     BudgetError,
     count_absolutely_stable,
+    count_points,
     count_semistable_ratio,
     count_stable_with_end_dim,
-    enumerate_points,
     gl_order,
     rep_space_dim,
     stable_height,
@@ -122,8 +122,8 @@ def run_verification(ctx: CountingContext, primes: Sequence[int],
             def t_oracle(alpha=alpha, p=p):
                 if p ** rep_space_dim(quiver, alpha) > _ENUMERATION_CAP:
                     raise BudgetError("point stream too long to enumerate")
-                n = sum(1 for _ in enumerate_points(quiver, alpha, p, max_points))
-                return Fraction(n, gl_order(alpha, p))
+                return Fraction(count_points(quiver, alpha, p, max_points),
+                                gl_order(alpha, p))
 
             add("points/GL", alpha, p, rep_ratio(quiver, alpha).evaluate(p), t_oracle)
             add("semistable/GL", alpha, p, semistable_ratio(ctx, alpha).evaluate(p),

@@ -13,6 +13,7 @@ from quivercount import oracle
 from quivercount.cli import main
 
 QUIVERS = {
+    "arrowless": {"vertices": ["v"], "matrix": [[0]]},
     "loop1": {"vertices": ["v"], "matrix": [[1]]},
     "loop2": {"vertices": ["v"], "matrix": [[2]]},
     "loop4": {"vertices": ["v"], "matrix": [[4]]},
@@ -119,6 +120,20 @@ def test_orbit_division_failure_exits_two(quiver_file, capsys, monkeypatch):
                  "--max-height", "2", "--primes", "2"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("invariant violation: ")
+
+
+@pytest.mark.parametrize("name, height, prime, summary", [
+    ("a2", "2", "65537", "checked 16 comparisons, 1 skipped"),
+    ("arrowless", "3", "1009", "checked 11 comparisons, 0 skipped"),
+])
+def test_verify_unmovable_dims_at_a_large_prime(quiver_file, capsys, name, height,
+                                                prime, summary):
+    # a2 at alpha = (2, 0) and the arrowless quiver at (2,) and (3,) have
+    # dimension vectors no arrow can move, with one subspace tuple per
+    # subspace of F_p^2 or F_p^3: the run must not list them
+    assert main(["verify", "--quiver", quiver_file(name), "--max-height", height,
+                 "--primes", prime]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == summary
 
 
 def test_verify_json(quiver_file, capsys):

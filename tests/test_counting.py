@@ -91,6 +91,11 @@ class TestRepRatio:
         assert gl_order_poly(0).is_one
         assert gl_order_poly(1) == Q - 1
         assert gl_order_poly(2).evaluate(2) == 6
+        for n in range(11):
+            product = QPoly.one()
+            for i in range(n):
+                product = product * (QPoly.monomial(n) - QPoly.monomial(i))
+            assert gl_order_poly(n) == product, n
 
     def test_closed_form_via_conjugated_binomial(self):
         for quiver in (loop(1), loop(2), A2, KRONECKER):

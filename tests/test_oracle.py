@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import quivercount
+from quivercount import oracle
 from quivercount.counting import (
     CountingContext,
     absolutely_stable_table,
@@ -29,9 +30,11 @@ from quivercount.oracle import (
     _no_invariant_mask,
     _proper_subdims,
     _rref,
+    _stable_end_tally,
     _tuple_is_invariant,
     _violating_tuples,
     count_absolutely_stable,
+    count_points,
     count_semistable_ratio,
     count_stable_with_end_dim,
     endomorphism_dim,
@@ -104,6 +107,22 @@ class TestEnumeration:
         for n, pt in enumerate(points):
             flat = [x for mat in pt.mats for row in mat for x in row]
             assert flat == [(n // p**e) % p for e in range(dim)]
+
+    @pytest.mark.parametrize("quiver, alpha, p", [
+        (loop(1), (0,), 5), (A2, (1, 1), 2), (KRONECKER, (1, 2), 3), (CYCLIC, (2, 1), 2),
+        (loop(1), (1,), 181), (loop(1), (1,), 65537),
+    ])
+    def test_count_points(self, quiver, alpha, p):
+        # the budget admits exactly p^dim points; the per-point stream agrees
+        total = p ** rep_space_dim(quiver, alpha)
+        assert count_points(quiver, alpha, p, max_points=total) == total
+        if total <= 1 << 16:
+            assert sum(1 for _ in enumerate_points(quiver, alpha, p)) == total
+        if total > 1:
+            with pytest.raises(BudgetError, match=f"exceeds the budget of {total - 1}"):
+                count_points(quiver, alpha, p, max_points=total - 1)
+        with pytest.raises(ValueError, match="not prime"):
+            count_points(quiver, alpha, p + 2 if p == 2 else p + 1)
 
     def test_rep_space_dim(self):
         assert rep_space_dim(loop(2), (3,)) == 18
@@ -234,6 +253,22 @@ class TestCounts:
         with pytest.raises(BudgetError):
             count_absolutely_stable(loop(1), (2,), (0,), 2, max_points=10)
 
+    def test_unmovable_dims_build_no_candidates(self, monkeypatch):
+        # with no arrow, or with A2's arrow into a zero space, every subspace
+        # tuple of dimension (1,), (2,) or (1, 0) is invariant: the point is
+        # not stable, and no subspace needs to be listed to know that
+        def no_subspaces(*args):
+            raise AssertionError("subspace search for an unmovable dimension vector")
+
+        monkeypatch.setattr(oracle, "subspace_bases", no_subspaces)
+        _stable_end_tally.cache_clear()
+        try:
+            assert count_absolutely_stable(loop(0), (3,), (0,), 1009) == 0
+            assert count_stable_with_end_dim(loop(0), (3,), (0,), 1009, 3) == 0
+            assert count_absolutely_stable(A2, (2, 0), (0, 0), 1009) == 0
+        finally:
+            _stable_end_tally.cache_clear()
+
     @pytest.mark.parametrize("alpha, p, names_p2", [((4,), 3, True), ((5,), 2, False),
                                                     ((5,), 3, False)])
     def test_stability_bound_message_names_what_helps(self, alpha, p, names_p2):
@@ -310,6 +345,32 @@ class TestKernels:
         mats = (u @ v) % p + p * shift
         expected = [len(_rref(m.tolist(), p)[1]) for m in mats]
         assert _batch_rank(mats, p).tolist() == expected
+
+    @pytest.mark.parametrize("p", [65537, 1048573, 16777213])
+    def test_batch_rank_at_large_primes(self, p):
+        # pivots near p need a true inverse mod p; products reach (p-1)^2
+        rng = np.random.default_rng(p)
+        mats = [rng.integers(0, p, size=(4, 5, 5)),
+                rng.choice([0, 1, p - 1], size=(4, 5, 5)),
+                rng.integers(0, p, size=(4, 5, 2)) @ rng.integers(0, p, size=(4, 2, 5)) % p,
+                rng.integers(0, p, size=(4, 3, 6)) - p]
+        for stack in mats:
+            expected = [len(_rref(m.tolist(), p)[1]) for m in stack]
+            assert _batch_rank(stack, p).tolist() == expected
+
+    def test_batch_rank_cost_does_not_grow_with_p(self, monkeypatch):
+        # one pivot inverse by repeated squaring, not a table of p inverses
+        calls = []
+
+        def counted_pow(*args):
+            calls.append(args)
+            if len(calls) > 100:
+                raise AssertionError("pow called more than 100 times")
+            return pow(*args)
+
+        monkeypatch.setattr(oracle, "pow", counted_pow, raising=False)
+        p = 16777213
+        assert _batch_rank(np.array([[[2, 3], [4, 6]]]), p).tolist() == [1]
 
     @pytest.mark.parametrize("shape", [(0, 3, 2), (4, 0, 3), (4, 3, 0), (0, 0, 0)])
     def test_batch_rank_of_empty_shapes(self, shape):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quivercount import qpoly
 from quivercount.qpoly import (
     _KRONECKER_MIN,
     PoleError,
@@ -103,6 +104,16 @@ class TestRationalFunction:
                 continue
             assert x.den.leading() == 1
             assert poly_gcd(x.num, x.den).degree == 0
+
+    def test_constant_denominator_skips_the_gcd(self, monkeypatch):
+        calls = []
+        real = qpoly.poly_gcd
+        monkeypatch.setattr(qpoly, "poly_gcd", lambda a, b: calls.append(1) or real(a, b))
+        poly = QPoly([Fraction(1, 2), 0, -3, 1])
+        assert RationalFunction(poly).num == poly
+        x = RationalFunction(poly, Fraction(3, 2))
+        assert (x.num, x.den) == (poly * Fraction(2, 3), ONE)
+        assert calls == []
 
     def test_field_axioms_random(self):
         rng = random.Random(4)

@@ -15,6 +15,7 @@ from quivercount.quiver import (
     q_binomial_series,
     q_exponential,
     qbinom,
+    _qbinom_poly,
     qbinom_vec,
     slope,
 )
@@ -145,6 +146,16 @@ class TestQBinomials:
                 assert qbinom(n, m) == qbinom_literal(n, m), (n, m)
         for m in range(0, 5):
             assert qbinom(INFINITY, m) == qbinom_literal_inf(m)
+
+    def test_polynomial_case_is_the_defining_product(self):
+        # [n, m] prod_{i<=m} (1 - q^i) = prod_{i<=m} (1 - q^{n+i}), n, m <= 10
+        for n in range(11):
+            for m in range(11):
+                lhs, rhs = _qbinom_poly(n, m), ONE
+                for i in range(1, m + 1):
+                    lhs = lhs * (ONE - QPoly.monomial(i))
+                    rhs = rhs * (ONE - QPoly.monomial(n + i))
+                assert lhs == rhs, (n, m)
 
     def test_specialize_to_binomials(self):
         for n in range(0, 6):
