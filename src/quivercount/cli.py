@@ -375,16 +375,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_s_count(config, args.end_degree, out)
         if args.command == "f-expand":
             return cmd_f_expand(config, out)
-        if args.command == "verify":
-            return cmd_verify(config, out)
-        parser.error(f"unknown command {args.command}")
+        return cmd_verify(config, out)
     except (InvariantError, PoleError) as exc:
         sys.stderr.write(f"invariant violation: {exc}\n")
         return EXIT_INVARIANT
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

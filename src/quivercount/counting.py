@@ -12,9 +12,9 @@ The pipeline for a quiver with stability theta and a fixed slope mu is:
    Q(q) is kept as a reference.
 
 2. The generating series r of these ratios is inverted with respect to the
-   twisted product, and the plethystic Log of the inverse, multiplied by
-   (1 - q), yields the polynomials counting absolutely stable classes.
-   Integrality of the result is asserted, never assumed.
+   twisted product, and (1 - q) times the plethystic Log of the inverse
+   counts absolutely stable classes.  Both steps run on #GL-scaled series in
+   Q[q]; integrality of the result is asserted, never assumed.
 
 3. For the zero stability the counts of stable classes feed a residual
    series Exp((a - sum x_i)/(1-q)) that is regular at q = 1; it can also be
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .numtheory import divisors, integer_binomial, mobius
@@ -42,10 +44,8 @@ from .series import (
     height,
     monomial_twist,
     plethystic_exp,
-    plethystic_log,
     series_bar,
     subvectors,
-    twisted_inverse,
     vec_add,
     vec_scale,
     vec_sub,
@@ -141,12 +141,21 @@ def _gl_order(alpha: Sequence[int]) -> QPoly:
 def rep_ratio(quiver: Quiver, alpha: Sequence[int]) -> RationalFunction:
     """#R_alpha / #GL_alpha as a rational function of q.
 
-    The representation space has q^{sum_arrows a^i a^j} points, and the
-    exponent equals alpha.alpha - T(alpha).
+    The representation space has q^{sum_arrows a^i a^j} points.
     """
     alpha = tuple(alpha)
-    dim = sum(a * a for a in alpha) - quiver.tits_form(alpha)
-    return RationalFunction(QPoly.monomial(dim), _gl_order(alpha))
+    return RationalFunction(QPoly.monomial(quiver.arrow_pairing(alpha, alpha)),
+                            _gl_order(alpha))
+
+
+def _split_weight(beta: DimVector, rest: DimVector, shift: int) -> QPoly:
+    """q^shift [beta + rest; beta]_q, where [alpha; beta]_q = prod_i [alpha_i; beta_i]_q;
+    at shift = beta.rest, #GL_{beta+rest} / (#GL_beta #GL_rest)."""
+    weight = QPoly.monomial(shift)
+    for r, b in zip(rest, beta):
+        if b:
+            weight = weight * _qbinom_poly(r, b)
+    return weight
 
 
 def _hn_count(ctx: CountingContext, delta: DimVector) -> QPoly:
@@ -158,25 +167,21 @@ def _hn_count(ctx: CountingContext, delta: DimVector) -> QPoly:
     whose interior prefixes are handled by the memoized subproblem.  Scaled
     by #GL, the split's weight q^{-<gamma, prefix>} #R_gamma #GL_delta /
     (#GL_gamma #GL_prefix) is the polynomial
-    q^{gamma.delta - <gamma, delta>} prod_i [delta_i; gamma_i]_q.
+    q^{sum_{i->j} gamma_i delta_j} [delta; gamma]_q.
     """
     cached = ctx._hn_cache.get(delta)
     if cached is not None:
         return cached
     quiver = ctx.quiver
-    total = QPoly.monomial(sum(d * d for d in delta) - quiver.tits_form(delta))
+    total = QPoly.monomial(quiver.arrow_pairing(delta, delta))
     for gamma in subvectors(delta):
         if height(gamma) == 0 or gamma == delta:
             continue
         prefix = vec_sub(delta, gamma)
         if ctx.slope_of(prefix) <= ctx.mu:
             continue
-        term = _hn_count(ctx, prefix)
-        for p, g in zip(prefix, gamma):
-            if g:
-                term = term * _qbinom_poly(p, g)
-        dot = sum(g * d for g, d in zip(gamma, delta))
-        total = total - term * QPoly.monomial(dot - quiver.ringel_form(gamma, delta))
+        weight = _split_weight(gamma, prefix, quiver.arrow_pairing(gamma, delta))
+        total = total - weight * _hn_count(ctx, prefix)
     ctx._hn_cache[delta] = total
     return total
 
@@ -293,23 +298,46 @@ def absolutely_stable_table(ctx: CountingContext) -> CountTable:
     (semistable series) o Exp(a / (1-q)) = 1 in the twisted algebra.
 
     The twisted inverse of the semistable series is Exp(a/(1-q)), so a is
-    (1-q) times its plethystic Log.  Every coefficient must come out as a
-    polynomial with integer coefficients; anything else is a hard error.
+    (1-q) times its plethystic Log.  Each series is held scaled by #GL
+    (c_alpha as #GL_alpha c_alpha), which keeps it in Q[q].  From the point
+    counts N = _hn_count, with rest = alpha - beta and sums over 0 < beta <= alpha,
+      G_alpha = -sum q^{sum_{i->j} beta_i rest_j} [alpha; beta] N_beta G_rest,
+      L_alpha = G_alpha - sum q^{beta.rest} [alpha; beta] |rest| G_beta L_rest / |alpha|
+    are the twisted inverse and its ordinary Log; psi_k in the Mobius sum
+    carries the polynomial #GL_alpha(q) / #GL_{alpha/k}(q^k).  Each count is
+    one exact division by #GL_alpha and must have integer coefficients;
+    anything else is a hard error.
     """
-    form = ctx.quiver.ringel_matrix()
-    r = semistable_series(ctx)
-    g = twisted_inverse(r, form)
-    log_g = plethystic_log(g)
+    quiver, trunc = ctx.quiver, ctx.trunc
+    origin, nil = trunc.zero_vector(), QPoly.zero()
+    inverse = _solve_by_height(
+        trunc, {alpha: _hn_count(ctx, alpha) for alpha in trunc.vectors()},
+        lambda beta, rest, c: _split_weight(beta, rest, quiver.arrow_pairing(beta, rest)) * c,
+        lambda alpha, acc: QPoly.one() if alpha == origin else -acc, nil)
+    log = _solve_by_height(
+        trunc, inverse,
+        lambda beta, rest, c: _split_weight(beta, rest, sum(map(mul, beta, rest)))
+        * c * height(rest),
+        lambda alpha, acc: (nil if alpha == origin else
+                            inverse.get(alpha, nil) - acc * Fraction(1, height(alpha))),
+        nil)
     entries: dict[DimVector, QPoly] = {}
-    for alpha in ctx.trunc.vectors():
+    for alpha in trunc.vectors():
         if height(alpha) == 0:
             continue
-        value = log_g.coeff(alpha) * ONE_MINUS_Q
-        if not value.is_polynomial:
+        gl, value = _gl_order(alpha), nil
+        for k in divisors(gcd(*alpha)):
+            m, base = mobius(k), tuple(a // k for a in alpha)
+            if m and base in log:
+                scale = gl.exact_div(_gl_order(base).adams(k)) * Fraction(m, k)
+                value = value + log[base].adams(k) * scale
+        value = value * ONE_MINUS_Q
+        try:
+            poly = value.exact_div(gl)
+        except ValueError:
             raise IntegralityError(
-                f"count at {alpha} is not polynomial: {value}"
-            )
-        poly = value.as_poly()
+                f"count at {alpha} is not polynomial: {RationalFunction(value, gl)}"
+            ) from None
         if not poly.has_integer_coeffs():
             raise IntegralityError(
                 f"count at {alpha} has non-integer coefficients: {poly}"
@@ -376,29 +404,32 @@ def residual_series(ctx: CountingContext, table: CountTable) -> Series:
     return f
 
 
-def _minus_ringel(R: Sequence[Sequence[int]], alpha: DimVector) -> tuple[int, ...]:
-    """-R alpha: the upper q-binomial index of the residual recursion at alpha."""
-    return tuple(-sum(r * a for r, a in zip(row, alpha)) for row in R)
-
-
-def residual_series_recursive(ctx: CountingContext) -> Series:
-    """The same series built without the counting table.
+def _residual_recursion(ctx: CountingContext, weigh, one, zero) -> dict:
+    """Coefficients of the residual series from the q-binomial recursion.
 
     Degree by degree, the coefficient at alpha > 0 is determined by
     requiring the x^alpha coefficient of q_binomial_series(-R alpha) * f to
     vanish; the q-binomial series has constant term 1, so this solves for
     the new coefficient directly: f_alpha = -sum_{0<beta<=alpha}
-    [-R alpha, beta] f_{alpha-beta}.
+    [-R alpha, beta] f_{alpha-beta}, where weigh(-R alpha, beta, c)
+    returns [-R alpha, beta] c in the caller's coefficient ring.
     """
     _require_zero_stability(ctx)
     R = ctx.quiver.ringel_matrix()
     trunc = ctx.trunc
-    zero = trunc.zero_vector()
+    origin = trunc.zero_vector()
     return _solve_by_height(
-        Series(trunc, {alpha: 1 for alpha in trunc.vectors()}),
-        lambda beta, rest, c: qbinom_vec(_minus_ringel(R, vec_add(beta, rest)), beta) * c,
-        lambda alpha, acc: RationalFunction.one() if alpha == zero else -acc,
-    )
+        trunc, {alpha: one for alpha in trunc.vectors()},
+        lambda beta, rest, c: weigh(
+            tuple(-sum(map(mul, row, vec_add(beta, rest))) for row in R), beta, c),
+        lambda alpha, acc: one if alpha == origin else -acc, zero)
+
+
+def residual_series_recursive(ctx: CountingContext) -> Series:
+    """The same series built without the counting table, in Q(q)."""
+    return Series(ctx.trunc, _residual_recursion(
+        ctx, lambda lam, beta, c: qbinom_vec(lam, beta) * c,
+        RationalFunction.one(), RationalFunction.zero()))
 
 
 def qbinom_jet(lam: Sequence[int], beta: Sequence[int], order: int
@@ -426,33 +457,19 @@ def residual_q1_expansion(ctx: CountingContext, order: int
 
     Returns layers 0..order; layer n maps dimension vectors to the exact
     coefficient of (q-1)^n in the corresponding series coefficient.  Runs
-    the recursion of residual_series_recursive on jets in t = q - 1 taken
-    modulo t^(order+1); layer 0 is the series at q = 1.
+    the recursion of residual_series_recursive on jets: QPolys in t = q - 1
+    cut to order+1 terms.  Layer 0 is the series at q = 1.
     """
-    _require_zero_stability(ctx)
     if order < 0:
         raise ValueError("order must be nonnegative")
     length = order + 1
-    R = ctx.quiver.ringel_matrix()
-    trunc = ctx.trunc
-    zero = trunc.zero_vector()
-    jets: dict[DimVector, list[Fraction]] = {zero: [Fraction(1)] + [Fraction(0)] * order}
-    for alpha in trunc.vectors():
-        if alpha == zero:
-            continue
-        lam = _minus_ringel(R, alpha)
-        acc = [Fraction(0)] * length
-        for beta in subvectors(alpha):
-            prev = jets.get(vec_sub(alpha, beta))
-            if height(beta) == 0 or prev is None:
-                continue
-            for k, c in enumerate(trunc_mul(qbinom_jet(lam, beta, order), prev, length)):
-                acc[k] += c
-        if any(acc):
-            jets[alpha] = [-c for c in acc]
+    jets = _residual_recursion(
+        ctx, lambda lam, beta, c: QPoly(trunc_mul(qbinom_jet(lam, beta, order),
+                                                  c.coeffs, length)),
+        QPoly.one(), QPoly.zero())
     layers: list[dict[DimVector, Fraction]] = [dict() for _ in range(length)]
     for alpha, jet in jets.items():
-        for n, value in enumerate(jet):
+        for n, value in enumerate(jet.coeffs):
             if value:
                 layers[n][alpha] = value
     return layers

@@ -20,7 +20,9 @@ in lowest terms, so every operation is exact integer arithmetic and
 
 Rational functions are kept in a canonical form (numerator and denominator
 coprime, denominator monic), which makes equality testing, evaluation and
-Taylor expansion around q = 1 well defined.  The Taylor expansion, the
+Taylor expansion around q = 1 well defined.  Sums and products are the
+textbook ones, normalized by one gcd; the count pipeline runs in Q[q], so
+they serve only the reference implementations.  The Taylor expansion, the
 residual recursion in `counting` and its reports share one small set of
 truncated power-series ("jet") operations defined here.
 """
@@ -75,7 +77,8 @@ class QPoly:
     (of q^i) is _n[i] / _d.  The form is canonical -- _d > 0,
     gcd(_d, *_n) == 1 and the last numerator is nonzero (the zero
     polynomial is ((), 1)) -- so equality and hashing are structural.
-    Instances are immutable and hashable.
+    Instances are immutable and hashable.  A jet of the residual recursion
+    is a QPoly in t = q - 1, cut to a fixed number of terms.
     """
 
     __slots__ = ("_n", "_d")
@@ -598,11 +601,6 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return self._den.is_one
 
-    def as_poly(self) -> QPoly:
-        if not self._den.is_one:
-            raise ValueError(f"not a polynomial: {self}")
-        return self._num
-
     # -- arithmetic -------------------------------------------------------------
 
     @staticmethod
@@ -617,13 +615,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self._den.is_one and other._den.is_one:
-            return RationalFunction._make(self._num + other._num, _ONE_POLY)
-        g = poly_gcd(self._den, other._den)
-        db = other._den.exact_div(g) if g.degree > 0 else other._den
-        da = self._den.exact_div(g) if g.degree > 0 else self._den
-        num = self._num * db + other._num * da
-        return RationalFunction(num, self._den * db)
+        return RationalFunction(self._num * other._den + other._num * self._den,
+                                self._den * other._den)
 
     __radd__ = __add__
 
@@ -643,22 +636,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RationalFunction.zero()
-        if self._den.is_one and other._den.is_one:
-            return RationalFunction._make(self._num * other._num, _ONE_POLY)
-        # Cross-cancel: both inputs are normalized, so the cancelled parts
-        # leave pairwise coprime factors and no further gcd is needed.
-        n1, d1, n2, d2 = self._num, self._den, other._num, other._den
-        g1 = poly_gcd(n1, d2)
-        if g1.degree > 0:
-            n1 = n1.exact_div(g1)
-            d2 = d2.exact_div(g1)
-        g2 = poly_gcd(n2, d1)
-        if g2.degree > 0:
-            n2 = n2.exact_div(g2)
-            d1 = d1.exact_div(g2)
-        return RationalFunction._make(n1 * n2, d1 * d2)
+        return RationalFunction(self._num * other._num, self._den * other._den)
 
     __rmul__ = __mul__
 

@@ -131,16 +131,20 @@ class Quiver:
             for i in range(n)
         )
 
-    def ringel_form(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
+    def arrow_pairing(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
+        """sum_{arrows i->j} alpha^i beta^j; at beta = alpha, the dimension of R_alpha."""
         n = self.nvertices
         if len(alpha) != n or len(beta) != n:
             raise ValueError("vector length must match the vertex count")
-        total = sum(a * b for a, b in zip(alpha, beta))
+        total = 0
         for i in range(n):
             if alpha[i]:
                 row = self.arrow_counts[i]
-                total -= alpha[i] * sum(row[j] * beta[j] for j in range(n) if beta[j])
+                total += alpha[i] * sum(row[j] * beta[j] for j in range(n) if beta[j])
         return total
+
+    def ringel_form(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
+        return sum(a * b for a, b in zip(alpha, beta)) - self.arrow_pairing(alpha, beta)
 
     def tits_form(self, alpha: Sequence[int]) -> int:
         return self.ringel_form(alpha, alpha)

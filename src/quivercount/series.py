@@ -18,8 +18,10 @@ operator D x^alpha = |alpha| x^alpha, which turns f = exp(a) into
 D f = f D a and f = log(a) into D a = a D f (Brent & Kung, "Fast
 algorithms for manipulating formal power series", J. ACM 1978).  Each
 coefficient then takes one pass over the pairs below it instead of
-max_height series powers.  The residual q-binomial recursion of
-``counting.residual_series_recursive`` runs on the same solver.
+max_height series powers.  The solver is generic in the coefficient ring,
+so ``counting`` runs its own recurrences on it outside ``Series``: the count
+table's #GL-scaled twisted inverse and Log in Q[q], and the residual
+q-binomial recursion in Q(q) and on (q-1) jets.
 
 Everything is exact; truncating the psi_k sums at k = max_height loses
 nothing because psi_k raises height by a factor k.
@@ -30,12 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .numtheory import mobius
 from .qpoly import RationalFunction
 
 DimVector = tuple[int, ...]
+C = TypeVar("C")  # a coefficient ring element
 
 
 class TruncationError(ValueError):
@@ -292,23 +295,22 @@ def twisted_mul(a: Series, b: Series,
     return Series(trunc, out)
 
 
-def _solve_by_height(
-    known: Series,
-    weigh: Callable[[DimVector, DimVector, RationalFunction], RationalFunction],
-    finish: Callable[[DimVector, RationalFunction], RationalFunction],
-) -> Series:
-    """The series f with f_alpha = finish(alpha, s_alpha), solved in height order.
+def _solve_by_height(trunc: TruncationSpec, known: Mapping[DimVector, C],
+                     weigh: Callable[[DimVector, DimVector, C], C],
+                     finish: Callable[[DimVector, C], C], zero: C) -> dict[DimVector, C]:
+    """The coefficients f_alpha = finish(alpha, s_alpha) on trunc, in height order.
 
-    s_alpha is sum_{0 < beta <= alpha} w(beta, alpha-beta) known_beta
-    f_{alpha-beta}, where weigh(beta, alpha-beta, c) returns w c.  The
-    term beta = 0 drops out by itself: f_alpha is not solved yet.
+    s_alpha is zero plus sum_{0 < beta <= alpha} w(beta, alpha-beta)
+    known_beta f_{alpha-beta}, where weigh(beta, alpha-beta, c) returns w c.
+    The term beta = 0 drops out by itself: f_alpha is not solved yet.  Any
+    exact ring with +, * and is_zero serves; zero coefficients are left
+    out, so read the result with .get(alpha, zero).
     """
-    trunc = known.trunc
-    out: dict[DimVector, RationalFunction] = {}
+    out: dict[DimVector, C] = {}
     for alpha in trunc.vectors():
-        acc = RationalFunction.zero()
+        acc = zero
         for beta in subvectors(alpha):
-            kb = known._c.get(beta)
+            kb = known.get(beta)
             if kb is None:
                 continue
             rest = vec_sub(alpha, beta)
@@ -318,7 +320,7 @@ def _solve_by_height(
         val = finish(alpha, acc)
         if not val.is_zero:
             out[alpha] = val
-    return Series(trunc, out)
+    return out
 
 
 def twisted_inverse(a: Series, form: Sequence[Sequence[int]]) -> Series:
@@ -328,11 +330,11 @@ def twisted_inverse(a: Series, form: Sequence[Sequence[int]]) -> Series:
     if a0.is_zero:
         raise ZeroDivisionError("series with zero constant term is not invertible")
     inv0 = a0.inverse()
-    return _solve_by_height(
-        a,
+    return Series(a.trunc, _solve_by_height(
+        a.trunc, a._c,
         lambda beta, rest, c: _times_q_power(c, -form_pairing(form, beta, rest)),
         lambda alpha, acc: inv0 if alpha == zero else -(inv0 * acc),
-    )
+        RationalFunction.zero()))
 
 
 # -- Adams operations and twists ------------------------------------------------
@@ -373,12 +375,12 @@ def ordinary_exp(a: Series) -> Series:
     if not a.constant_term.is_zero:
         raise ValueError("ordinary_exp needs a zero constant term")
     zero = a.trunc.zero_vector()
-    return _solve_by_height(
-        a,
+    return Series(a.trunc, _solve_by_height(
+        a.trunc, a._c,
         lambda beta, rest, c: c * height(beta),
         lambda alpha, acc: (RationalFunction.one() if alpha == zero
                             else acc * Fraction(1, height(alpha))),
-    )
+        RationalFunction.zero()))
 
 
 def ordinary_log(a: Series) -> Series:
@@ -386,12 +388,12 @@ def ordinary_log(a: Series) -> Series:
     if not a.constant_term.is_one:
         raise ValueError("ordinary_log needs constant term 1")
     zero = a.trunc.zero_vector()
-    return _solve_by_height(
-        a,
+    return Series(a.trunc, _solve_by_height(
+        a.trunc, a._c,
         lambda beta, rest, c: c * height(rest),
         lambda alpha, acc: (RationalFunction.zero() if alpha == zero
                             else a.coeff(alpha) - acc * Fraction(1, height(alpha))),
-    )
+        RationalFunction.zero()))
 
 
 def ordinary_pow(f: Series, g: Series) -> Series:

@@ -42,6 +42,7 @@ from quivercount.series import (
     plethystic_log,
     plethystic_pow,
     series_bar,
+    twisted_inverse,
     twisted_mul,
 )
 
@@ -407,3 +408,28 @@ def test_criterion_10_end_degree_identities_and_oracle():
     print("ACCEPTANCE 10 PASS: endomorphism-degree counts satisfy the Adams "
           "decomposition and power identity for r<=4 at height 4; the degree-2 "
           "count matches brute force at p=2,3")
+
+
+# -- criterion 11: the #GL-scaled count table against the Q(q) route ------------------
+
+
+def test_criterion_11_count_table_matches_rational_function_route():
+    # absolutely_stable_table runs in Q[q] on #GL-scaled series; the
+    # reference is (1-q) Log of the twisted inverse, computed in Q(q)
+    cyclic = Quiver.from_matrix([[0, 2], [1, 0]])
+    configs = [(quiver, None, Fraction(0), 6)
+               for quiver in (loop(1), loop(2), loop(3), loop(4), A2, A3, KRONECKER,
+                              cyclic)]
+    configs += [
+        (KRONECKER, (1, 0), Fraction(1, 2), 10),
+        (A3, (2, 1, 0), Fraction(1), 6),  # its twisted inverse has zero coefficients
+    ]
+    for quiver, theta, mu, h in configs:
+        ctx = CountingContext.create(quiver, theta=theta, mu=mu, max_height=h)
+        inverse = twisted_inverse(semistable_series(ctx), quiver.ringel_matrix())
+        expected = plethystic_log(inverse) * (ONE - Q)
+        table = absolutely_stable_table(ctx)
+        assert len(table.entries) == sum(1 for a in ctx.trunc.vectors() if sum(a))
+        assert Series(ctx.trunc, table.entries) == expected, (quiver, theta, mu)
+    print("ACCEPTANCE 11 PASS: the count table equals (1-q) Log of the twisted "
+          f"inverse in Q(q) in all {len(configs)} configurations")

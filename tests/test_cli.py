@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import quivercount
-from quivercount import oracle
+from quivercount import cli, counting, oracle
 from quivercount.cli import main
 
 QUIVERS = {
@@ -120,6 +120,31 @@ def test_orbit_division_failure_exits_two(quiver_file, capsys, monkeypatch):
                  "--max-height", "2", "--primes", "2"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("invariant violation: ")
+
+
+def test_integrality_failure_exits_two(quiver_file, capsys, monkeypatch):
+    # a semistable point count off by one at alpha = (2,) leaves a count
+    # that is not a polynomial
+    exact = counting._hn_count
+
+    def corrupted(ctx, delta):
+        return exact(ctx, delta) + (1 if delta == (2,) else 0)
+
+    monkeypatch.setattr(counting, "_hn_count", corrupted)
+    assert main(["a-series", "--quiver", quiver_file("loop2"),
+                 "--max-height", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("invariant violation: count at (2,) ")
+
+
+def test_library_key_errors_are_not_usage_errors(quiver_file, monkeypatch):
+    # no malformed input raises KeyError, so one is a bug and must surface
+    def broken(ctx):
+        raise KeyError((1, 0, 1))
+
+    monkeypatch.setattr(cli, "absolutely_stable_table", broken)
+    with pytest.raises(KeyError):
+        main(["a-series", "--quiver", quiver_file("loop1"), "--max-height", "2"])
 
 
 @pytest.mark.parametrize("name, height, prime, summary", [

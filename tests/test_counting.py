@@ -5,6 +5,8 @@ import pytest
 
 from quivercount.counting import (
     CountingContext,
+    IntegralityError,
+    _hn_count,
     absolutely_stable_table,
     gl_order_poly,
     loop_layer_checks,
@@ -223,6 +225,29 @@ class TestStableClassTable:
             prod = twisted_mul(semistable_series(ctx), exp_of_table(ctx, table),
                                quiver.ringel_matrix())
             assert prod == Series.one(ctx.trunc)
+
+    def test_off_by_one_point_count_is_an_integrality_error(self):
+        ctx = CountingContext.create(loop(2), max_height=3)
+        ctx._hn_cache[(2,)] = _hn_count(ctx, (2,)) + ONE
+        with pytest.raises(IntegralityError, match=r"^count at \(2,\) "):
+            absolutely_stable_table(ctx)
+
+    @pytest.mark.parametrize("quiver,theta,height", [(loop(3), None, 8),
+                                                     (KRONECKER, (1, 0), 12)],
+                             ids=["loop3", "kronecker-cone"])
+    def test_table_does_no_rational_function_arithmetic(self, monkeypatch, quiver,
+                                                        theta, height):
+        # every series of the table is #GL-scaled and stays in Q[q]
+        def forbidden(*args):
+            raise AssertionError("rational function arithmetic in the count table")
+
+        monkeypatch.setattr(qpoly, "poly_gcd", forbidden)
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(RationalFunction, name, forbidden)
+        mu = Fraction(1, 2) if theta else Fraction(0)
+        ctx = CountingContext.create(quiver, theta=theta, mu=mu, max_height=height)
+        assert len(absolutely_stable_table(ctx).entries) == \
+            sum(1 for a in ctx.trunc.vectors() if sum(a))
 
     def test_table_json_shape(self):
         ctx = CountingContext.create(loop(2), max_height=2)
