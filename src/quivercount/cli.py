@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -43,57 +42,38 @@ EXIT_INVARIANT = 2
 EXIT_MISMATCH = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    quiver: Quiver
-    theta: tuple[int, ...]
-    mu: Fraction
-    max_height: int
-    primes: tuple[int, ...]
-    q1_order: int
-    output_format: str
-    budget: Optional[int]  # verify's point budget; None for the default
+def _stability(args: argparse.Namespace) -> tuple[Quiver, tuple[int, ...], Fraction]:
+    """The quiver, theta and slope that --quiver, --theta and --slope name,
+    after --max-height is checked.  A subcommand with flags of its own checks
+    them next and then builds the CountingContext, so that its empty-cone
+    error comes last."""
+    with open(args.quiver, "r", encoding="utf-8") as fh:
+        quiver_data = json.load(fh)
+    quiver = Quiver.from_json(quiver_data)
+    n = quiver.nvertices
+    if args.theta:
+        theta = tuple(int(t) for t in args.theta.split(","))
+        if len(theta) != n:
+            raise ValueError(
+                f"theta has {len(theta)} entries but the quiver has {n} vertices"
+            )
+    elif "theta" in quiver_data:
+        theta = parse_theta(quiver_data, n)
+    else:
+        theta = (0,) * n
+    slope_text = args.slope or "0"
+    try:
+        mu = Fraction(slope_text)
+    except ZeroDivisionError:
+        raise ValueError(f"--slope {slope_text} has a zero denominator") from None
+    if args.max_height < 1:
+        raise ValueError("--max-height must be >= 1")
+    return quiver, theta, mu
 
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        with open(args.quiver, "r", encoding="utf-8") as fh:
-            quiver_data = json.load(fh)
-        quiver = Quiver.from_json(quiver_data)
-        n = quiver.nvertices
-        if getattr(args, "theta", None):
-            theta = tuple(int(t) for t in args.theta.split(","))
-            if len(theta) != n:
-                raise ValueError(
-                    f"theta has {len(theta)} entries but the quiver has {n} vertices"
-                )
-        elif "theta" in quiver_data:
-            theta = parse_theta(quiver_data, n)
-        else:
-            theta = (0,) * n
-        slope_text = getattr(args, "slope", "0") or "0"
-        try:
-            mu = Fraction(slope_text)
-        except ZeroDivisionError:
-            raise ValueError(f"--slope {slope_text} has a zero denominator") from None
-        max_height = args.max_height
-        if max_height < 1:
-            raise ValueError("--max-height must be >= 1")
-        primes = tuple(int(p) for p in getattr(args, "primes", "2,3").split(","))
-        for p in primes:
-            if not is_prime(p):
-                raise ValueError(f"--primes entry {p} is not prime")
-        q1_order = getattr(args, "q1_order", 2)
-        if q1_order < 0:
-            raise ValueError("--q1-order must be >= 0")
-        budget = getattr(args, "budget", None)
-        if budget is not None and budget < 1:
-            raise ValueError("--budget must be >= 1")
-        return cls(quiver, theta, mu, max_height, primes, q1_order,
-                   args.format, budget)
 
-    def context(self) -> CountingContext:
-        return CountingContext.create(self.quiver, self.theta, self.mu,
-                                      self.max_height)
+def _context(args: argparse.Namespace) -> CountingContext:
+    """The CountingContext of --quiver, --theta, --slope and --max-height."""
+    return CountingContext.create(*_stability(args), args.max_height)
 
 
 # -- rendering helpers ------------------------------------------------------------
@@ -141,17 +121,17 @@ def _qminus1_str(poly: QPoly) -> str:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_a_series(config: RunConfig, out) -> int:
-    ctx = config.context()
+def cmd_a_series(args: argparse.Namespace, out) -> int:
+    ctx = _context(args)
     table = absolutely_stable_table(ctx)
-    if config.output_format == "json":
-        json.dump({"quiver": config.quiver.to_json(),
-                   "theta": list(config.theta),
-                   "slope": str(config.mu),
-                   "max_height": config.max_height,
+    if args.format == "json":
+        json.dump({"quiver": ctx.quiver.to_json(),
+                   "theta": list(ctx.theta),
+                   "slope": str(ctx.mu),
+                   "max_height": args.max_height,
                    "entries": table.to_json()}, out, indent=2)
         out.write("\n")
-    elif config.output_format == "latex":
+    elif args.format == "latex":
         out.write("\\begin{tabular}{lll}\n")
         out.write("$\\alpha$ & count in $q$ & count in $q-1$\\\\\\hline\n")
         for alpha, poly in table.sorted_items():
@@ -168,44 +148,48 @@ def cmd_a_series(config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def cmd_r_series(config: RunConfig, out) -> int:
-    ctx = config.context()
+def cmd_r_series(args: argparse.Namespace, out) -> int:
+    ctx = _context(args)
     rows = []
     for alpha in ctx.trunc.vectors():
         if height(alpha) == 0:
             continue
         rows.append((alpha, semistable_ratio(ctx, alpha)))
-    if config.output_format == "json":
-        json.dump({"quiver": config.quiver.to_json(),
-                   "theta": list(config.theta),
-                   "slope": str(config.mu),
+    if args.format == "json":
+        json.dump({"quiver": ctx.quiver.to_json(),
+                   "theta": list(ctx.theta),
+                   "slope": str(ctx.mu),
                    "entries": [{"alpha": list(a), "ratio": rf.to_json()}
                                for a, rf in rows]}, out, indent=2)
         out.write("\n")
     else:
         for alpha, rf in rows:
-            if config.output_format == "latex":
+            if args.format == "latex":
                 out.write(f"$r({tuple(alpha)}) = {rf.latex()}$\\\\\n")
             else:
                 out.write(f"alpha={tuple(alpha)}  semistable/GL = {rf}\n")
     return EXIT_OK
 
 
-def cmd_s_count(config: RunConfig, end_degree: int, out) -> int:
-    ctx = config.context()
+def cmd_s_count(args: argparse.Namespace, out) -> int:
+    ctx = _context(args)
     table = absolutely_stable_table(ctx)
+    end_degree, max_height = args.end_degree, args.max_height
     rows = []
     for base in ctx.trunc.vectors():
-        if height(base) == 0 or height(base) * end_degree > config.max_height:
+        if height(base) == 0 or height(base) * end_degree > max_height:
             continue
         poly = stable_end_degree_poly(ctx, table, base, end_degree)
         beta = tuple(end_degree * b for b in base)
         rows.append((beta, poly))
-    if config.output_format == "json":
+    if args.format == "json":
         json.dump({"end_degree": end_degree,
                    "entries": [{"alpha": list(b), "poly_q": p.to_json()}
                                for b, p in rows]}, out, indent=2)
         out.write("\n")
+    elif not rows:
+        out.write(f"no dimension vector {end_degree}*alpha fits under "
+                  f"--max-height {max_height}\n")
     else:
         for beta, poly in rows:
             out.write(f"alpha={beta}  stable classes with end-degree "
@@ -213,14 +197,18 @@ def cmd_s_count(config: RunConfig, end_degree: int, out) -> int:
     return EXIT_OK
 
 
-def cmd_f_expand(config: RunConfig, out) -> int:
-    if any(config.theta) or config.mu != 0:
+def cmd_f_expand(args: argparse.Namespace, out) -> int:
+    quiver, theta, mu = _stability(args)
+    order = args.q1_order
+    if order < 0:
+        raise ValueError("--q1-order must be >= 0")
+    if any(theta) or mu != 0:
         raise ValueError("f-expand is defined for the zero stability only")
-    ctx = config.context()
-    layers = residual_q1_expansion(ctx, config.q1_order)
+    ctx = CountingContext.create(quiver, theta, mu, args.max_height)
+    layers = residual_q1_expansion(ctx, order)
     table = absolutely_stable_table(ctx)
     report = positivity_report(table)
-    nvars = config.quiver.nvertices
+    nvars = quiver.nvertices
 
     payload: dict = {"layers": [], "positivity": report.to_json()}
     lines = []
@@ -232,17 +220,17 @@ def cmd_f_expand(config: RunConfig, out) -> int:
                         for a, c in sorted(layer.items())]})
         lines.append(f"f_{n} = {rendered}")
 
-    if nvars == 1 and config.q1_order >= 1:
+    if nvars == 1 and order >= 1:
         match, degrees = loop_layer_checks(ctx, layers)
         payload["f1_conjecture_match"] = match
-        lines.append(f"f_1 vs C(m,2) t(t-1)/(1-mt)^2 to t^{config.max_height}: "
+        lines.append(f"f_1 vs C(m,2) t(t-1)/(1-mt)^2 to t^{args.max_height}: "
                      f"{'match' if match else 'MISMATCH'}")
         payload["observed_degrees"] = [{"order": n, "degree": degree}
                                        for n, degree in enumerate(degrees)]
         for n, degree in enumerate(degrees):
             lines.append(
                 f"observed t-degree of f_{n}*(1-mt)^{3 * n - 1}: {degree} "
-                f"(within truncation {config.max_height})")
+                f"(within truncation {args.max_height})")
 
     for row in report.rows:
         note = f"  necklaces={row.necklaces} match={row.linear_matches_necklaces}" \
@@ -252,7 +240,7 @@ def cmd_f_expand(config: RunConfig, out) -> int:
             f"constant={row.constant_term} linear={row.linear_term} "
             f"nonnegative={row.all_nonnegative}{note}")
 
-    if config.output_format == "json":
+    if args.format == "json":
         json.dump(payload, out, indent=2)
         out.write("\n")
     else:
@@ -261,15 +249,23 @@ def cmd_f_expand(config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig, out) -> int:
+def cmd_verify(args: argparse.Namespace, out) -> int:
+    quiver, theta, mu = _stability(args)
+    primes = tuple(int(p) for p in args.primes.split(","))
+    for i, p in enumerate(primes):
+        if not is_prime(p):
+            raise ValueError(f"--primes entry {p} is not prime")
+        if p in primes[:i]:
+            raise ValueError(f"--primes entry {p} is repeated")
+    if args.budget is not None and args.budget < 1:
+        raise ValueError("--budget must be >= 1")
+    ctx = CountingContext.create(quiver, theta, mu, args.max_height)
     # imported here: the oracle needs numpy, which no other subcommand loads
     from .oracle import DEFAULT_MAX_POINTS
     from .verify import run_verification
 
-    ctx = config.context()
-    report = run_verification(ctx, config.primes,
-                              config.budget or DEFAULT_MAX_POINTS)
-    if config.output_format == "json":
+    report = run_verification(ctx, primes, args.budget or DEFAULT_MAX_POINTS)
+    if args.format == "json":
         json.dump(report.to_json(), out, indent=2)
         out.write("\n")
     else:
@@ -289,11 +285,12 @@ def cmd_verify(config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def cmd_necklaces(colors: int, max_beads: int, fmt: str, out) -> int:
+def cmd_necklaces(args: argparse.Namespace, out) -> int:
+    colors, max_beads = args.colors, args.max_beads
     if colors < 1 or max_beads < 1:
         raise ValueError("--colors and --max-beads must be >= 1")
     rows = [(d, necklace_count(colors, d)) for d in range(1, max_beads + 1)]
-    if fmt == "json":
+    if args.format == "json":
         json.dump({"colors": colors,
                    "counts": [{"beads": d, "count": c} for d, c in rows]},
                   out, indent=2)
@@ -307,17 +304,13 @@ def cmd_necklaces(colors: int, max_beads: int, fmt: str, out) -> int:
 # -- argument parsing ------------------------------------------------------------
 
 
-def _add_common(sub, formats=("text", "json"), with_primes=False, with_q1=False):
+def _add_common(sub, run, formats=("text", "json")):
+    sub.set_defaults(run=run)
     sub.add_argument("--quiver", required=True, help="path to a quiver JSON file")
     sub.add_argument("--theta", default="", help="stability weights, comma separated")
     sub.add_argument("--slope", default="0", help="target slope as P/Q")
     sub.add_argument("--max-height", type=int, default=6, dest="max_height")
     sub.add_argument("--format", choices=formats, default="text")
-    if with_primes:
-        sub.add_argument("--primes", default="2,3", help="verification primes, CSV")
-    if with_q1:
-        sub.add_argument("--q1-order", type=int, default=2, dest="q1_order",
-                         help="number of (q-1) expansion layers")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -337,19 +330,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     with_latex = ("text", "json", "latex")
     _add_common(sub.add_parser("a-series", help="absolutely stable class counts"),
-                formats=with_latex)
+                cmd_a_series, formats=with_latex)
     _add_common(sub.add_parser("r-series", help="semistable ratio series"),
-                formats=with_latex)
+                cmd_r_series, formats=with_latex)
     sc = sub.add_parser("s-count", help="stable classes by endomorphism degree")
-    _add_common(sc)
+    _add_common(sc, cmd_s_count)
     sc.add_argument("--end-degree", type=int, default=2, dest="end_degree")
     fx = sub.add_parser("f-expand", help="(q-1) expansion of the residual series")
-    _add_common(fx, with_q1=True)
+    _add_common(fx, cmd_f_expand)
+    fx.add_argument("--q1-order", type=int, default=2, dest="q1_order",
+                    help="number of (q-1) expansion layers")
     vf = sub.add_parser("verify", help="compare formulas against brute force")
-    _add_common(vf, with_primes=True)
+    _add_common(vf, cmd_verify)
+    vf.add_argument("--primes", default="2,3", help="verification primes, CSV")
     vf.add_argument("--budget", type=int, default=None,
                     help="maximum number of points the oracle may enumerate")
     nk = sub.add_parser("necklaces", help="primitive necklace numbers")
+    nk.set_defaults(run=cmd_necklaces)
     nk.add_argument("--colors", type=int, required=True)
     nk.add_argument("--max-beads", type=int, default=6, dest="max_beads")
     nk.add_argument("--format", choices=("text", "json"), default="text")
@@ -362,20 +359,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    out = sys.stdout
     try:
-        if args.command == "necklaces":
-            return cmd_necklaces(args.colors, args.max_beads, args.format, out)
-        config = RunConfig.from_args(args)
-        if args.command == "a-series":
-            return cmd_a_series(config, out)
-        if args.command == "r-series":
-            return cmd_r_series(config, out)
-        if args.command == "s-count":
-            return cmd_s_count(config, args.end_degree, out)
-        if args.command == "f-expand":
-            return cmd_f_expand(config, out)
-        return cmd_verify(config, out)
+        return args.run(args, sys.stdout)
     except (InvariantError, PoleError) as exc:
         sys.stderr.write(f"invariant violation: {exc}\n")
         return EXIT_INVARIANT

@@ -432,9 +432,8 @@ def residual_series_recursive(ctx: CountingContext) -> Series:
         RationalFunction.one(), RationalFunction.zero()))
 
 
-def qbinom_jet(lam: Sequence[int], beta: Sequence[int], order: int
-               ) -> tuple[Fraction, ...]:
-    """Taylor coefficients 0..order at q = 1 of [lam, beta] = prod_i [lam^i, beta^i].
+def qbinom_jet(lam: Sequence[int], beta: Sequence[int], order: int) -> QPoly:
+    """[lam, beta] = prod_i [lam^i, beta^i] as a jet of order+1 terms at q = 1.
 
     In t = q - 1, [n, m] = prod_{i=1..m} [n+i]_q / [i]_q with
     [k]_q = ((1+t)^k - 1)/t = sum_j C(k, j+1) t^j for every integer k.  The
@@ -442,13 +441,16 @@ def qbinom_jet(lam: Sequence[int], beta: Sequence[int], order: int
     [n, m] = 0 for -m <= n <= -1, so no rational function is needed.
     """
     length = order + 1
-    out = [Fraction(1)] + [Fraction(0)] * order
+
+    def q_integer(k: int) -> QPoly:
+        return QPoly([integer_binomial(k, j + 1) for j in range(length)])
+
+    num = den = QPoly.one()
     for n, m in zip(lam, beta):
         for i in range(1, m + 1):
-            num = binomial_jet(n + i, 1, length + 1)[1:]
-            den = binomial_jet(i, 1, length + 1)[1:]
-            out = trunc_mul(out, trunc_mul(num, trunc_inv(den, length), length), length)
-    return tuple(out)
+            num = trunc_mul(num, q_integer(n + i), length)
+            den = trunc_mul(den, q_integer(i), length)
+    return trunc_mul(num, trunc_inv(den, length), length)
 
 
 def residual_q1_expansion(ctx: CountingContext, order: int
@@ -457,15 +459,14 @@ def residual_q1_expansion(ctx: CountingContext, order: int
 
     Returns layers 0..order; layer n maps dimension vectors to the exact
     coefficient of (q-1)^n in the corresponding series coefficient.  Runs
-    the recursion of residual_series_recursive on jets: QPolys in t = q - 1
-    cut to order+1 terms.  Layer 0 is the series at q = 1.
+    the recursion of residual_series_recursive on jets in t = q - 1 cut to
+    order+1 terms.  Layer 0 is the series at q = 1.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     length = order + 1
     jets = _residual_recursion(
-        ctx, lambda lam, beta, c: QPoly(trunc_mul(qbinom_jet(lam, beta, order),
-                                                  c.coeffs, length)),
+        ctx, lambda lam, beta, c: trunc_mul(qbinom_jet(lam, beta, order), c, length),
         QPoly.one(), QPoly.zero())
     layers: list[dict[DimVector, Fraction]] = [dict() for _ in range(length)]
     for alpha, jet in jets.items():
@@ -487,19 +488,16 @@ def loop_layer_checks(ctx: CountingContext, layers: Sequence[dict[DimVector, Fra
     m = ctx.quiver.arrow_counts[0][0]
     length = ctx.trunc.max_height + 1
 
-    def jet(layer: dict[DimVector, Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * length
-        for alpha, c in layer.items():
-            out[alpha[0]] = c
-        return out
+    def jet(layer: dict[DimVector, Fraction]) -> QPoly:
+        return QPoly([layer.get((k,), 0) for k in range(length)])
 
     c = integer_binomial(m, 2)
-    f1_matches = jet(layers[1]) == trunc_mul([0, -c, c], binomial_jet(-2, -m, length),
-                                             length)
+    f1_matches = jet(layers[1]) == trunc_mul(QPoly([0, -c, c]),
+                                             binomial_jet(-2, -m, length), length)
     degrees = []
     for n, layer in enumerate(layers[:3]):
         prod = trunc_mul(jet(layer), binomial_jet(3 * n - 1, -m, length), length)
-        degrees.append(max((k for k, x in enumerate(prod) if x), default=None))
+        degrees.append(None if prod.is_zero else prod.degree)
     return f1_matches, degrees
 
 

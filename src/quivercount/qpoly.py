@@ -14,17 +14,19 @@ in lowest terms, so every operation is exact integer arithmetic and
   polynomial by a primitive one has integer coefficients, so a leading term
   the divisor's lead does not divide proves the division inexact.  The same
   pseudo-division gives the remainders of `poly_gcd`.
-- The shift q -> q + c, and with it the (q-1) basis, is an integer Taylor
+- The shift q -> q + 1, and with it the (q-1) basis, is an integer Taylor
   shift by repeated additions (von zur Gathen & Gerhard, "Fast algorithms
-  for Taylor shifts", ISSAC 1997); a rational c is scaled to a shift by 1.
+  for Taylor shifts", ISSAC 1997).
 
 Rational functions are kept in a canonical form (numerator and denominator
 coprime, denominator monic), which makes equality testing, evaluation and
 Taylor expansion around q = 1 well defined.  Sums and products are the
 textbook ones, normalized by one gcd; the count pipeline runs in Q[q], so
-they serve only the reference implementations.  The Taylor expansion, the
-residual recursion in `counting` and its reports share one small set of
-truncated power-series ("jet") operations defined here.
+they serve only the reference implementations.  A truncated power series
+("jet") is a QPoly cut to its first n coefficients: the Taylor expansion at
+q = 1, the residual recursion in `counting` and its reports multiply,
+invert and build jets with the three operations defined here, in the same
+integer arithmetic as every other QPoly.
 """
 
 from __future__ import annotations
@@ -268,21 +270,11 @@ class QPoly:
         out[::k] = self._n
         return QPoly._make(out, self._d)
 
-    def shifted(self, c: Scalar) -> "QPoly":
-        """Return the polynomial r with r(t) = self(t + c).
-
-        For c = p/r, the integer polynomial h(x) = sum n_i p^i r^(deg-i) x^i
-        satisfies self(t + c) = h(r t / p + 1) / r^deg, so one integer Taylor
-        shift by 1 (_taylor_shift_one) serves every c.
-        """
-        c = _as_fraction(c)
-        p, r = c.numerator, c.denominator
-        deg = self.degree
-        if p == 0 or deg < 1:
+    def shifted(self) -> "QPoly":
+        """Return the polynomial r with r(t) = self(t + 1)."""
+        if self.degree < 1:
             return self
-        h = _taylor_shift_one([x * p**i * r ** (deg - i) for i, x in enumerate(self._n)])
-        return QPoly._make([x * r**j * p ** (deg - j) for j, x in enumerate(h)],
-                           self._d * (p * r) ** deg)
+        return QPoly._make(_taylor_shift_one(list(self._n)), self._d)
 
     def qminus1_coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients in the (q-1) basis: self = sum c_n (q-1)^n.
@@ -290,7 +282,7 @@ class QPoly:
         The result has length degree+1 (empty for the zero polynomial), e.g.
         q^3 - q gives (0, 2, 3, 1).
         """
-        return self.shifted(1).coeffs
+        return self.shifted().coeffs
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -447,37 +439,34 @@ def format_poly(coeffs: Sequence[Fraction], var: str, latex: bool = False) -> st
 
 # -- jets: power series in one variable x, taken modulo x^n ------------------
 #
-# A jet is a sequence of exact coefficients in ascending powers of x; shorter
-# inputs are padded with zeros and every result has length exactly n.
+# A jet is a QPoly in x cut to its first n coefficients.
 
 
-def trunc_mul(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Fraction]:
+def trunc_mul(a: QPoly, b: QPoly, n: int) -> QPoly:
     """The product a * b modulo x^n."""
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j, y in enumerate(b[:n - i]):
-                if y:
-                    out[i + j] += x * y
-    return out
+    if a.is_zero or b.is_zero:
+        return QPoly()
+    return QPoly._make(_int_mul(a._n[:n], b._n[:n])[:n], a._d * b._d)
 
 
-def trunc_inv(a: Sequence[Scalar], n: int) -> list[Fraction]:
-    """The inverse 1 / a modulo x^n; PoleError if a has zero constant term."""
-    if not a or a[0] == 0:
+def trunc_inv(a: QPoly, n: int) -> QPoly:
+    """The inverse 1 / a modulo x^n; PoleError if a has zero constant term.
+
+    With a = A / d over Z, 1 / A = sum v_k x^k / A_0^n, where v_0 = A_0^(n-1)
+    and A_0 v_k = -sum_{j>=1} A_j v_{k-j}, an exact integer division."""
+    num = a._n
+    if not num or not num[0]:
         raise PoleError("a series with zero constant term has no inverse")
-    out: list[Fraction] = []
-    for k in range(n):
-        acc = Fraction(1 if k == 0 else 0)
-        for j in range(1, min(k, len(a) - 1) + 1):
-            acc -= a[j] * out[k - j]
-        out.append(acc / a[0])
-    return out
+    lead = num[0]
+    v = [lead ** (n - 1)]
+    for k in range(1, n):
+        v.append(-sum(x * y for x, y in zip(num[1:k + 1], reversed(v))) // lead)
+    return QPoly._make([x * a._d for x in v], lead ** n)
 
 
-def binomial_jet(e: int, c: Scalar, n: int) -> list[Fraction]:
+def binomial_jet(e: int, c: Scalar, n: int) -> QPoly:
     """(1 + c x)^e modulo x^n, for any integer exponent e."""
-    return [Fraction(integer_binomial(e, k) * c**k) for k in range(n)]
+    return QPoly([integer_binomial(e, k) * c**k for k in range(n)])
 
 
 # -- polynomial gcd -----------------------------------------------------------
@@ -597,10 +586,6 @@ class RationalFunction:
     def is_one(self) -> bool:
         return self._num.is_one and self._den.is_one
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self._den.is_one
-
     # -- arithmetic -------------------------------------------------------------
 
     @staticmethod
@@ -686,8 +671,8 @@ class RationalFunction:
     def has_pole_at_one(self) -> bool:
         return self._den.evaluate(1) == 0
 
-    def taylor_at_one(self, order: int) -> tuple[Fraction, ...]:
-        """Exact coefficients c_0..c_order of the expansion in powers of (q-1).
+    def taylor_at_one(self, order: int) -> QPoly:
+        """The expansion in powers of t = q - 1 as a jet of order+1 terms.
 
         Computed by the shift q -> 1 + t followed by power-series division.
         Raises PoleError if the (normalized) denominator vanishes at q = 1.
@@ -695,9 +680,8 @@ class RationalFunction:
         if order < 0:
             raise ValueError("order must be nonnegative")
         length = order + 1
-        num = self._num.shifted(1).coeffs
-        den = self._den.shifted(1).coeffs
-        return tuple(trunc_mul(num, trunc_inv(den, length), length))
+        return trunc_mul(self._num.shifted(), trunc_inv(self._den.shifted(), length),
+                         length)
 
     # -- comparison / formatting ------------------------------------------------
 

@@ -17,7 +17,7 @@ dropped; a report is OK when no comparison failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -39,6 +39,7 @@ from .oracle import (
     rep_space_dim,
     stable_height,
 )
+from .quiver import Quiver
 from .series import DimVector, height
 
 _ENUMERATION_CAP = 1 << 16
@@ -54,17 +55,6 @@ class VerificationRow:
     oracle: str
     match: Optional[bool]  # None when the row was skipped
     note: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "alpha": list(self.alpha),
-            "p": self.p,
-            "formula": self.formula,
-            "oracle": self.oracle,
-            "match": self.match,
-            "note": self.note,
-        }
 
 
 @dataclass(frozen=True)
@@ -91,8 +81,15 @@ class VerificationReport:
             "ok": self.ok,
             "checked": self.n_checked,
             "skipped": self.n_skipped,
-            "rows": [row.to_json() for row in self.rows],
+            "rows": [asdict(row) for row in self.rows],
         }
+
+
+def _points_ratio(quiver: Quiver, alpha: DimVector, p: int, max_points: int) -> Fraction:
+    """#R_alpha / #GL_alpha at q = p, from a count of the points."""
+    if p ** rep_space_dim(quiver, alpha) > _ENUMERATION_CAP:
+        raise BudgetError("point stream too long to enumerate")
+    return Fraction(count_points(quiver, alpha, p, max_points), gl_order(alpha, p))
 
 
 def run_verification(ctx: CountingContext, primes: Sequence[int],
@@ -101,9 +98,9 @@ def run_verification(ctx: CountingContext, primes: Sequence[int],
     quiver, theta = ctx.quiver, ctx.theta
     rows: list[VerificationRow] = []
 
-    def add(quantity, alpha, p, formula_value, compute_oracle):
+    def add(quantity, alpha, p, formula_value, oracle, *args):
         try:
-            oracle_value = compute_oracle()
+            oracle_value = oracle(*args)
         except BudgetError as exc:
             rows.append(VerificationRow(quantity, alpha, p, str(formula_value),
                                         "-", None, f"skipped: {exc}"))
@@ -118,20 +115,12 @@ def run_verification(ctx: CountingContext, primes: Sequence[int],
             h = height(alpha)
             if h == 0 or h > bound:
                 continue
-
-            def t_oracle(alpha=alpha, p=p):
-                if p ** rep_space_dim(quiver, alpha) > _ENUMERATION_CAP:
-                    raise BudgetError("point stream too long to enumerate")
-                return Fraction(count_points(quiver, alpha, p, max_points),
-                                gl_order(alpha, p))
-
-            add("points/GL", alpha, p, rep_ratio(quiver, alpha).evaluate(p), t_oracle)
+            add("points/GL", alpha, p, rep_ratio(quiver, alpha).evaluate(p),
+                _points_ratio, quiver, alpha, p, max_points)
             add("semistable/GL", alpha, p, semistable_ratio(ctx, alpha).evaluate(p),
-                lambda alpha=alpha, p=p: count_semistable_ratio(
-                    quiver, alpha, theta, p, max_points))
+                count_semistable_ratio, quiver, alpha, theta, p, max_points)
             add("abs-stable classes", alpha, p, table.poly(alpha).evaluate(p),
-                lambda alpha=alpha, p=p: count_absolutely_stable(
-                    quiver, alpha, theta, p, max_points))
+                count_absolutely_stable, quiver, alpha, theta, p, max_points)
             for r in range(2, _MAX_END_DEGREE + 1):
                 if any(a % r for a in alpha):
                     continue
@@ -139,8 +128,6 @@ def run_verification(ctx: CountingContext, primes: Sequence[int],
                 if not ctx.trunc.admits(base):
                     continue
                 s_poly = stable_end_degree_poly(ctx, table, base, r)
-                add(f"stable classes end-degree {r}", alpha, p,
-                    s_poly.evaluate(p),
-                    lambda alpha=alpha, p=p, r=r: count_stable_with_end_dim(
-                        quiver, alpha, theta, p, r, max_points))
+                add(f"stable classes end-degree {r}", alpha, p, s_poly.evaluate(p),
+                    count_stable_with_end_dim, quiver, alpha, theta, p, r, max_points)
     return VerificationReport(tuple(rows))

@@ -63,7 +63,7 @@ def taylor_layers(series, order):
     """Layers 0..order of the (q-1) expansions of the coefficients of series."""
     layers = [{} for _ in range(order + 1)]
     for alpha, c in series.items():
-        for n, value in enumerate(c.taylor_at_one(order)):
+        for n, value in enumerate(c.taylor_at_one(order).coeffs):
             if value:
                 layers[n][alpha] = value
     return layers

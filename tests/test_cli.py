@@ -1,10 +1,13 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -314,20 +317,95 @@ EXACT_OUTPUTS = [
     (["s-count", "--quiver", "cyclic", "--theta", "1,0", "--slope", "1/2",
       "--max-height", "8", "--end-degree", "2"],
      "c59074b3673fd6e7f6599fd10518421f6eba59da763b48da65da2f2f629eade0"),
+    (["a-series", "--quiver", "kronecker", "--max-height", "4", "--format", "json"],
+     "5778e64acf674096de0aaee9d3d5ee8cac2a879ae4e5d4ed867fc924f602fce6"),
+    (["a-series", "--quiver", "loop2", "--max-height", "4", "--format", "latex"],
+     "1e91c849066f686b5fd4a3b85073bdb387d22c7aa154373a274bbf7d4b238185"),
+    (["r-series", "--quiver", "kronecker", "--theta", "1,0", "--slope", "1/2",
+      "--max-height", "6", "--format", "latex"],
+     "561e7dec8d826918bf7af2b76c1d8a00810e7a1d442b4293ec1e9137af9f5b6b"),
+    (["f-expand", "--quiver", "loop2", "--max-height", "5", "--q1-order", "2",
+      "--format", "json"],
+     "d03dd343be393fc31410529e1c46e7193ad1e09dbbd03da80f209663158ccb47"),
+    (["s-count", "--quiver", "loop2", "--max-height", "6", "--end-degree", "2",
+      "--format", "json"],
+     "0a91cfdc7bbf79dc154b4afd460115a8d02e09abaeb1e18d66d5866b8c5dcd7d"),
+    (["verify", "--quiver", "loop2", "--max-height", "2", "--primes", "2,3"],
+     "ecba0c11e7bf5a23d3bd8f330311100b60e8ac394ba15fd8995cee48edac5690"),
+    (["verify", "--quiver", "a2", "--max-height", "2", "--primes", "2,3",
+      "--format", "json"],
+     "a7d08e195cbb2ba581121ce97d273676a97340067237fb1c1f780b87ab73ae1a"),
+    (["necklaces", "--colors", "3", "--max-beads", "6"],
+     "3b9fed4c879f8067cacc80a582848f1f146a8802b262f8cf996480cc1120ebea"),
+    (["necklaces", "--colors", "2", "--max-beads", "5", "--format", "json"],
+     "2f798366c3faa07180cab935dc4c0d244fb4a5667302e037edaeb23dd09f3919"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", EXACT_OUTPUTS,
                          ids=["loop4-f-expand", "cyclic-a-series", "kronecker-cone",
                               "kronecker-cone-r-series", "cyclic-cone-r-series-json",
-                              "cyclic-cone-s-count"])
+                              "cyclic-cone-s-count", "kronecker-a-series-json",
+                              "loop2-a-series-latex", "kronecker-cone-r-series-latex",
+                              "loop2-f-expand-json", "loop2-s-count-json",
+                              "loop2-verify", "a2-verify-json", "necklaces",
+                              "necklaces-json"])
 def test_exact_outputs_are_unchanged(quiver_file, argv, digest):
-    argv = list(argv)
-    argv[2] = quiver_file(argv[2])
+    argv = [quiver_file(a) if a in QUIVERS else a for a in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["a-series", "--quiver", "a2", "--theta", "1,0,0"],
+     "theta has 3 entries but the quiver has 2 vertices"),
+    (["r-series", "--quiver", "kronecker", "--theta", "1,0", "--slope", "1/0"],
+     "--slope 1/0 has a zero denominator"),
+    (["a-series", "--quiver", "loop1", "--max-height", "0"],
+     "--max-height must be >= 1"),
+    (["verify", "--quiver", "loop1", "--max-height", "2", "--primes", "2,4"],
+     "--primes entry 4 is not prime"),
+    (["verify", "--quiver", "loop1", "--max-height", "2", "--primes", "2,3,2"],
+     "--primes entry 2 is repeated"),
+    (["verify", "--quiver", "loop1", "--max-height", "2", "--budget", "0"],
+     "--budget must be >= 1"),
+    (["f-expand", "--quiver", "loop1", "--max-height", "2", "--q1-order", "-1"],
+     "--q1-order must be >= 0"),
+    (["f-expand", "--quiver", "a2", "--max-height", "2", "--theta", "1,0"],
+     "f-expand is defined for the zero stability only"),
+    (["f-expand", "--quiver", "loop1", "--max-height", "2", "--slope", "1"],
+     "f-expand is defined for the zero stability only"),
+], ids=["theta-length", "slope-zero-denominator", "max-height", "non-prime",
+        "repeated-prime", "budget", "q1-order", "f-expand-theta", "f-expand-slope"])
+def test_usage_error_messages(quiver_file, capsys, argv, message):
+    argv = [quiver_file(a) if a in QUIVERS else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("text", "no dimension vector 4*alpha fits under --max-height 3\n"),
+    ("json", '{\n  "end_degree": 4,\n  "entries": []\n}\n'),
+], ids=["text", "json"])
+def test_s_count_with_nothing_to_count(quiver_file, capsys, fmt, expected):
+    assert main(["s-count", "--quiver", quiver_file("loop2"), "--max-height", "3",
+                 "--end-degree", "4", "--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_console_script_runs(capsys):
+    # README documents `quivercount ...` commands; pyproject.toml is read
+    # with a regex because Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", text, re.M | re.S)
+    target = re.search(r'^quivercount\s*=\s*"([\w.]+):(\w+)"', scripts.group(1), re.M)
+    module, attr = target.groups()
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry(["necklaces", "--colors", "1", "--max-beads", "1"]) == 0
+    assert capsys.readouterr().out == "primitive necklaces with 1 beads in 1 colours: 1\n"
 
 
 @pytest.mark.parametrize("argv", [
