@@ -41,6 +41,20 @@ EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_MISMATCH = 3
 
+# the oracle holds digits and eliminations in at most int64
+_PRIME_LIMIT = 1 << 63
+
+
+def _int_list(flag: str, text: str) -> tuple[int, ...]:
+    """The comma-separated integers of a flag's value."""
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(int(entry))
+        except ValueError:
+            raise ValueError(f"{flag} entry {entry!r} is not an integer") from None
+    return tuple(values)
+
 
 def _stability(args: argparse.Namespace) -> tuple[Quiver, tuple[int, ...], Fraction]:
     """The quiver, theta and slope that --quiver, --theta and --slope name,
@@ -52,7 +66,7 @@ def _stability(args: argparse.Namespace) -> tuple[Quiver, tuple[int, ...], Fract
     quiver = Quiver.from_json(quiver_data)
     n = quiver.nvertices
     if args.theta:
-        theta = tuple(int(t) for t in args.theta.split(","))
+        theta = _int_list("--theta", args.theta)
         if len(theta) != n:
             raise ValueError(
                 f"theta has {len(theta)} entries but the quiver has {n} vertices"
@@ -66,6 +80,8 @@ def _stability(args: argparse.Namespace) -> tuple[Quiver, tuple[int, ...], Fract
         mu = Fraction(slope_text)
     except ZeroDivisionError:
         raise ValueError(f"--slope {slope_text} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"--slope {slope_text} is not a fraction P/Q") from None
     if args.max_height < 1:
         raise ValueError("--max-height must be >= 1")
     return quiver, theta, mu
@@ -251,10 +267,13 @@ def cmd_f_expand(args: argparse.Namespace, out) -> int:
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
     quiver, theta, mu = _stability(args)
-    primes = tuple(int(p) for p in args.primes.split(","))
+    primes = _int_list("--primes", args.primes)
     for i, p in enumerate(primes):
         if not is_prime(p):
             raise ValueError(f"--primes entry {p} is not prime")
+        if p >= _PRIME_LIMIT:
+            raise ValueError(f"--primes entry {p} is not below 2^63, the oracle's "
+                             f"integer limit")
         if p in primes[:i]:
             raise ValueError(f"--primes entry {p} is repeated")
     if args.budget is not None and args.budget < 1:

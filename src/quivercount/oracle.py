@@ -18,15 +18,18 @@ are one table, built once per scan and held in the smallest signed dtype.
 - Subspace search: each candidate subspace tuple is one integer matrix whose
   columns give the entries of C X B^T for every arrow, so a block is one
   matrix product digits @ M followed by a remainder test.  Digits and matrix
-  entries lie in [0, p) and [0, (p-1)^2], so every product entry is at most
-  dim (p-1)^3; the product runs in float64, exact while that bound is below
-  2^53, and in int64 otherwise.  The float64 remainder is
-  prod - p floor(prod / p), exact below 2^53 because the rounded quotient
-  of prod = kp + j (0 <= j < p) stays in [k, k + 1); the int64 one is an
-  integer remainder.  The candidates are stacked once per scan into groups
-  of at most dim columns, and one product of the remainders with a 0/1
-  column-to-candidate matrix G tests every candidate of a group: remainders
-  are >= 0, so a candidate is invariant where its entry of rem @ G is 0.
+  entries lie in [0, p) and [0, (p-1)^2], so every product entry, and every
+  partial sum of its nonnegative terms, is at most dim (p-1)^3; the product
+  runs in float32 while that bound is below 2^24, in float64 while it is
+  below 2^53, and in int64 otherwise, and a float product is then exact in
+  whatever order the BLAS sums.  The float remainder is
+  prod - p floor(prod / p), exact below 2^24 (2^53) because the rounded
+  quotient of prod = kp + j (0 <= j < p) stays in [k, k + 1); the int64 one
+  is an integer remainder.  The candidates are stacked once per scan into
+  groups of at most dim columns, and one product of the remainders with a
+  0/1 column-to-candidate matrix G tests every candidate of a group:
+  remainders are >= 0, so a candidate is invariant where its entry of
+  rem @ G is 0.
   A dimension vector d that no arrow can move (no arrow i -> j with
   d_i > 0 and d_j < alpha_j) makes every subspace tuple of dimension d
   invariant at every point; its tuples have no constraint columns, so the
@@ -41,6 +44,9 @@ are one table, built once per scan and held in the smallest signed dtype.
   for 129 at p = 2.  Each step inverts only the n gathered pivots, as
   x^(p-2) mod p by repeated squaring (O(log p) per pivot); no table of all
   p inverses is built, which cost O(p) per block of points.
+- Integer reduction mod p is x - (x // p) p (`_mod`), never numpy's `%`:
+  numpy vectorizes integer floor division by a scalar but not the
+  remainder, and on int8 arrays `%` took about ten times as long.
 
 Two limits keep a run bounded, and exceeding either raises BudgetError,
 never a silent degradation: `max_points` (default DEFAULT_MAX_POINTS =
@@ -49,7 +55,7 @@ p = 2, else 3) caps the height of a dimension vector whose subspace search
 runs at p.  The `verify` harness uses the same `stable_height` to choose
 its rows.
 
-The float64 products go through the BLAS that numpy links (OpenBLAS), which
+The float products go through the BLAS that numpy links (OpenBLAS), which
 by default starts one worker thread per available CPU.  The blocks here are
 too small for those threads to shorten the run; they only add CPU time (an
 unpinned loop2 verify on two cores used 1.8x its wall time).  So this module
@@ -441,9 +447,15 @@ def _candidate_constraints(quiver: Quiver, alpha: DimVector, p: int,
 
 
 def _product_dtype(dim: int, p: int) -> type:
-    """float64 while every entry of digits @ M, at most dim (p-1)^3, is
-    below 2^53 (so exact), int64 beyond."""
-    return np.float64 if dim * (p - 1) ** 3 < 1 << 53 else np.int64
+    """The first of float32, float64 and int64 whose products digits @ M
+    are exact: every entry is at most dim (p-1)^3, and so is every partial
+    sum of its nonnegative terms, so a float product is exact in any
+    summation order while that bound is below 2^24 (float32) or 2^53
+    (float64)."""
+    bound = dim * (p - 1) ** 3
+    if bound < 1 << 24:
+        return np.float32
+    return np.float64 if bound < 1 << 53 else np.int64
 
 
 def _column_groups(candidates: Sequence[np.ndarray], dim: int, p: int
@@ -478,14 +490,15 @@ def _no_invariant_mask(digits: np.ndarray, p: int,
     """True where no candidate subspace tuple is invariant; `groups` comes
     from `_column_groups` for the same dim and p.
 
-    The remainder of the float64 product is prod - p floor(prod / p), exact
-    below 2^53: for prod = kp + j with 0 <= j < p, prod / p lies in
-    [k, k + 1 - 1/p], and float64 values in [k, k + 1] lie at most
-    2^-52 max(k, 1) < 2/p apart, so rounding, which never crosses the float
-    k, moves the quotient by less than 1/p: it stays in [k, k + 1) and its
-    floor is k; p k and prod - p k are exact too.
-    The int64 product takes an integer remainder.  Remainders are >= 0, so
-    (rem @ G)[t] is 0 exactly where every column of candidate t is.
+    The remainder of a float product is prod - p floor(prod / p), exact
+    below 2^24 in float32 and below 2^53 in float64: for prod = kp + j with
+    0 <= j < p, prod / p lies in [k, k + 1 - 1/p], and float32 (float64)
+    values in [k, k + 1] lie at most 2^-23 max(k, 1) (2^-52 max(k, 1)) apart,
+    which is below 2/p because kp <= prod is below 2^24 (2^53); so rounding,
+    which never crosses the float k, moves the quotient by less than 1/p: it
+    stays in [k, k + 1) and its floor is k; p k and prod - p k are exact too.
+    The int64 product takes an integer remainder (`_mod`).  Remainders are
+    >= 0, so (rem @ G)[t] is 0 exactly where every column of candidate t is.
     """
     n, dim = digits.shape
     dtype = _product_dtype(dim, p)
@@ -495,13 +508,13 @@ def _no_invariant_mask(digits: np.ndarray, p: int,
     # arrow), so no product block is larger than the digits block
     for stacked, owner in groups:
         prod = x @ stacked
-        if dtype is np.float64:
+        if dtype is not np.int64:
             quot = prod / p
             np.floor(quot, out=quot)
             quot *= p
             prod -= quot
         else:
-            prod %= p
+            prod = _mod(prod, p)
         ok &= (prod @ owner != 0).all(axis=1)
         if not ok.any():
             break
@@ -518,6 +531,19 @@ def _elim_dtype(p: int, ncols: int) -> type:
     return _signed_dtype(-(ncols - 1) * (p - 1) ** 2, p - 1)
 
 
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in [0, p) for an integer array x, as x - (x // p) p: numpy
+    vectorizes integer floor division by a scalar but not `%`.
+
+    It is exact even where (x // p) p leaves the dtype, as it does at the
+    int8 minimum -128 with p = 3 ((-43) 3 = -129 wraps to 127): numpy's
+    integer array arithmetic wraps modulo 2^bits, so the result is
+    congruent to the true remainder modulo 2^bits; both lie in the dtype's
+    range (the true remainder is in [0, p), and the dtype holds p), so they
+    are equal."""
+    return x - x // p * p
+
+
 def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
     """x^(p-2) mod p for x in [0, p), by repeated squaring in x's dtype: the
     inverse of every nonzero x.  The dtype is `_elim_dtype`'s for at least
@@ -526,10 +552,10 @@ def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
     e = p - 2
     while e:
         if e & 1:
-            out = x if out is None else out * x % p
+            out = x if out is None else _mod(out * x, p)
         e >>= 1
         if e:
-            x = x * x % p
+            x = _mod(x * x, p)
     return np.ones_like(x) if out is None else out
 
 
@@ -541,20 +567,25 @@ def _batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     operation across the stack.  Reduction is lazy: a step reduces mod p
     only the column it eliminates and the pivot row it gathers, and the
     rest of the array takes the update unreduced, and only the n gathered
-    pivots are inverted (`_inverse_mod`).  A pivot row is never swapped:
-    eliminating it against itself makes it 0 mod p, which retires it, and
-    every other row has a zero in the pivot column, so the rank of what is
-    left drops by one.
+    pivots are inverted (`_inverse_mod`).  Every reduction goes through
+    `_mod`, by floor division, which numpy vectorizes, unlike `%`.  A
+    pivot row is never swapped: eliminating it against itself makes it 0
+    mod p, which retires it, and every other row has a zero in the pivot
+    column, so the rank of what is left drops by one.
     """
     n, nrows, ncols = mats.shape
     if n == 0 or nrows == 0 or ncols == 0:
         return np.zeros(n, dtype=np.int64)
     dtype = _elim_dtype(p, ncols)
-    a = np.ascontiguousarray(np.moveaxis(mats % p, 0, -1), dtype=dtype)
+    a = np.ascontiguousarray(np.moveaxis(_mod(mats, p), 0, -1), dtype=dtype)
     rank = np.zeros(n, dtype=np.int64)
+    # entry (r, c, t) of a is flat[r ncols n + c n + t]: one `take` gathers
+    # every pivot row, faster than np.take_along_axis
+    flat = a.reshape(-1)
+    offsets = np.arange(ncols)[:, None] * n + np.arange(n)
     for col in range(ncols):
         column = a[:, col, :]
-        column %= p
+        column[...] = _mod(column, p)
         nonzero = column != 0
         has = nonzero.any(axis=0)
         if not has.any():
@@ -565,8 +596,8 @@ def _batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
         # the first nonzero row (row 0 where the column is zero; the update
         # below then subtracts zero, whatever the row is scaled by)
         piv = nonzero.argmax(axis=0)
-        pivot_row = np.take_along_axis(a[:, col:, :], piv[None, None, :], axis=0)[0]
-        scaled = pivot_row[1:] % p * _inverse_mod(pivot_row[0], p) % p
+        pivot_row = flat.take(offsets[col:] + piv * (ncols * n))
+        scaled = _mod(_mod(pivot_row[1:], p) * _inverse_mod(pivot_row[0], p), p)
         rest = a[:, col + 1:, :]
         rest -= column[:, None, :] * scaled
     return rank

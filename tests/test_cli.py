@@ -377,8 +377,23 @@ def test_exact_outputs_are_unchanged(quiver_file, argv, digest):
      "f-expand is defined for the zero stability only"),
     (["f-expand", "--quiver", "loop1", "--max-height", "2", "--slope", "1"],
      "f-expand is defined for the zero stability only"),
+    (["verify", "--quiver", "loop1", "--max-height", "2", "--primes", "2,,3"],
+     "--primes entry '' is not an integer"),
+    (["verify", "--quiver", "loop1", "--max-height", "2", "--primes", ""],
+     "--primes entry '' is not an integer"),
+    (["verify", "--quiver", "loop1", "--max-height", "2", "--primes", "2,x"],
+     "--primes entry 'x' is not an integer"),
+    (["verify", "--quiver", "loop2", "--max-height", "1",
+      "--primes", "9223372036854775837"],
+     "--primes entry 9223372036854775837 is not below 2^63, the oracle's integer limit"),
+    (["a-series", "--quiver", "a2", "--theta", "1,,2"],
+     "--theta entry '' is not an integer"),
+    (["a-series", "--quiver", "loop1", "--slope", "abc"],
+     "--slope abc is not a fraction P/Q"),
 ], ids=["theta-length", "slope-zero-denominator", "max-height", "non-prime",
-        "repeated-prime", "budget", "q1-order", "f-expand-theta", "f-expand-slope"])
+        "repeated-prime", "budget", "q1-order", "f-expand-theta", "f-expand-slope",
+        "primes-empty-entry", "primes-empty", "primes-not-integer", "prime-past-int64",
+        "theta-empty-entry", "slope-not-fraction"])
 def test_usage_error_messages(quiver_file, capsys, argv, message):
     argv = [quiver_file(a) if a in QUIVERS else a for a in argv]
     assert main(argv) == 1

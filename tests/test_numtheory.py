@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from quivercount.numtheory import divisors, integer_binomial, is_prime, mobius
@@ -24,6 +26,32 @@ def test_mobius_inversion_identity():
 
 def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-5, 10**5) if is_prime(n)] == \
+        [n for n in range(-5, 10**5) if trial(n)]
+
+
+@pytest.mark.parametrize("n", [
+    561,                    # Carmichael number
+    2047,                   # strong pseudoprime to base 2
+    3215031751,             # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,    # strong pseudoprime to bases 2..23
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [2**61 - 1, 2**63 - 25, 2**63 + 29, 2**64 - 59])
+def test_is_prime_is_fast_on_large_primes(n):
+    # trial division would take sqrt(n), up to 4.3e9 steps, here
+    start = time.perf_counter()
+    assert is_prime(n)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_integer_binomial():

@@ -27,7 +27,9 @@ from quivercount.oracle import (
     _column_groups,
     _digit_blocks,
     _elim_dtype,
+    _mod,
     _no_invariant_mask,
+    _product_dtype,
     _proper_subdims,
     _rref,
     _stable_end_tally,
@@ -423,25 +425,46 @@ class TestKernels:
         # and the remainder must stay an integer one
         dim = rep_space_dim(quiver, alpha)
         assert dim * (p - 1) ** 3 >= 1 << 53
-        rng = np.random.default_rng(p + dim)
-        digits = np.vstack([
-            np.zeros((1, dim), dtype=np.int64),
-            np.full((1, dim), p - 1, dtype=np.int64),
-            rng.choice([0, 1, p - 1], size=(500, dim)),
-            rng.integers(0, p, size=(1500, dim)),
-        ])
-        points = [_point(quiver, alpha, p, row) for row in digits.tolist()]
-        mu = slope(theta, alpha)
-        for strict in (True, False):
-            dims = [d for d in _proper_subdims(alpha)
-                    if (slope(theta, d) > mu if strict else slope(theta, d) >= mu)]
-            groups = _column_groups(_candidate_constraints(quiver, alpha, p, dims),
-                                    dim, p)
-            assert _no_invariant_mask(digits, p, groups).tolist() == [
-                not any(_tuple_is_invariant(pt, bases, p)
-                        for bases in _violating_tuples(pt, theta, strict))
-                for pt in points
-            ]
+        _assert_mask_matches_per_point(quiver, alpha, theta, p)
+
+    def test_product_dtype_rungs(self):
+        # dim (p-1)^3 against 2^24 and 2^53, at the primes either side of
+        # each edge: 256^3 = 2^24 for dim 1, and 2 * 198^3 < 2^24 < 2 * 210^3
+        assert _product_dtype(1, 251) == np.float32 and _product_dtype(1, 257) == np.float64
+        assert _product_dtype(2, 199) == np.float32 and _product_dtype(2, 211) == np.float64
+        assert _product_dtype(1, 208057) == np.float64 and _product_dtype(1, 208067) == np.int64
+
+    @pytest.mark.parametrize("quiver, alpha, theta, p, dtype", [
+        (A2, (1, 1), (1, 0), 251, np.float32),
+        (A2, (1, 1), (1, 0), 257, np.float64),
+        (A2, (1, 1), (0, 1), 251, np.float32),
+        (A2, (1, 1), (0, 1), 257, np.float64),
+        (KRONECKER, (1, 1), (1, 0), 199, np.float32),
+        (KRONECKER, (1, 1), (1, 0), 211, np.float64),
+        (loop(1), (2,), (0,), 157, np.float32),
+        (loop(1), (2,), (0,), 163, np.float64),
+    ])
+    def test_mask_float32_edge_matches_per_point(self, quiver, alpha, theta, p, dtype):
+        # the last primes of the float32 rung and the first past it.  The
+        # one-dimensional subspaces of A2 and Kronecker (1, 1) give matrix
+        # entries 1 only; those of F_p^2 give entries up to (p-1)^2, so the
+        # loop's products reach 4 * 156^3, just below 2^24, where float32
+        # quotients are closest to rounding up to the next integer
+        assert _product_dtype(rep_space_dim(quiver, alpha), p) == dtype
+        _assert_mask_matches_per_point(quiver, alpha, theta, p)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16])
+    def test_mod_matches_python_on_every_value(self, dtype):
+        # every value of the dtype, its minimum included, where x // p * p
+        # leaves the dtype (int8 -128 at p = 3: -43 * 3 = -129 wraps to 127);
+        # a dtype the kernels choose holds p - 1 and so p
+        x = np.arange(np.iinfo(dtype).min, np.iinfo(dtype).max + 1).astype(dtype)
+        for p in (2, 3, 5, 7, 127, 181, 251):
+            if p > np.iinfo(dtype).max:
+                continue
+            r = _mod(x, p)
+            assert r.dtype == dtype
+            assert r.tolist() == [v % p for v in x.tolist()]
 
     @pytest.mark.parametrize("p, ndigits", [
         # one table covers the largest k digits with p^k <= _BLOCK (at least
@@ -461,6 +484,30 @@ class TestKernels:
             assert (block == (idx[:, None] // p ** np.arange(ndigits)) % p).all()
             start += block.shape[0]
         assert start == p**ndigits
+
+
+def _assert_mask_matches_per_point(quiver, alpha, theta, p):
+    """`_no_invariant_mask` against the per-point reference, on the digit
+    rows 0 and p - 1, on digits from {0, 1, p - 1}, and on random digits."""
+    dim = rep_space_dim(quiver, alpha)
+    rng = np.random.default_rng(p + dim)
+    digits = np.vstack([
+        np.zeros((1, dim), dtype=np.int64),
+        np.full((1, dim), p - 1, dtype=np.int64),
+        rng.choice([0, 1, p - 1], size=(500, dim)),
+        rng.integers(0, p, size=(1500, dim)),
+    ])
+    points = [_point(quiver, alpha, p, row) for row in digits.tolist()]
+    mu = slope(theta, alpha)
+    for strict in (True, False):
+        dims = [d for d in _proper_subdims(alpha)
+                if (slope(theta, d) > mu if strict else slope(theta, d) >= mu)]
+        groups = _column_groups(_candidate_constraints(quiver, alpha, p, dims), dim, p)
+        assert _no_invariant_mask(digits, p, groups).tolist() == [
+            not any(_tuple_is_invariant(pt, bases, p)
+                    for bases in _violating_tuples(pt, theta, strict))
+            for pt in points
+        ]
 
 
 def _point(quiver, alpha, p, digits):
