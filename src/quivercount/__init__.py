@@ -20,7 +20,6 @@ from .series import (
     twisted_mul,
 )
 from .quiver import (
-    INFINITY,
     Quiver,
     q_binomial_series,
     q_exponential,

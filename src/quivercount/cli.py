@@ -31,7 +31,6 @@ from .counting import (
     semistable_ratio,
     stable_end_degree_poly,
 )
-from .numtheory import is_prime
 from .qpoly import PoleError, QPoly, format_poly
 from .quiver import Quiver, parse_theta
 from .series import DimVector, height
@@ -40,9 +39,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_MISMATCH = 3
-
-# the oracle holds digits and eliminations in at most int64
-_PRIME_LIMIT = 1 << 63
 
 
 def _int_list(flag: str, text: str) -> tuple[int, ...]:
@@ -268,21 +264,20 @@ def cmd_f_expand(args: argparse.Namespace, out) -> int:
 def cmd_verify(args: argparse.Namespace, out) -> int:
     quiver, theta, mu = _stability(args)
     primes = _int_list("--primes", args.primes)
+    # imported here: the oracle needs numpy, which no other subcommand loads
+    from .oracle import DEFAULT_MAX_POINTS, check_prime
+    from .verify import run_verification
+
     for i, p in enumerate(primes):
-        if not is_prime(p):
-            raise ValueError(f"--primes entry {p} is not prime")
-        if p >= _PRIME_LIMIT:
-            raise ValueError(f"--primes entry {p} is not below 2^63, the oracle's "
-                             f"integer limit")
+        try:
+            check_prime(p)
+        except ValueError as exc:
+            raise ValueError(f"--primes entry {exc}") from None
         if p in primes[:i]:
             raise ValueError(f"--primes entry {p} is repeated")
     if args.budget is not None and args.budget < 1:
         raise ValueError("--budget must be >= 1")
     ctx = CountingContext.create(quiver, theta, mu, args.max_height)
-    # imported here: the oracle needs numpy, which no other subcommand loads
-    from .oracle import DEFAULT_MAX_POINTS
-    from .verify import run_verification
-
     report = run_verification(ctx, primes, args.budget or DEFAULT_MAX_POINTS)
     if args.format == "json":
         json.dump(report.to_json(), out, indent=2)

@@ -74,25 +74,10 @@ def necklace_count(colors: int, beads: int) -> int:
 
 
 @dataclass(frozen=True)
-class SlopeCone:
-    """Support filter of the slope-mu cone: zero or theta-slope mu.
-
-    A value, not a closure, so that equal contexts give equal truncations."""
-
-    theta: tuple[int, ...]
-    mu: Fraction
-
-    def __call__(self, alpha: DimVector) -> bool:
-        return height(alpha) == 0 or slope(self.theta, alpha) == self.mu
-
-
-@dataclass(frozen=True)
 class CountingContext:
-    """A quiver with stability, target slope and slope-cone truncation."""
+    """A quiver with its slope-cone truncation, which holds theta and mu."""
 
     quiver: Quiver
-    theta: tuple[int, ...]
-    mu: Fraction
     trunc: TruncationSpec
     _hn_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -101,16 +86,21 @@ class CountingContext:
                mu: Fraction = Fraction(0), max_height: int = 6) -> "CountingContext":
         n = quiver.nvertices
         theta = tuple(theta) if theta is not None else (0,) * n
-        if len(theta) != n:
-            raise ValueError("theta length must match the vertex count")
         mu = Fraction(mu)
-        trunc = TruncationSpec(n, max_height, SlopeCone(theta, mu))
-        ctx = cls(quiver, theta, mu, trunc)
+        trunc = TruncationSpec(n, max_height, theta, mu)
         if not any(height(a) > 0 for a in trunc.vectors()):
             raise ValueError(
                 f"no dimension vector of height <= {max_height} has slope {mu}"
             )
-        return ctx
+        return cls(quiver, trunc)
+
+    @property
+    def theta(self) -> tuple[int, ...]:
+        return self.trunc.theta
+
+    @property
+    def mu(self) -> Fraction:
+        return self.trunc.mu
 
     @property
     def is_trivial_stability(self) -> bool:
@@ -285,9 +275,7 @@ class CountTable:
                 {
                     "alpha": list(alpha),
                     "poly_q": poly.to_json(),
-                    "poly_qminus1": [
-                        f"{c.numerator}/{c.denominator}" for c in poly.qminus1_coeffs()
-                    ],
+                    "poly_qminus1": poly.shifted().to_json(),
                 }
             )
         return rows

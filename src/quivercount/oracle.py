@@ -98,9 +98,13 @@ def stable_height(p: int) -> int:
     return 4 if p == 2 else 3
 
 
-def _check_prime(p: int) -> None:
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime the oracle can count at: its
+    digits and eliminations are held in at most int64, so p < 2^63."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if p >= 1 << 63:
+        raise ValueError(f"{p} is not below 2^63, the oracle's integer limit")
 
 
 def rep_space_dim(quiver: Quiver, alpha: DimVector) -> int:
@@ -177,7 +181,7 @@ def count_points(quiver: Quiver, alpha: Sequence[int], p: int,
     """Number of points of the representation space, by one pass over the
     digit blocks of the mass counts (`enumerate_points` stays the per-point
     reference)."""
-    _check_prime(p)
+    check_prime(p)
     alpha = tuple(alpha)
     _check_point_budget(quiver, alpha, p, max_points)
     return sum(digits.shape[0] for digits in _digit_blocks(rep_space_dim(quiver, alpha), p))
@@ -190,7 +194,7 @@ def enumerate_points(quiver: Quiver, alpha: Sequence[int], p: int,
     Deterministic order: point n has flattened entries equal to the base-p
     digits of n, least significant digit first.
     """
-    _check_prime(p)
+    check_prime(p)
     alpha = tuple(alpha)
     _check_point_budget(quiver, alpha, p, max_points)
     spans = [(off, alpha[j], alpha[i]) for i, j, off in _arrow_layout(quiver, alpha)]
@@ -303,16 +307,18 @@ def _tuple_is_invariant(point: RepPoint, bases: Sequence[tuple], p: int) -> bool
     return True
 
 
+def _subspace_tuples(alpha: DimVector, p: int, dims_list: Sequence[DimVector]
+                     ) -> Iterator[tuple]:
+    """Every subspace tuple, one RREF basis per vertex, of each dimension
+    vector in dims_list."""
+    for dims in dims_list:
+        yield from _cartesian(*(subspace_bases(a, d, p) for a, d in zip(alpha, dims)))
+
+
 def _violating_tuples(point: RepPoint, theta: Sequence[int], strict: bool):
     """Subspace tuples whose dimension vector would violate (semi)stability."""
-    alpha = point.alpha
-    mu = slope(theta, alpha)
-    for dims in _proper_subdims(alpha):
-        s = slope(theta, dims)
-        if (s > mu) if strict else (s >= mu):
-            per_vertex = [subspace_bases(alpha[i], dims[i], point.p)
-                          for i in range(len(alpha))]
-            yield from _cartesian(*per_vertex)
+    return _subspace_tuples(point.alpha, point.p,
+                            _violating_dims(point.alpha, theta, strict))
 
 
 def _no_invariant_tuple(point: RepPoint, theta: Sequence[int], strict: bool) -> bool:
@@ -426,23 +432,21 @@ def _candidate_constraints(quiver: Quiver, alpha: DimVector, p: int,
     layout = _arrow_layout(quiver, alpha)
     dim = rep_space_dim(quiver, alpha)
     candidates = []
-    for dims in dims_list:
-        per_vertex = [subspace_bases(alpha[i], dims[i], p) for i in range(len(alpha))]
-        for bases in _cartesian(*per_vertex):
-            blocks = []
-            for i, j, off in layout:
-                if not bases[i]:
-                    continue
-                ann = _annihilator(bases[j], alpha[j], p)
-                if not ann:
-                    continue
-                C = np.array(ann, dtype=np.int64)              # (k, rows)
-                BT = np.array(bases[i], dtype=np.int64).T      # (cols, d)
-                block = np.zeros((dim, C.shape[0] * BT.shape[1]), dtype=np.int64)
-                block[off:off + alpha[j] * alpha[i]] = np.kron(C.T, BT)
-                blocks.append(block)
-            candidates.append(np.hstack(blocks) if blocks
-                              else np.zeros((dim, 0), dtype=np.int64))
+    for bases in _subspace_tuples(alpha, p, dims_list):
+        blocks = []
+        for i, j, off in layout:
+            if not bases[i]:
+                continue
+            ann = _annihilator(bases[j], alpha[j], p)
+            if not ann:
+                continue
+            C = np.array(ann, dtype=np.int64)              # (k, rows)
+            BT = np.array(bases[i], dtype=np.int64).T      # (cols, d)
+            block = np.zeros((dim, C.shape[0] * BT.shape[1]), dtype=np.int64)
+            block[off:off + alpha[j] * alpha[i]] = np.kron(C.T, BT)
+            blocks.append(block)
+        candidates.append(np.hstack(blocks) if blocks
+                          else np.zeros((dim, 0), dtype=np.int64))
     return candidates
 
 
@@ -678,7 +682,7 @@ def count_semistable_ratio(quiver: Quiver, alpha: Sequence[int],
     the zero stability) every point is semistable and no enumeration is
     needed; otherwise all points are scanned in blocks.
     """
-    _check_prime(p)
+    check_prime(p)
     alpha = tuple(alpha)
     if height(alpha) == 0:
         return Fraction(1)
@@ -716,7 +720,7 @@ def count_stable_with_end_dim(quiver: Quiver, alpha: Sequence[int],
     Such a point has automorphism group F_{p^r}^*, so the class count is
     (#points) * (p^r - 1) / #GL; exact divisibility is asserted.
     """
-    _check_prime(p)
+    check_prime(p)
     if r < 1:
         raise ValueError("endomorphism degree must be >= 1")
     alpha = tuple(alpha)

@@ -11,11 +11,11 @@ form T(a) = <a, a> enters the closed formulas for counting series.
 The q-binomials
 
     [n, m] = prod_{i=1..m} (1 - q^{n+i}) / prod_{i=1..m} (1 - q^i)
-    [inf, m] = 1 / prod_{i=1..m} (1 - q^i)
 
-are exact rational functions (polynomials for n >= 0), with vertexwise
-products for vector arguments, and feed the generating series built at the
-bottom of this module.
+for integers n are exact rational functions (polynomials for n >= 0), with
+vertexwise products for vector arguments.  They and their limit
+[inf, m] = 1 / prod_{i=1..m} (1 - q^i), the coefficients of the
+q-exponential, feed the generating series built at the bottom of this module.
 """
 
 from __future__ import annotations
@@ -23,24 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from math import prod
+from typing import Optional, Sequence
 
 from .qpoly import QPoly, RationalFunction
 from .series import Series, TruncationSpec, height
-
-
-class _Infinity:
-    """Sentinel for the unbounded upper q-binomial parameter."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
-
-BinomIndex = Union[int, _Infinity]
 
 
 @dataclass(frozen=True)
@@ -194,8 +181,8 @@ def _qbinom_poly(n: int, m: int) -> QPoly:
 
 
 @lru_cache(maxsize=None)
-def qbinom(n: BinomIndex, m: int) -> RationalFunction:
-    """The q-binomial [n, m]; n may be any integer or INFINITY.
+def qbinom(n: int, m: int) -> RationalFunction:
+    """The q-binomial [n, m] for any integer n.
 
     [n, 0] = 1; [n, m] = 0 for -m <= n <= -1 (a numerator factor 1 - q^0
     vanishes); for n <= -m-1 the reflection
@@ -206,8 +193,6 @@ def qbinom(n: BinomIndex, m: int) -> RationalFunction:
         raise ValueError("lower q-binomial index must be nonnegative")
     if m == 0:
         return RationalFunction.one()
-    if isinstance(n, _Infinity):
-        return RationalFunction(QPoly.one(), _poch_denominator(m))
     if -m <= n <= -1:
         return RationalFunction.zero()
     if n >= 0:
@@ -220,20 +205,12 @@ def qbinom(n: BinomIndex, m: int) -> RationalFunction:
     )
 
 
-def qbinom_vec(lam, alpha: Sequence[int]) -> RationalFunction:
-    """Vertexwise product [lam, alpha] = prod_i [lam^i, alpha^i].
-
-    `lam` is either INFINITY (all entries unbounded) or a vector of integers
-    of the same length as alpha.
-    """
-    if isinstance(lam, _Infinity):
-        entries = [INFINITY] * len(alpha)
-    else:
-        entries = list(lam)
-        if len(entries) != len(alpha):
-            raise ValueError("lambda and alpha must have the same length")
+def qbinom_vec(lam: Sequence[int], alpha: Sequence[int]) -> RationalFunction:
+    """Vertexwise product [lam, alpha] = prod_i [lam^i, alpha^i]."""
+    if len(lam) != len(alpha):
+        raise ValueError("lambda and alpha must have the same length")
     out = RationalFunction.one()
-    for n, m in zip(entries, alpha):
+    for n, m in zip(lam, alpha):
         if m:
             out = out * qbinom(n, m)
             if out.is_zero:
@@ -245,12 +222,15 @@ def qbinom_vec(lam, alpha: Sequence[int]) -> RationalFunction:
 
 
 def q_exponential(trunc: TruncationSpec) -> Series:
-    """The series with coefficient [inf, alpha] at x^alpha.
+    """The series with coefficient [inf, alpha] = 1 / prod_i (q;q)_{alpha_i}
+    at x^alpha.
 
     For one variable this is Euler's q-exponential sum_k x^k / (q;q)_k; it
     equals Exp(sum_i x_i / (1-q)).
     """
-    return Series(trunc, {a: qbinom_vec(INFINITY, a) for a in trunc.vectors()})
+    return Series(trunc, {a: RationalFunction(1, prod(map(_poch_denominator, a),
+                                                      start=QPoly.one()))
+                          for a in trunc.vectors()})
 
 
 def q_binomial_series(lam: Sequence[int], trunc: TruncationSpec) -> Series:

@@ -2,8 +2,8 @@
 
 Series are sparse maps from dimension vectors (tuples of nonnegative ints,
 one entry per quiver vertex) to rational functions, truncated by total
-height and an optional support predicate (used to restrict to a fixed-slope
-cone).  On top of the plain ring structure this module provides
+height and, optionally, to the slope cone theta.alpha = mu |alpha| of a
+stability theta.  On top of the plain ring structure this module provides
 
 * the Adams substitutions psi_k : q -> q^k, x^a -> x^{ka},
 * the plethystic Exp / Log / Pow maps,
@@ -83,39 +83,43 @@ def subvectors(alpha: DimVector) -> Iterator[DimVector]:
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Height bound plus optional support restriction for a series.
+    """Height bound plus, optionally, the slope-mu cone of a stability theta.
 
-    The support must be closed under differences within the height bound:
-    if alpha and beta <= alpha are admitted, so is alpha - beta.  Then a
-    product, inverse, exp or log computed on the support equals the one
-    computed on the full truncation, restricted to the support; the
-    height-by-height recurrences rely on it.  The slope cones of
-    ``counting.SlopeCone`` qualify, as theta is linear.
+    alpha is admitted when |alpha| <= max_height and either theta is None or
+    theta.alpha = mu |alpha|: the zero vector and the vectors of slope mu.
+    As theta is linear, the cone is closed under differences: if alpha and
+    beta <= alpha are admitted, so is alpha - beta.  So a product, inverse,
+    exp or log computed on the cone equals the one computed on the full
+    truncation, restricted to the cone; the height-by-height recurrences
+    rely on it.
     """
 
     nvars: int
     max_height: int
-    support: Optional[Callable[[DimVector], bool]] = None
+    theta: Optional[tuple[int, ...]] = None
+    mu: Fraction = Fraction(0)
 
     def __post_init__(self):
         if self.nvars < 1:
             raise ValueError("need at least one variable")
         if self.max_height < 1:
             raise ValueError("max_height must be >= 1")
-        if self.support is not None and not self.support((0,) * self.nvars):
-            raise ValueError("support filter must accept the zero vector")
+        if self.theta is None and self.mu:
+            raise ValueError("a slope mu needs a stability theta")
+        if self.theta is not None and len(self.theta) != self.nvars:
+            raise ValueError("theta length must match the variable count")
+
+    def _in_cone(self, alpha: DimVector) -> bool:
+        return self.theta is None or \
+            sum(t * a for t, a in zip(self.theta, alpha)) == self.mu * height(alpha)
 
     def admits(self, alpha: DimVector) -> bool:
         if len(alpha) != self.nvars or any(a < 0 for a in alpha):
             return False
-        if height(alpha) > self.max_height:
-            return False
-        return self.support is None or self.support(alpha)
+        return height(alpha) <= self.max_height and self._in_cone(alpha)
 
     def vectors(self) -> Iterator[DimVector]:
-        for alpha in dim_vectors(self.nvars, self.max_height):
-            if self.support is None or self.support(alpha):
-                yield alpha
+        return filter(self._in_cone, dim_vectors(self.nvars, self.max_height))
 
     def zero_vector(self) -> DimVector:
         return (0,) * self.nvars
@@ -185,14 +189,14 @@ class Series:
         return [(a, self._c[a]) for a in self.support()]
 
     def _compatible(self, other: "Series") -> None:
-        # The support filter is part of the truncation: combining a cone
-        # series with a full one would silently drop terms on one side only.
+        # The cone is part of the truncation: combining a cone series with a
+        # full one would silently drop terms on one side only.
         a, b = self.trunc, other.trunc
         if a != b:
             raise TruncationError(
                 f"incompatible truncations: {a.nvars} vars to height "
                 f"{a.max_height} vs {b.nvars} vars to height {b.max_height}"
-                + ("" if a.support == b.support else ", different support filters")
+                + ("" if (a.theta, a.mu) == (b.theta, b.mu) else ", different support filters")
             )
 
     # -- ring operations -----------------------------------------------------

@@ -91,6 +91,20 @@ class TestEnumeration:
     def test_prime_required(self):
         with pytest.raises(ValueError):
             list(enumerate_points(loop(1), (1,), 4))
+        # the largest prime below 2^63 is admitted
+        assert count_points(A2, (1, 0), 2**63 - 25) == 1
+
+    @pytest.mark.parametrize("entry", [
+        lambda p: count_points(A2, (1, 0), p),
+        lambda p: next(enumerate_points(A2, (1, 0), p)),
+        lambda p: count_semistable_ratio(A2, (1, 1), (1, 0), p),
+        lambda p: count_absolutely_stable(A2, (1, 1), (1, 0), p),
+        lambda p: count_stable_with_end_dim(A2, (1, 1), (1, 0), p, 1),
+    ], ids=["count_points", "enumerate_points", "count_semistable_ratio",
+            "count_absolutely_stable", "count_stable_with_end_dim"])
+    def test_prime_from_2_63_on_is_rejected(self, entry):
+        with pytest.raises(ValueError, match=r"is not below 2\^63"):
+            entry(2**63 + 29)
 
     def test_matrix_shapes(self):
         pt = next(iter(enumerate_points(A2, (2, 1), 2)))

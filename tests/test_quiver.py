@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from quivercount.counting import qbinom_jet
 from quivercount.qpoly import QPoly, RationalFunction
 from quivercount.quiver import (
-    INFINITY,
     Quiver,
     q_binomial_series,
     q_exponential,
@@ -130,21 +129,22 @@ class TestQBinomials:
     def test_trivial_and_vanishing(self):
         for n in (-3, 0, 2, 7):
             assert qbinom(n, 0).is_one
-        assert qbinom(INFINITY, 0).is_one
+        assert q_exponential(TruncationSpec(1, 1)).constant_term.is_one
         for n in range(1, 5):
             assert qbinom(-n, n).is_zero
 
     def test_small_values(self):
         assert qbinom(1, 1) == RationalFunction(ONE + Q)
-        assert qbinom(INFINITY, 1) == INV_1Q
+        assert q_exponential(TruncationSpec(1, 1)).coeff((1,)) == INV_1Q
         assert qbinom(2, 2) == RationalFunction(QPoly([1, 1, 2, 1, 1]))
 
     def test_against_defining_product(self):
         for n in range(-7, 7):
             for m in range(0, 5):
                 assert qbinom(n, m) == qbinom_literal(n, m), (n, m)
+        exponential = q_exponential(TruncationSpec(1, 4))
         for m in range(0, 5):
-            assert qbinom(INFINITY, m) == qbinom_literal_inf(m)
+            assert exponential.coeff((m,)) == qbinom_literal_inf(m)
 
     def test_polynomial_case_is_the_defining_product(self):
         # [n, m] prod_{i<=m} (1 - q^i) = prod_{i<=m} (1 - q^{n+i}), n, m <= 10
@@ -163,7 +163,7 @@ class TestQBinomials:
 
     def test_vector_version(self):
         assert qbinom_vec((5, -2), (0, 0)).is_one
-        assert qbinom_vec(INFINITY, (1, 1)) == INV_1Q * INV_1Q
+        assert q_exponential(TruncationSpec(2, 2)).coeff((1, 1)) == INV_1Q * INV_1Q
         assert qbinom_vec((1, 2), (1, 1)) == qbinom(1, 1) * qbinom(2, 1)
         with pytest.raises(ValueError):
             qbinom_vec((1,), (1, 1))
@@ -204,7 +204,12 @@ class TestGeneratingSeries:
         p = q_exponential(tr)
         assert p.constant_term.is_one
         for k in range(6):
-            assert p.coeff((k,)) == qbinom(INFINITY, k)
+            assert p.coeff((k,)) == qbinom_literal_inf(k)
+
+    def test_two_variable_q_exponential_coefficients(self):
+        p = q_exponential(TruncationSpec(2, 5))
+        for (a, b) in TruncationSpec(2, 5).vectors():
+            assert p.coeff((a, b)) == qbinom_literal_inf(a) * qbinom_literal_inf(b)
 
     def test_q_exponential_is_plethystic_exp(self):
         tr = TruncationSpec(2, 4)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivercount.counting import CountingContext, SlopeCone, semistable_series
+from quivercount.counting import CountingContext, semistable_series
 from quivercount.qpoly import QPoly, RationalFunction
 from quivercount.quiver import Quiver, q_exponential, slope
 from quivercount.series import (
@@ -13,6 +13,7 @@ from quivercount.series import (
     TruncationError,
     TruncationSpec,
     adams,
+    dim_vectors,
     form_pairing,
     monomial_twist,
     ordinary_exp,
@@ -53,9 +54,13 @@ class TestSeriesBasics:
         assert s.coeff((3,)).is_zero
         assert s.coeff((1,)) == RationalFunction(2)
 
-    def test_support_filter_must_accept_zero(self):
+    def test_cone_theta_must_match_the_variables(self):
         with pytest.raises(ValueError):
-            TruncationSpec(1, 3, support=lambda a: a[0] == 1)
+            TruncationSpec(2, 3, (1,), 0)
+        # without theta every vector is admitted, so a slope would only make
+        # equal supports compare unequal
+        with pytest.raises(ValueError):
+            TruncationSpec(2, 3, None, Fraction(1, 2))
 
     def test_mul_unit_and_binomials(self):
         tr = TruncationSpec(1, 3)
@@ -107,7 +112,7 @@ class TestSeriesBasics:
         # equal coefficients on different supports are different series,
         # as they cannot be combined; equal contexts give equal series
         kronecker = Quiver.from_matrix([[0, 2], [0, 0]])
-        cone = TruncationSpec(2, 3, SlopeCone((1, 0), Fraction(1, 2)))
+        cone = TruncationSpec(2, 3, (1, 0), Fraction(1, 2))
         coeffs = {(0, 0): 1, (1, 1): 2}
         assert Series(cone, coeffs) != Series(TruncationSpec(2, 3), coeffs)
 
@@ -382,7 +387,7 @@ def truncations(draw):
     if draw(st.booleans()):
         theta = tuple(draw(st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars)))
         gamma = draw(st.sampled_from([a for a in full.vectors() if sum(a)]))
-        trunc = TruncationSpec(nvars, max_height, SlopeCone(theta, slope(theta, gamma)))
+        trunc = TruncationSpec(nvars, max_height, theta, slope(theta, gamma))
     form = draw(st.lists(st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars),
                          min_size=nvars, max_size=nvars))
     return full, trunc, form
@@ -405,6 +410,23 @@ def cases(draw, constant=None):
 
 
 class TestRecurrences:
+    @settings(max_examples=60)
+    @given(truncations())
+    def test_cone_is_the_slope_set_and_closed_under_differences(self, case):
+        _, trunc, _ = case
+        zero = trunc.zero_vector()
+        cone = set(trunc.vectors())
+        everything = set(dim_vectors(trunc.nvars, trunc.max_height))
+        if trunc.theta is None:
+            assert cone == everything
+        else:
+            assert cone == {zero} | {a for a in everything if a != zero and
+                                     slope(trunc.theta, a) == trunc.mu}
+        for alpha in cone:
+            for beta in subvectors(alpha):
+                if beta in cone:
+                    assert vec_sub(alpha, beta) in cone, (trunc, alpha, beta)
+
     @settings(max_examples=40)
     @given(cases(constant=0))
     def test_exp_matches_power_sum_and_cone_restriction(self, case):
