@@ -138,8 +138,8 @@ def cmd_a_series(args: argparse.Namespace, out) -> int:
     table = absolutely_stable_table(ctx)
     if args.format == "json":
         json.dump({"quiver": ctx.quiver.to_json(),
-                   "theta": list(ctx.theta),
-                   "slope": str(ctx.mu),
+                   "theta": list(ctx.trunc.theta),
+                   "slope": str(ctx.trunc.mu),
                    "max_height": args.max_height,
                    "entries": table.to_json()}, out, indent=2)
         out.write("\n")
@@ -169,8 +169,8 @@ def cmd_r_series(args: argparse.Namespace, out) -> int:
         rows.append((alpha, semistable_ratio(ctx, alpha)))
     if args.format == "json":
         json.dump({"quiver": ctx.quiver.to_json(),
-                   "theta": list(ctx.theta),
-                   "slope": str(ctx.mu),
+                   "theta": list(ctx.trunc.theta),
+                   "slope": str(ctx.trunc.mu),
                    "entries": [{"alpha": list(a), "ratio": rf.to_json()}
                                for a, rf in rows]}, out, indent=2)
         out.write("\n")
@@ -191,7 +191,7 @@ def cmd_s_count(args: argparse.Namespace, out) -> int:
     for base in ctx.trunc.vectors():
         if height(base) == 0 or height(base) * end_degree > max_height:
             continue
-        poly = stable_end_degree_poly(ctx, table, base, end_degree)
+        poly = stable_end_degree_poly(table, base, end_degree)
         beta = tuple(end_degree * b for b in base)
         rows.append((beta, poly))
     if args.format == "json":

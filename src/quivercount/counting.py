@@ -84,30 +84,12 @@ class CountingContext:
     @classmethod
     def create(cls, quiver: Quiver, theta: Optional[Sequence[int]] = None,
                mu: Fraction = Fraction(0), max_height: int = 6) -> "CountingContext":
-        n = quiver.nvertices
-        theta = tuple(theta) if theta is not None else (0,) * n
-        mu = Fraction(mu)
-        trunc = TruncationSpec(n, max_height, theta, mu)
+        trunc = TruncationSpec(quiver.nvertices, max_height, theta, mu)
         if not any(height(a) > 0 for a in trunc.vectors()):
             raise ValueError(
-                f"no dimension vector of height <= {max_height} has slope {mu}"
+                f"no dimension vector of height <= {max_height} has slope {trunc.mu}"
             )
         return cls(quiver, trunc)
-
-    @property
-    def theta(self) -> tuple[int, ...]:
-        return self.trunc.theta
-
-    @property
-    def mu(self) -> Fraction:
-        return self.trunc.mu
-
-    @property
-    def is_trivial_stability(self) -> bool:
-        return all(t == 0 for t in self.theta)
-
-    def slope_of(self, alpha: DimVector) -> Fraction:
-        return slope(self.theta, alpha)
 
 
 # -- building blocks -------------------------------------------------------------
@@ -150,7 +132,8 @@ def _split_weight(beta: DimVector, rest: DimVector, shift: int) -> QPoly:
 
 def _hn_count(ctx: CountingContext, delta: DimVector) -> QPoly:
     """#GL_delta times the signed sum over decompositions of delta with
-    prefix slopes > ctx.mu: the semistable point count, in Z[q].
+    prefix slopes > mu (a positive ctx.trunc.excess): the semistable point
+    count, in Z[q].
 
     Recursion over the last part (Reineke's Harder-Narasimhan recursion):
     splitting off gamma leaves a prefix whose own slope must exceed mu and
@@ -162,13 +145,13 @@ def _hn_count(ctx: CountingContext, delta: DimVector) -> QPoly:
     cached = ctx._hn_cache.get(delta)
     if cached is not None:
         return cached
-    quiver = ctx.quiver
+    quiver, excess = ctx.quiver, ctx.trunc.excess
     total = QPoly.monomial(quiver.arrow_pairing(delta, delta))
     for gamma in subvectors(delta):
         if height(gamma) == 0 or gamma == delta:
             continue
         prefix = vec_sub(delta, gamma)
-        if ctx.slope_of(prefix) <= ctx.mu:
+        if excess(prefix) <= 0:
             continue
         weight = _split_weight(gamma, prefix, quiver.arrow_pairing(gamma, delta))
         total = total - weight * _hn_count(ctx, prefix)
@@ -181,9 +164,10 @@ def semistable_ratio(ctx: CountingContext, alpha: Sequence[int]) -> RationalFunc
     alpha = tuple(alpha)
     if height(alpha) == 0:
         return RationalFunction.one()
-    if ctx.slope_of(alpha) != ctx.mu:
+    if ctx.trunc.excess(alpha):
         raise ValueError(
-            f"alpha {alpha} has slope {ctx.slope_of(alpha)}, context expects {ctx.mu}"
+            f"alpha {alpha} has slope {slope(ctx.trunc.theta, alpha)}, "
+            f"context expects {ctx.trunc.mu}"
         )
     return RationalFunction(_hn_count(ctx, alpha), _gl_order(alpha))
 
@@ -206,16 +190,16 @@ def semistable_ratio_reference(ctx: CountingContext, alpha: Sequence[int]
     alpha = tuple(alpha)
     if height(alpha) == 0:
         return RationalFunction.one()
-    if ctx.slope_of(alpha) != ctx.mu:
+    quiver, excess = ctx.quiver, ctx.trunc.excess
+    if excess(alpha):
         raise ValueError("alpha must lie in the context's slope cone")
-    quiver = ctx.quiver
     total = RationalFunction.zero()
     for parts in _decompositions(alpha):
         prefix = tuple(0 for _ in alpha)
         admissible = True
         for part in parts[:-1]:
             prefix = tuple(p + x for p, x in zip(prefix, part))
-            if ctx.slope_of(prefix) <= ctx.mu:
+            if excess(prefix) <= 0:
                 admissible = False
                 break
         if not admissible:
@@ -239,6 +223,11 @@ def semistable_series(ctx: CountingContext) -> Series:
                               for alpha in ctx.trunc.vectors()})
 
 
+def _require_zero_stability(ctx: CountingContext) -> None:
+    if any(ctx.trunc.theta):
+        raise ValueError("this computation is defined for the zero stability")
+
+
 def semistable_series_closed(ctx: CountingContext) -> Series:
     """For zero stability the series equals bar(T(q-exponential)).
 
@@ -246,8 +235,7 @@ def semistable_series_closed(ctx: CountingContext) -> Series:
     q^{-T(alpha)} bar([inf, alpha]); assembled directly from that closed
     form without the prefix recursion.
     """
-    if not ctx.is_trivial_stability:
-        raise ValueError("closed form requires the zero stability")
+    _require_zero_stability(ctx)
     return series_bar(monomial_twist(q_exponential(ctx.trunc), ctx.quiver.tits_form))
 
 
@@ -334,8 +322,7 @@ def absolutely_stable_table(ctx: CountingContext) -> CountTable:
     return CountTable(entries, ctx)
 
 
-def stable_end_degree_poly(ctx: CountingContext, table: CountTable,
-                           alpha: Sequence[int], r: int) -> QPoly:
+def stable_end_degree_poly(table: CountTable, alpha: Sequence[int], r: int) -> QPoly:
     """Counting polynomial for stable classes of dimension r*alpha whose
     endomorphism field has degree r over the base field.
 
@@ -367,25 +354,19 @@ def stable_end_degree_poly(ctx: CountingContext, table: CountTable,
 # -- the residual series and its q = 1 behaviour -----------------------------------
 
 
-def _require_zero_stability(ctx: CountingContext) -> None:
-    if not ctx.is_trivial_stability:
-        raise ValueError("this computation is defined for the zero stability")
-
-
-def residual_series(ctx: CountingContext, table: CountTable) -> Series:
+def residual_series(table: CountTable) -> Series:
     """Exp((a - sum_i x_i) / (1-q)), with a the absolutely-stable counts.
 
     Regular at q = 1; a pole in any coefficient signals a bug and raises.
     """
-    _require_zero_stability(ctx)
-    trunc = ctx.trunc
+    _require_zero_stability(table.context)
     coeffs: dict[DimVector, RationalFunction] = {}
     inv = RationalFunction(QPoly.one(), ONE_MINUS_Q)
     for alpha, poly in table.entries.items():
         adjusted = poly - QPoly.one() if height(alpha) == 1 else poly
         if not adjusted.is_zero:
             coeffs[alpha] = RationalFunction(adjusted) * inv
-    f = plethystic_exp(Series(trunc, coeffs))
+    f = plethystic_exp(Series(table.context.trunc, coeffs))
     for alpha, c in f.items():
         if c.has_pole_at_one():
             raise InvariantError(f"residual series has a pole at q=1 at {alpha}")

@@ -2,8 +2,9 @@
 
 Series are sparse maps from dimension vectors (tuples of nonnegative ints,
 one entry per quiver vertex) to rational functions, truncated by total
-height and, optionally, to the slope cone theta.alpha = mu |alpha| of a
-stability theta.  On top of the plain ring structure this module provides
+height and to the slope cone theta.alpha = mu |alpha| of a stability
+theta; the zero stability at slope 0, the default, admits every vector.
+On top of the plain ring structure this module provides
 
 * the Adams substitutions psi_k : q -> q^k, x^a -> x^{ka},
 * the plethystic Exp / Log / Pow maps,
@@ -32,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
+from operator import mul
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .numtheory import mobius
@@ -83,20 +85,21 @@ def subvectors(alpha: DimVector) -> Iterator[DimVector]:
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Height bound plus, optionally, the slope-mu cone of a stability theta.
+    """Height bound plus the slope-mu cone of a stability theta.
 
-    alpha is admitted when |alpha| <= max_height and either theta is None or
-    theta.alpha = mu |alpha|: the zero vector and the vectors of slope mu.
-    As theta is linear, the cone is closed under differences: if alpha and
-    beta <= alpha are admitted, so is alpha - beta.  So a product, inverse,
-    exp or log computed on the cone equals the one computed on the full
-    truncation, restricted to the cone; the height-by-height recurrences
-    rely on it.
+    alpha is admitted when |alpha| <= max_height and theta.alpha = mu |alpha|:
+    the zero vector and the vectors of slope mu.  theta defaults to the zero
+    stability, whose cone at mu = 0 is the full truncation; at mu != 0 it
+    holds only the zero vector.  As theta is linear, the cone is closed under
+    differences: if alpha and beta <= alpha are admitted, so is alpha - beta.
+    So a product, inverse, exp or log computed on the cone equals the one
+    computed on the full truncation, restricted to the cone; the
+    height-by-height recurrences rely on it.
     """
 
     nvars: int
     max_height: int
-    theta: Optional[tuple[int, ...]] = None
+    theta: Optional[Sequence[int]] = None
     mu: Fraction = Fraction(0)
 
     def __post_init__(self):
@@ -104,14 +107,22 @@ class TruncationSpec:
             raise ValueError("need at least one variable")
         if self.max_height < 1:
             raise ValueError("max_height must be >= 1")
-        if self.theta is None and self.mu:
-            raise ValueError("a slope mu needs a stability theta")
-        if self.theta is not None and len(self.theta) != self.nvars:
+        theta = (0,) * self.nvars if self.theta is None else tuple(self.theta)
+        if len(theta) != self.nvars:
             raise ValueError("theta length must match the variable count")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "mu", Fraction(self.mu))
+
+    def excess(self, alpha: Sequence[int]) -> int:
+        """den(mu) theta.alpha - num(mu) |alpha|: zero on the cone, and for
+        alpha != 0 of the sign of slope(theta, alpha) - mu."""
+        if len(alpha) != self.nvars:
+            raise ValueError("alpha length must match the variable count")
+        return (self.mu.denominator * sum(map(mul, self.theta, alpha))
+                - self.mu.numerator * height(alpha))
 
     def _in_cone(self, alpha: DimVector) -> bool:
-        return self.theta is None or \
-            sum(t * a for t, a in zip(self.theta, alpha)) == self.mu * height(alpha)
+        return self.excess(alpha) == 0
 
     def admits(self, alpha: DimVector) -> bool:
         if len(alpha) != self.nvars or any(a < 0 for a in alpha):

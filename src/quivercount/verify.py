@@ -95,7 +95,7 @@ def _points_ratio(quiver: Quiver, alpha: DimVector, p: int, max_points: int) -> 
 def run_verification(ctx: CountingContext, primes: Sequence[int],
                      max_points: int = DEFAULT_MAX_POINTS) -> VerificationReport:
     table = absolutely_stable_table(ctx)
-    quiver, theta = ctx.quiver, ctx.theta
+    quiver, theta = ctx.quiver, ctx.trunc.theta
     rows: list[VerificationRow] = []
 
     def add(quantity, alpha, p, formula_value, oracle, *args):
@@ -127,7 +127,7 @@ def run_verification(ctx: CountingContext, primes: Sequence[int],
                 base = tuple(a // r for a in alpha)
                 if not ctx.trunc.admits(base):
                     continue
-                s_poly = stable_end_degree_poly(ctx, table, base, r)
+                s_poly = stable_end_degree_poly(table, base, r)
                 add(f"stable classes end-degree {r}", alpha, p, s_poly.evaluate(p),
                     count_stable_with_end_dim, quiver, alpha, theta, p, r, max_points)
     return VerificationReport(tuple(rows))

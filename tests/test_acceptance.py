@@ -291,7 +291,7 @@ def test_criterion_05_inversion_round_trip():
 
 def test_criterion_06_residual_series_cross_algorithm(loop_tables_h6):
     for m, (ctx, table) in loop_tables_h6.items():
-        direct = residual_series(ctx, table)
+        direct = residual_series(table)
         recursive = residual_series_recursive(ctx)
         assert direct == recursive, m
         assert residual_q1_expansion(ctx, 3) == taylor_layers(recursive, 3), m
@@ -299,7 +299,7 @@ def test_criterion_06_residual_series_cross_algorithm(loop_tables_h6):
     ctx = CountingContext.create(A2, max_height=6)
     table = absolutely_stable_table(ctx)
     recursive = residual_series_recursive(ctx)
-    assert residual_series(ctx, table) == recursive
+    assert residual_series(table) == recursive
     assert residual_q1_expansion(ctx, 3) == taylor_layers(recursive, 3)
     assert residual_q1_expansion(ctx, 0)[0] == {(0, 0): 1}
 
@@ -385,7 +385,7 @@ def test_criterion_10_end_degree_identities_and_oracle():
     for r in range(1, 5):  # Adams-power decomposition
         total = QPoly.zero()
         for k in divisors(r):
-            total = total + stable_end_degree_poly(ctx, table, (1,), k) * k
+            total = total + stable_end_degree_poly(table, (1,), k) * k
         assert total == a1.adams(r), r
 
     rng = random.Random(99)  # product formula for plethystic powers
@@ -395,12 +395,12 @@ def test_criterion_10_end_degree_identities_and_oracle():
         lhs = plethystic_pow(f, Series.one(tr) * RationalFunction(a1))
         rhs = Series.one(tr)
         for r in range(1, 5):
-            s = stable_end_degree_poly(ctx, table, (1,), r)
+            s = stable_end_degree_poly(table, (1,), r)
             rhs = rhs * ordinary_pow(adams(f, r),
                                      Series.one(tr) * RationalFunction(s))
         assert lhs == rhs
 
-    s2 = stable_end_degree_poly(ctx, table, (1,), 2)
+    s2 = stable_end_degree_poly(table, (1,), 2)
     for p in (2, 3):
         assert s2.evaluate(p) == \
             count_stable_with_end_dim(loop(2), (2,), (0,), p, 2), p

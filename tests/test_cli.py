@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -421,6 +422,22 @@ def test_console_script_runs(capsys):
     entry = getattr(importlib.import_module(module), attr)
     assert entry(["necklaces", "--colors", "1", "--max-beads", "1"]) == 0
     assert capsys.readouterr().out == "primitive necklaces with 1 beads in 1 colours: 1\n"
+
+
+def test_readme_commands_run(capsys):
+    # every `quivercount ...` line of README's sh blocks, with its quivers/
+    # paths read from the repository root
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    commands = [shlex.split(line)[1:]
+                for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+                for line in block.splitlines() if line.startswith("quivercount ")]
+    assert len(commands) >= 6
+    for argv in commands:
+        argv = [str(root / word) if word.startswith("quivers/") else word
+                for word in argv]
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out, argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -132,8 +132,13 @@ class TestSemistableRatio:
     def test_slope_mismatch_rejected(self):
         ctx = CountingContext.create(KRONECKER, theta=(1, 0), mu=Fraction(1, 2),
                                      max_height=4)
-        with pytest.raises(ValueError):
-            semistable_ratio(ctx, (1, 0))
+        for ratio in (semistable_ratio, semistable_ratio_reference):
+            with pytest.raises(ValueError):
+                ratio(ctx, (1, 0))
+            # theta.alpha = mu |alpha| on the first two entries alone
+            with pytest.raises(ValueError):
+                ratio(ctx, (1, 1, 0))
+            assert ratio(ctx, (0, 0)) == RationalFunction.one()
 
     def test_dp_matches_reference_enumeration(self):
         configs = [
@@ -262,7 +267,7 @@ class TestEndDegreeCounts:
         self.table = absolutely_stable_table(self.ctx)
 
     def test_degree_one_is_the_table(self):
-        assert stable_end_degree_poly(self.ctx, self.table, (1,), 1) == \
+        assert stable_end_degree_poly(self.table, (1,), 1) == \
             self.table.poly((1,))
 
     def test_adams_decomposition(self):
@@ -272,8 +277,7 @@ class TestEndDegreeCounts:
         for r in range(1, 5):
             total = QPoly.zero()
             for k in divisors(r):
-                total = total + stable_end_degree_poly(
-                    self.ctx, self.table, (1,), k) * k
+                total = total + stable_end_degree_poly(self.table, (1,), k) * k
             assert total == a1.adams(r), r
 
     def test_power_identity(self):
@@ -289,7 +293,7 @@ class TestEndDegreeCounts:
             lhs = plethystic_pow(f, Series.one(tr) * a1)
             rhs = Series.one(tr)
             for r in range(1, 5):
-                s = stable_end_degree_poly(self.ctx, self.table, (1,), r)
+                s = stable_end_degree_poly(self.table, (1,), r)
                 rhs = rhs * ordinary_pow(adams(f, r),
                                          Series.one(tr) * RationalFunction(s))
             assert lhs == rhs
@@ -297,17 +301,17 @@ class TestEndDegreeCounts:
     def test_degree_two_is_the_mobius_sum(self):
         # s_{2 alpha, 2} = (a_alpha(q^2) - a_alpha(q)) / 2
         a1 = self.table.poly((1,))
-        assert stable_end_degree_poly(self.ctx, self.table, (1,), 2) == \
+        assert stable_end_degree_poly(self.table, (1,), 2) == \
             (a1.adams(2) - a1) * Fraction(1, 2)
         with pytest.raises(ValueError):
-            stable_end_degree_poly(self.ctx, self.table, (1,), 0)
+            stable_end_degree_poly(self.table, (1,), 0)
 
 
 class TestResidualSeries:
     def test_acyclic_residual_is_one(self):
         ctx = CountingContext.create(A2, max_height=4)
         table = absolutely_stable_table(ctx)
-        assert residual_series(ctx, table) == Series.one(ctx.trunc)
+        assert residual_series(table) == Series.one(ctx.trunc)
         assert residual_series_recursive(ctx) == Series.one(ctx.trunc)
         assert residual_q1_expansion(ctx, 0)[0] == {(0, 0): 1}
         layers = residual_q1_expansion(ctx, 2)
@@ -318,7 +322,7 @@ class TestResidualSeries:
         for m in (1, 2, 3):
             ctx = CountingContext.create(loop(m), max_height=5)
             table = absolutely_stable_table(ctx)
-            assert residual_series(ctx, table) == residual_series_recursive(ctx)
+            assert residual_series(table) == residual_series_recursive(ctx)
 
     def test_loop_value_at_one(self):
         for m in (1, 2, 3, 4):
@@ -344,8 +348,10 @@ class TestResidualSeries:
     def test_requires_zero_stability(self):
         ctx = CountingContext.create(KRONECKER, theta=(1, 0), mu=Fraction(1, 2),
                                      max_height=4)
-        with pytest.raises(ValueError):
-            residual_series_recursive(ctx)
+        for needs_zero_stability in (residual_series_recursive, semistable_series_closed,
+                                     lambda c: residual_series(absolutely_stable_table(c))):
+            with pytest.raises(ValueError, match="defined for the zero stability"):
+                needs_zero_stability(ctx)
 
 
 class TestCardinalityPositivity:

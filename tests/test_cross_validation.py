@@ -68,15 +68,15 @@ def test_recursion_reference_and_oracle_agree_on_random_quivers():
             # times #GL_alpha it is the semistable point count, in Z[q]
             points = value * math.prod(map(gl_order_poly, alpha), start=QPoly.one())
             assert points.den.is_one and points.num.has_integer_coeffs(), \
-                (ctx.quiver, ctx.theta, alpha)
+                (ctx.quiver, ctx.trunc.theta, alpha)
             if height(alpha) <= 3:
                 assert value == semistable_ratio_reference(ctx, alpha), \
-                    (ctx.quiver, ctx.theta, alpha)
+                    (ctx.quiver, ctx.trunc.theta, alpha)
             try:
-                oracle = count_semistable_ratio(ctx.quiver, alpha, ctx.theta, 2)
+                oracle = count_semistable_ratio(ctx.quiver, alpha, ctx.trunc.theta, 2)
             except BudgetError:
                 continue
-            assert value.evaluate(2) == oracle, (ctx.quiver, ctx.theta, alpha)
+            assert value.evaluate(2) == oracle, (ctx.quiver, ctx.trunc.theta, alpha)
             cells += 1
     assert cells > 50
 

@@ -249,7 +249,7 @@ class TestCounts:
     def test_two_loop_cross_validation(self):
         ctx = CountingContext.create(loop(2), max_height=2)
         table = absolutely_stable_table(ctx)
-        s = stable_end_degree_poly(ctx, table, (1,), 2)
+        s = stable_end_degree_poly(table, (1,), 2)
         for p in (2, 3):
             assert count_absolutely_stable(loop(2), (2,), (0,), p) == \
                 table.poly((2,)).evaluate(p)

@@ -57,10 +57,9 @@ class TestSeriesBasics:
     def test_cone_theta_must_match_the_variables(self):
         with pytest.raises(ValueError):
             TruncationSpec(2, 3, (1,), 0)
-        # without theta every vector is admitted, so a slope would only make
-        # equal supports compare unequal
-        with pytest.raises(ValueError):
-            TruncationSpec(2, 3, None, Fraction(1, 2))
+        # theta defaults to the zero stability, whose only vector of
+        # nonzero slope mu is the zero vector
+        assert set(TruncationSpec(2, 3, None, Fraction(1, 2)).vectors()) == {(0, 0)}
 
     def test_mul_unit_and_binomials(self):
         tr = TruncationSpec(1, 3)
@@ -107,6 +106,20 @@ class TestSeriesBasics:
         assert a.trunc == b.trunc and a + b == a * 2
         with pytest.raises(TruncationError, match="different support filters"):
             a + cone_series(Fraction(1, 3))
+
+    def test_zero_stability_is_the_full_truncation(self):
+        # a context without a stability holds the same truncation as the
+        # plain one, so their series combine and compare by coefficients
+        kronecker = Quiver.from_matrix([[0, 2], [0, 0]])
+        ctx = CountingContext.create(kronecker, max_height=3)
+        full = TruncationSpec(2, 3)
+        assert ctx.trunc == full and hash(ctx.trunc) == hash(full)
+        a = semistable_series(ctx)
+        b = q_exponential(full)
+        assert (a * b).trunc == full
+        assert twisted_mul(a, b, kronecker.ringel_matrix()) == Series.one(full)
+        rebuilt = Series(full, a.items())
+        assert a == rebuilt and hash(a) == hash(rebuilt)
 
     def test_equality_and_hash_include_the_support_filter(self):
         # equal coefficients on different supports are different series,
@@ -417,11 +430,11 @@ class TestRecurrences:
         zero = trunc.zero_vector()
         cone = set(trunc.vectors())
         everything = set(dim_vectors(trunc.nvars, trunc.max_height))
-        if trunc.theta is None:
-            assert cone == everything
-        else:
-            assert cone == {zero} | {a for a in everything if a != zero and
-                                     slope(trunc.theta, a) == trunc.mu}
+        assert cone == {zero} | {a for a in everything if a != zero and
+                                 slope(trunc.theta, a) == trunc.mu}
+        for a in everything - {zero}:
+            e, d = trunc.excess(a), slope(trunc.theta, a) - trunc.mu
+            assert (e > 0, e < 0) == (d > 0, d < 0), (trunc, a)
         for alpha in cone:
             for beta in subvectors(alpha):
                 if beta in cone:
