@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(vf, cmd_verify)
     vf.add_argument("--primes", default="2,3", help="verification primes, CSV")
     vf.add_argument("--budget", type=int, default=None,
-                    help="maximum number of points the oracle may enumerate")
+                    help="maximum number of points of a cell's representation space")
     nk = sub.add_parser("necklaces", help="primitive necklace numbers")
     nk.set_defaults(run=cmd_necklaces)
     nk.add_argument("--colors", type=int, required=True)

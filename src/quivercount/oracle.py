@@ -15,6 +15,19 @@ per-point functions, which are kept as the simple reference implementation.
 A block is the p^k points that share their high digits, so the low k digits
 are one table, built once per scan and held in the smallest signed dtype.
 
+The mass counts visit one point per orbit of the loops' scalar shifts.  Each
+of the L loops h at a vertex v with alpha_v > 0 gives an action
+X_h -> X_h + c I of F_p, and together they make F_p^L act on the points.
+The action is free: c is read off the (0, 0) entry of X_h + c I.  It keeps
+the semistable and stable masks, since U_v is X_h-stable iff it is
+(X_h + c I)-stable, and it keeps the endomorphism dimension, since phi_v
+commutes with X_h iff it commutes with X_h + c I.  So the points whose
+loops all have (0, 0) entry 0 meet every orbit exactly once, and the scan
+enumerates only them, over the other dim - L digits, weighting each count
+by p^L.  A quiver without loops has L = 0.  The per-point references
+(`enumerate_points`, `count_points`, `is_semistable`, `is_stable`,
+`endomorphism_dim`) and the point budget still cover all p^dim points.
+
 - Subspace search: each candidate subspace tuple is one integer matrix whose
   columns give the entries of C X B^T for every arrow, so a block is one
   matrix product digits @ M followed by a remainder test.  Digits and matrix
@@ -70,7 +83,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as _cartesian
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402  (after the BLAS thread default above)
@@ -90,7 +103,6 @@ class DivisibilityError(InvariantError):
 
 
 DEFAULT_MAX_POINTS = 1 << 24
-T = TypeVar("T")
 
 
 def stable_height(p: int) -> int:
@@ -509,7 +521,9 @@ def _no_invariant_mask(digits: np.ndarray, p: int,
     x = digits.astype(dtype)
     ok = np.ones(n, dtype=bool)
     # a candidate has at most dim columns (k <= rows and d <= cols for each
-    # arrow), so no product block is larger than the digits block
+    # arrow, and k d = (a - d) d <= a^2 - 1 for a loop on F_p^a, a > 0, whose
+    # (0, 0) digit the scan drops), so no product block is larger than the
+    # digits block
     for stacked, owner in groups:
         prod = x @ stacked
         if dtype is not np.int64:
@@ -648,28 +662,53 @@ def _violating_dims(alpha: DimVector, theta: Sequence[int],
 
 
 def _scan(quiver: Quiver, alpha: DimVector, p: int, viol: Sequence[DimVector],
-          max_points: int, per_block: Callable[[np.ndarray, np.ndarray], T]
-          ) -> Iterator[T]:
-    """per_block(digits, mask) for every block of points of the
-    representation space; the mask is True where no subspace tuple of a
-    dimension vector in `viol` is invariant.
+          max_points: int, label: Callable[[np.ndarray], np.ndarray] | None = None
+          ) -> dict[int, int]:
+    """Points of the representation space where no subspace tuple of a
+    dimension vector in `viol` is invariant, counted by label: label(digits)
+    gives a nonnegative integer for each row of a full-width (n, dim) digits
+    block of such points, and the result maps each label to its count.
+    Without a label every such point counts under 0, and no full-width
+    block is built.
 
-    Only the result of per_block outlives its block, so no more than one
-    digits block is held while the next one is scanned.
+    The scan visits one point per orbit of the scalar shifts of the loops
+    (see the module docstring): the digits of the loops' (0, 0) entries
+    stay 0, the candidate matrices lose those rows, and every count is
+    weighted by p^L.  Only the label of a block outlives it, so no more than
+    one digits block is held while the next one is scanned.
 
-    Yields nothing when some d in `viol` is unmovable (no arrow i -> j has
-    d_i > 0 and d_j < alpha_j): every mask would be False.
+    Counts nothing when some d in `viol` is unmovable (no arrow i -> j has
+    d_i > 0 and d_j < alpha_j): every point would fail the test.
     """
     _check_point_budget(quiver, alpha, p, max_points)
     if viol:
         _check_stability_budget(alpha, p)
     arrows = quiver.arrow_list()
     if any(not any(d[i] > 0 and d[j] < alpha[j] for i, j in arrows) for d in viol):
-        return
+        return {}
     dim = rep_space_dim(quiver, alpha)
-    groups = _column_groups(_candidate_constraints(quiver, alpha, p, viol), dim, p)
-    for digits in _digit_blocks(dim, p):
-        yield per_block(digits, _no_invariant_mask(digits, p, groups))
+    # the (0, 0) digit of every loop at a vertex with alpha_v > 0 stays 0
+    fixed = [off for i, j, off in _arrow_layout(quiver, alpha) if i == j and alpha[i]]
+    free = np.delete(np.arange(dim), fixed)
+    candidates = _candidate_constraints(quiver, alpha, p, viol)
+    groups = _column_groups([m[free] for m in candidates], free.size, p)
+    tally: dict[int, int] = {}
+    for digits in _digit_blocks(free.size, p):
+        mask = _no_invariant_mask(digits, p, groups)
+        if label is None:
+            counts = [int(mask.sum())]
+        else:
+            kept = digits[mask]
+            if kept.shape[0] == 0:
+                continue
+            full = np.zeros((kept.shape[0], dim), dtype=kept.dtype)
+            full[:, free] = kept
+            counts = np.bincount(label(full)).tolist()
+        for v, c in enumerate(counts):
+            if c:
+                tally[v] = tally.get(v, 0) + c
+    weight = p ** len(fixed)
+    return {v: c * weight for v, c in tally.items()}
 
 
 def count_semistable_ratio(quiver: Quiver, alpha: Sequence[int],
@@ -680,7 +719,7 @@ def count_semistable_ratio(quiver: Quiver, alpha: Sequence[int],
     Only dimension vectors of slope above the point's slope can violate
     semistability, so when no such sub-dimension exists (for instance for
     the zero stability) every point is semistable and no enumeration is
-    needed; otherwise all points are scanned in blocks.
+    needed; otherwise the points are scanned in blocks.
     """
     check_prime(p)
     alpha = tuple(alpha)
@@ -689,9 +728,8 @@ def count_semistable_ratio(quiver: Quiver, alpha: Sequence[int],
     viol = _violating_dims(alpha, theta, strict=True)
     if not viol:
         return Fraction(p ** rep_space_dim(quiver, alpha), gl_order(alpha, p))
-    count = sum(_scan(quiver, alpha, p, viol, max_points,
-                      lambda _, mask: int(mask.sum())))
-    return Fraction(count, gl_order(alpha, p))
+    tally = _scan(quiver, alpha, p, viol, max_points)
+    return Fraction(tally.get(0, 0), gl_order(alpha, p))
 
 
 @lru_cache(maxsize=128)
@@ -699,15 +737,8 @@ def _stable_end_tally(quiver: Quiver, alpha: DimVector, theta: tuple[int, ...],
                       p: int, max_points: int) -> tuple[tuple[int, int], ...]:
     """(end_dim, point count) pairs over all stable points."""
     viol = _violating_dims(alpha, theta, strict=False)
-    tally: dict[int, int] = {}
-    for stable_digits in _scan(quiver, alpha, p, viol, max_points,
-                               lambda digits, mask: digits[mask]):
-        if stable_digits.shape[0] == 0:
-            continue
-        ends = _batch_end_dims(stable_digits, quiver, alpha, p)
-        values, counts = np.unique(ends, return_counts=True)
-        for v, c in zip(values, counts):
-            tally[int(v)] = tally.get(int(v), 0) + int(c)
+    tally = _scan(quiver, alpha, p, viol, max_points,
+                  lambda digits: _batch_end_dims(digits, quiver, alpha, p))
     return tuple(sorted(tally.items()))
 
 

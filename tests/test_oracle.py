@@ -52,6 +52,8 @@ from quivercount.quiver import Quiver, slope
 A2 = Quiver.from_arrows(("1", "2"), [("1", "2")])
 KRONECKER = Quiver.from_matrix([[0, 2], [0, 0]])
 CYCLIC = Quiver.from_matrix([[0, 2], [1, 0]])
+# a loop at each of two vertices and one arrow between them
+LOOPED = Quiver.from_matrix([[1, 1], [0, 1]])
 # both ends of the int8 and int16 ranges of the rank kernel, and one past
 PRIMES = (2, 3, 5, 7, 11, 13, 181, 191)
 
@@ -225,6 +227,13 @@ class TestCounts:
             (A2, (1, 1), (1, 0), 2),
             (A2, (1, 1), (0, 0), 3),
             (KRONECKER, (1, 1), (1, 0), 2),
+            # the scan visits one point per orbit of the loops' scalar
+            # shifts: loops at vertices with alpha_v > 0 and alpha_v = 0, a
+            # semistable scan with loops, no free digit left, and no loop
+            *[(LOOPED, alpha, theta, p) for alpha in ((1, 1), (2, 1), (0, 2))
+              for theta in ((1, 0), (0, 0)) for p in (2, 3)],
+            *[(loop(2), (1,), (0,), p) for p in (2, 3)],
+            *[(loop(0), (2,), (0,), p) for p in (2, 3)],
         ]
         for quiver, alpha, theta, p in cells:
             tally = {}
@@ -245,6 +254,37 @@ class TestCounts:
                 assert expected % glo == 0
                 assert count_stable_with_end_dim(quiver, alpha, theta, p, r) == \
                     expected // glo
+
+    @pytest.mark.parametrize("quiver, alpha, theta", [
+        (loop(1), (2,), (0,)),
+        (loop(1), (3,), (0,)),
+        (loop(2), (2,), (0,)),
+        (LOOPED, (1, 1), (1, 0)),
+        (LOOPED, (2, 1), (1, 0)),
+        (LOOPED, (1, 2), (0, 0)),
+    ])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_scalar_shift_of_a_loop_keeps_every_invariant(self, quiver, alpha, theta,
+                                                          data):
+        # the lemma behind the scan's slice: X_h -> X_h + cI on a loop h keeps
+        # every invariant subspace tuple and the commutant
+        p = data.draw(st.sampled_from((2, 3)))
+        digits = data.draw(st.lists(st.integers(0, p - 1),
+                                    min_size=rep_space_dim(quiver, alpha),
+                                    max_size=rep_space_dim(quiver, alpha)))
+        loops = [h for h, (i, j) in enumerate(quiver.arrow_list())
+                 if i == j and alpha[i]]
+        h = data.draw(st.sampled_from(loops))
+        c = data.draw(st.integers(1, p - 1))
+        point = _point(quiver, alpha, p, digits)
+        mats = list(point.mats)
+        mats[h] = tuple(tuple((x + c * (r == s)) % p for s, x in enumerate(row))
+                        for r, row in enumerate(mats[h]))
+        shifted = RepPoint(quiver, alpha, p, tuple(mats))
+        assert is_semistable(shifted, theta) == is_semistable(point, theta)
+        assert is_stable(shifted, theta) == is_stable(point, theta)
+        assert endomorphism_dim(shifted) == endomorphism_dim(point)
 
     def test_two_loop_cross_validation(self):
         ctx = CountingContext.create(loop(2), max_height=2)

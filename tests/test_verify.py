@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from quivercount.counting import CountingContext
 from quivercount.quiver import Quiver
 from quivercount.verify import run_verification
@@ -54,3 +56,13 @@ def test_report_json_shape():
     assert {"ok", "checked", "skipped", "rows"} <= set(payload)
     row = payload["rows"][0]
     assert {"quantity", "alpha", "p", "formula", "oracle", "match"} <= set(row)
+
+
+@pytest.mark.parametrize("loops, checked, skipped", [(2, 18, 4), (1, 22, 0)])
+def test_benchmark_verify_rows(loops, checked, skipped):
+    # the rows of the benchmark's `verify --max-height 3 --primes 2,3` runs;
+    # loop2 reaches alpha = (3,) at p = 2, the oracle's costliest cell
+    ctx = CountingContext.create(Quiver.from_matrix([[loops]]), max_height=3)
+    report = run_verification(ctx, primes=(2, 3))
+    assert report.ok
+    assert (report.n_checked, report.n_skipped) == (checked, skipped)
