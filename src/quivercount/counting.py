@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from functools import partial
+from math import gcd, prod
 from operator import mul
 from typing import Optional, Sequence
 
@@ -75,11 +76,13 @@ def necklace_count(colors: int, beads: int) -> int:
 
 @dataclass(frozen=True)
 class CountingContext:
-    """A quiver with its slope-cone truncation, which holds theta and mu."""
+    """A quiver with its slope-cone truncation, which holds theta and mu, and
+    the caches of _hn_count and of the count's packed factors."""
 
     quiver: Quiver
     trunc: TruncationSpec
     _hn_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _packed: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def create(cls, quiver: Quiver, theta: Optional[Sequence[int]] = None,
@@ -98,16 +101,12 @@ class CountingContext:
 def gl_order_poly(n: int) -> QPoly:
     """#GL_n as a polynomial in q: prod_{i=0..n-1} (q^n - q^i), which is
     (-1)^n q^{n(n-1)/2} prod_{i=1..n} (1 - q^i)."""
-    return QPoly.monomial(n * (n - 1) // 2, (-1) ** n) * _poch_denominator(n)
+    return QPoly.linear_combination([(n * (n - 1) // 2, (-1) ** n, (_poch_denominator(n),))])
 
 
 def _gl_order(alpha: Sequence[int]) -> QPoly:
     """#GL_alpha = prod_i #GL_{alpha_i} as a polynomial in q."""
-    den = QPoly.one()
-    for a in alpha:
-        if a:
-            den = den * gl_order_poly(a)
-    return den
+    return prod(map(gl_order_poly, alpha), start=QPoly.one())
 
 
 def rep_ratio(quiver: Quiver, alpha: Sequence[int]) -> RationalFunction:
@@ -120,14 +119,10 @@ def rep_ratio(quiver: Quiver, alpha: Sequence[int]) -> RationalFunction:
                             _gl_order(alpha))
 
 
-def _split_weight(beta: DimVector, rest: DimVector, shift: int) -> QPoly:
-    """q^shift [beta + rest; beta]_q, where [alpha; beta]_q = prod_i [alpha_i; beta_i]_q;
-    at shift = beta.rest, #GL_{beta+rest} / (#GL_beta #GL_rest)."""
-    weight = QPoly.monomial(shift)
-    for r, b in zip(rest, beta):
-        if b:
-            weight = weight * _qbinom_poly(r, b)
-    return weight
+def _qbinom_factors(beta: DimVector, rest: DimVector) -> tuple[QPoly, ...]:
+    """The factors of [beta + rest; beta]_q = prod_i [beta_i + rest_i; beta_i]_q;
+    times q^{beta.rest}, #GL_{beta+rest} / (#GL_beta #GL_rest)."""
+    return tuple(_qbinom_poly(r, b) for r, b in zip(rest, beta) if b)
 
 
 def _hn_count(ctx: CountingContext, delta: DimVector) -> QPoly:
@@ -146,16 +141,16 @@ def _hn_count(ctx: CountingContext, delta: DimVector) -> QPoly:
     if cached is not None:
         return cached
     quiver, excess = ctx.quiver, ctx.trunc.excess
-    total = QPoly.monomial(quiver.arrow_pairing(delta, delta))
+    terms = [(quiver.arrow_pairing(delta, delta), 1, ())]
     for gamma in subvectors(delta):
         if height(gamma) == 0 or gamma == delta:
             continue
         prefix = vec_sub(delta, gamma)
         if excess(prefix) <= 0:
             continue
-        weight = _split_weight(gamma, prefix, quiver.arrow_pairing(gamma, delta))
-        total = total - weight * _hn_count(ctx, prefix)
-    ctx._hn_cache[delta] = total
+        terms.append((quiver.arrow_pairing(gamma, delta), -1,
+                      _qbinom_factors(gamma, prefix) + (_hn_count(ctx, prefix),)))
+    total = ctx._hn_cache[delta] = QPoly.linear_combination(terms, ctx._packed)
     return total
 
 
@@ -279,24 +274,26 @@ def absolutely_stable_table(ctx: CountingContext) -> CountTable:
     counts N = _hn_count, with rest = alpha - beta and sums over 0 < beta <= alpha,
       G_alpha = -sum q^{sum_{i->j} beta_i rest_j} [alpha; beta] N_beta G_rest,
       L_alpha = G_alpha - sum q^{beta.rest} [alpha; beta] |rest| G_beta L_rest / |alpha|
-    are the twisted inverse and its ordinary Log; psi_k in the Mobius sum
-    carries the polynomial #GL_alpha(q) / #GL_{alpha/k}(q^k).  Each count is
-    one exact division by #GL_alpha and must have integer coefficients;
-    anything else is a hard error.
+    are the twisted inverse and its ordinary Log, each sum one linear
+    combination; psi_k in the Mobius sum carries the polynomial
+    #GL_alpha(q) / #GL_{alpha/k}(q^k).  Each count is one exact division by
+    #GL_alpha and must have integer coefficients; anything else is an error.
     """
     quiver, trunc = ctx.quiver, ctx.trunc
     origin, nil = trunc.zero_vector(), QPoly.zero()
+    combine = partial(QPoly.linear_combination, cache=ctx._packed)
     inverse = _solve_by_height(
         trunc, {alpha: _hn_count(ctx, alpha) for alpha in trunc.vectors()},
-        lambda beta, rest, c: _split_weight(beta, rest, quiver.arrow_pairing(beta, rest)) * c,
-        lambda alpha, acc: QPoly.one() if alpha == origin else -acc, nil)
+        lambda beta, rest, n, g: (quiver.arrow_pairing(beta, rest), -1,
+                                  _qbinom_factors(beta, rest) + (n, g)),
+        lambda alpha, acc: QPoly.one() if alpha == origin else acc, combine)
     log = _solve_by_height(
         trunc, inverse,
-        lambda beta, rest, c: _split_weight(beta, rest, sum(map(mul, beta, rest)))
-        * c * height(rest),
-        lambda alpha, acc: (nil if alpha == origin else
-                            inverse.get(alpha, nil) - acc * Fraction(1, height(alpha))),
-        nil)
+        lambda beta, rest, g, l: (sum(map(mul, beta, rest)),
+                                  Fraction(-height(rest), height(beta) + height(rest)),
+                                  _qbinom_factors(beta, rest) + (g, l)),
+        lambda alpha, acc: nil if alpha == origin else inverse.get(alpha, nil) + acc,
+        combine)
     entries: dict[DimVector, QPoly] = {}
     for alpha in trunc.vectors():
         if height(alpha) == 0:
@@ -389,9 +386,9 @@ def _residual_recursion(ctx: CountingContext, weigh, one, zero) -> dict:
     origin = trunc.zero_vector()
     return _solve_by_height(
         trunc, {alpha: one for alpha in trunc.vectors()},
-        lambda beta, rest, c: weigh(
-            tuple(-sum(map(mul, row, vec_add(beta, rest))) for row in R), beta, c),
-        lambda alpha, acc: one if alpha == origin else -acc, zero)
+        lambda beta, rest, _, f: weigh(
+            tuple(-sum(map(mul, row, vec_add(beta, rest))) for row in R), beta, f),
+        lambda alpha, acc: one if alpha == origin else -acc, partial(sum, start=zero))
 
 
 def residual_series_recursive(ctx: CountingContext) -> Series:

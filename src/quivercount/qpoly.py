@@ -4,11 +4,12 @@ A polynomial stores integer numerators over one positive common denominator,
 in lowest terms, so every operation is exact integer arithmetic and
 `QPoly.coeffs` hands out `fractions.Fraction` values only on request.
 
-- Products of long operands use Kronecker substitution: both numerator lists
-  are packed into single Python integers at a power of two, CPython's
-  Karatsuba multiplies those, and the product's digits are unpacked (see
-  D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
-  substitution", arXiv:0712.4046).
+- Sums of products use Kronecker substitution (D. Harvey, "Faster
+  polynomial multiplication via multipoint Kronecker substitution",
+  arXiv:0712.4046): `QPoly.linear_combination` packs each factor into one
+  Python integer at a power of two, multiplies and adds those (CPython's
+  Karatsuba), and unpacks the sum's digits once; a long product is its
+  one-term case.
 - Division is fraction-free.  `exact_div` divides by the primitive part of
   the divisor over Z; by Gauss's lemma an exact quotient of an integer
   polynomial by a primitive one has integer coefficients, so a leading term
@@ -33,8 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate as _accumulate
-from math import gcd as _int_gcd, lcm as _int_lcm
-from typing import Iterable, Sequence, Union
+from math import gcd as _int_gcd, lcm as _int_lcm, prod
+from typing import Iterable, Optional, Sequence, Union
 
 from .numtheory import integer_binomial
 
@@ -218,6 +219,17 @@ class QPoly:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def linear_combination(terms: Iterable[tuple[int, Scalar, Sequence["QPoly"]]],
+                           cache: Optional[dict] = None) -> "QPoly":
+        """sum scalar q^shift prod factors over the terms (shift, scalar, factors),
+        by _int_combine with every term scaled to the lcm of its denominators."""
+        terms = [(shift, c.numerator, tuple(f._n for f in fs),
+                  c.denominator * prod(f._d for f in fs)) for shift, c, fs in terms]
+        d = _int_lcm(*(den for *_, den in terms))
+        return QPoly._make(_int_combine([(shift, c * (d // den), fs)
+                                         for shift, c, fs, den in terms], cache), d)
+
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
@@ -321,19 +333,13 @@ _SET_D = QPoly._d.__set__
 # Below this many coefficients in the shorter factor, the schoolbook product
 # is used.  On an x86-64 Xeon with CPython 3.11, Kronecker packing overtakes
 # it at 6-8 coefficients for coefficients of up to 64 bits and at 16-24 for
-# 512-bit ones; the counts in this package stay below 32 bits.
+# 512-bit ones.
 _KRONECKER_MIN = 12
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The product of two nonempty integer coefficient sequences.
-
-    Long operands use Kronecker substitution: each is packed into one integer
-    at x = 2^(8k), CPython multiplies the two (Karatsuba), and the product's
-    base-2^(8k) digits are its coefficients.  Every coefficient is below
-    half = 2^(8k-1) in absolute value, so adding half to each digit makes all
-    digits nonnegative and carry-free, and they unpack through to_bytes.
-    """
+    """The product of two nonempty integer coefficient sequences: schoolbook
+    for short operands, else the one-term case of _int_combine."""
     if len(a) < len(b):
         a, b = b, a
     if len(b) < _KRONECKER_MIN:
@@ -343,11 +349,39 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
                 j = i + len(a)
                 out[i:j] = [o + x * y for o, x in zip(out[i:j], a)]
         return out
-    bound = len(b) * max(map(abs, a)) * max(map(abs, b))
+    return _int_combine([(0, 1, (tuple(a), tuple(b)))])
+
+
+def _int_combine(terms: Iterable[tuple[int, int, Sequence[tuple[int, ...]]]],
+                 cache: Optional[dict] = None) -> list[int]:
+    """The coefficients of sum scalar q^shift prod factors over the terms.
+
+    Evaluation at x = 2^(8k) is a ring homomorphism, so the sum runs in Z:
+    each factor is packed once per k (cache keeps it and its 1-norm across
+    calls), q^shift is a left shift, and the sum's digits are unpacked once.
+    Only they must fit: all are at most the 1-norm bound sum |scalar| prod
+    ||factor||_1, which k puts below half = 2^(8k-1), so adding half to each
+    digit makes all digits nonnegative and carry-free for to_bytes.
+    """
+    cache = {} if cache is None else cache
+    live, bound, m = [], 0, 0
+    for shift, scalar, factors in terms:
+        entries = [cache.get(f) or cache.setdefault(f, (sum(map(abs, f)), {})) for f in factors]
+        norm = abs(scalar) * prod(e[0] for e in entries)
+        if norm:
+            live.append((shift, scalar, zip(factors, entries)))
+            bound += norm
+            m = max(m, shift + sum(len(f) - 1 for f in factors) + 1)
+    if not live:
+        return []
     k = (bound.bit_length() + 8) // 8
     half = 1 << (8 * k - 1)
-    m = len(a) + len(b) - 1
-    data = (_pack(a, k, half) * _pack(b, k, half) + _bias(m, k, half)).to_bytes(m * k, "little")
+    total = 0
+    for shift, value, pairs in live:
+        for f, (_, packed) in pairs:
+            value *= packed.get(k) or packed.setdefault(k, _pack(f, k, half))
+        total += value << (8 * k * shift)
+    data = (total + _bias(m, k, half)).to_bytes(m * k, "little")
     return [int.from_bytes(data[i:i + k], "little") - half for i in range(0, m * k, k)]
 
 

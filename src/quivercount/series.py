@@ -19,10 +19,12 @@ operator D x^alpha = |alpha| x^alpha, which turns f = exp(a) into
 D f = f D a and f = log(a) into D a = a D f (Brent & Kung, "Fast
 algorithms for manipulating formal power series", J. ACM 1978).  Each
 coefficient then takes one pass over the pairs below it instead of
-max_height series powers.  The solver is generic in the coefficient ring,
-so ``counting`` runs its own recurrences on it outside ``Series``: the count
-table's #GL-scaled twisted inverse and Log in Q[q], and the residual
-q-binomial recursion in Q(q) and on (q-1) jets.
+max_height series powers.  The solver is generic in the coefficient ring and
+leaves the summing of a coefficient's terms to its caller, so ``counting``
+runs its own recurrences on it outside ``Series``: the count table's
+#GL-scaled twisted inverse and Log in Q[q], each coefficient one packed
+linear combination, and the residual q-binomial recursion in Q(q) and on
+(q-1) jets.
 
 Everything is exact; truncating the psi_k sums at k = max_height loses
 nothing because psi_k raises height by a factor k.
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product as _cartesian
 from operator import mul
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
@@ -41,6 +44,7 @@ from .qpoly import RationalFunction
 
 DimVector = tuple[int, ...]
 C = TypeVar("C")  # a coefficient ring element
+T = TypeVar("T")  # a term of a sum of coefficients
 
 
 class TruncationError(ValueError):
@@ -311,19 +315,20 @@ def twisted_mul(a: Series, b: Series,
 
 
 def _solve_by_height(trunc: TruncationSpec, known: Mapping[DimVector, C],
-                     weigh: Callable[[DimVector, DimVector, C], C],
-                     finish: Callable[[DimVector, C], C], zero: C) -> dict[DimVector, C]:
+                     weigh: Callable[[DimVector, DimVector, C, C], T],
+                     finish: Callable[[DimVector, C], C],
+                     total: Callable[[list[T]], C]) -> dict[DimVector, C]:
     """The coefficients f_alpha = finish(alpha, s_alpha) on trunc, in height order.
 
-    s_alpha is zero plus sum_{0 < beta <= alpha} w(beta, alpha-beta)
-    known_beta f_{alpha-beta}, where weigh(beta, alpha-beta, c) returns w c.
-    The term beta = 0 drops out by itself: f_alpha is not solved yet.  Any
-    exact ring with +, * and is_zero serves; zero coefficients are left
-    out, so read the result with .get(alpha, zero).
+    s_alpha = sum_{0 < beta <= alpha} w(beta, alpha-beta) known_beta f_{alpha-beta}
+    is total(terms), where weigh(beta, alpha-beta, known_beta, f_{alpha-beta})
+    returns that term, as a product or as a description for total to sum.
+    The term beta = 0 drops out by itself: f_alpha is not solved yet.  Zero
+    coefficients are left out, so read the result with .get(alpha, zero).
     """
     out: dict[DimVector, C] = {}
     for alpha in trunc.vectors():
-        acc = zero
+        terms = []
         for beta in subvectors(alpha):
             kb = known.get(beta)
             if kb is None:
@@ -331,11 +336,14 @@ def _solve_by_height(trunc: TruncationSpec, known: Mapping[DimVector, C],
             rest = vec_sub(alpha, beta)
             f = out.get(rest)
             if f is not None:
-                acc = acc + weigh(beta, rest, kb * f)
-        val = finish(alpha, acc)
+                terms.append(weigh(beta, rest, kb, f))
+        val = finish(alpha, total(terms))
         if not val.is_zero:
             out[alpha] = val
     return out
+
+
+_rf_sum = partial(sum, start=RationalFunction.zero())
 
 
 def twisted_inverse(a: Series, form: Sequence[Sequence[int]]) -> Series:
@@ -347,9 +355,8 @@ def twisted_inverse(a: Series, form: Sequence[Sequence[int]]) -> Series:
     inv0 = a0.inverse()
     return Series(a.trunc, _solve_by_height(
         a.trunc, a._c,
-        lambda beta, rest, c: _times_q_power(c, -form_pairing(form, beta, rest)),
-        lambda alpha, acc: inv0 if alpha == zero else -(inv0 * acc),
-        RationalFunction.zero()))
+        lambda beta, rest, c, g: _times_q_power(c * g, -form_pairing(form, beta, rest)),
+        lambda alpha, acc: inv0 if alpha == zero else -(inv0 * acc), _rf_sum))
 
 
 # -- Adams operations and twists ------------------------------------------------
@@ -392,10 +399,9 @@ def ordinary_exp(a: Series) -> Series:
     zero = a.trunc.zero_vector()
     return Series(a.trunc, _solve_by_height(
         a.trunc, a._c,
-        lambda beta, rest, c: c * height(beta),
+        lambda beta, rest, c, f: c * f * height(beta),
         lambda alpha, acc: (RationalFunction.one() if alpha == zero
-                            else acc * Fraction(1, height(alpha))),
-        RationalFunction.zero()))
+                            else acc * Fraction(1, height(alpha))), _rf_sum))
 
 
 def ordinary_log(a: Series) -> Series:
@@ -405,10 +411,9 @@ def ordinary_log(a: Series) -> Series:
     zero = a.trunc.zero_vector()
     return Series(a.trunc, _solve_by_height(
         a.trunc, a._c,
-        lambda beta, rest, c: c * height(rest),
+        lambda beta, rest, c, f: c * f * height(rest),
         lambda alpha, acc: (RationalFunction.zero() if alpha == zero
-                            else a.coeff(alpha) - acc * Fraction(1, height(alpha))),
-        RationalFunction.zero()))
+                            else a.coeff(alpha) - acc * Fraction(1, height(alpha))), _rf_sum))
 
 
 def ordinary_pow(f: Series, g: Series) -> Series:

@@ -340,6 +340,13 @@ EXACT_OUTPUTS = [
      "3b9fed4c879f8067cacc80a582848f1f146a8802b262f8cf996480cc1120ebea"),
     (["necklaces", "--colors", "2", "--max-beads", "5", "--format", "json"],
      "2f798366c3faa07180cab935dc4c0d244fb4a5667302e037edaeb23dd09f3919"),
+    # counts with 35-bit coefficients, packed several bytes wide
+    (["f-expand", "--quiver", "loop4", "--max-height", "16", "--q1-order", "1"],
+     "3c2730bd7654d4938a5c8b94b1c130f018796ae596fd4186f7fd60aa47ee0160"),
+    # a deep Harder-Narasimhan recursion
+    (["a-series", "--quiver", "kronecker", "--theta", "1,0", "--slope", "1/2",
+      "--max-height", "24"],
+     "bc079a0f30c7c4ec08de7bf398afb6ef0aeac0a8b1665160d3d94fe2105c986a"),
 ]
 
 
@@ -350,7 +357,7 @@ EXACT_OUTPUTS = [
                               "loop2-a-series-latex", "kronecker-cone-r-series-latex",
                               "loop2-f-expand-json", "loop2-s-count-json",
                               "loop2-verify", "a2-verify-json", "necklaces",
-                              "necklaces-json"])
+                              "necklaces-json", "loop4-f-expand-h16", "kronecker-cone-h24"])
 def test_exact_outputs_are_unchanged(quiver_file, argv, digest):
     argv = [quiver_file(a) if a in QUIVERS else a for a in argv]
     out = io.StringIO()

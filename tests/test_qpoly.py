@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 import pytest
@@ -12,6 +13,7 @@ from quivercount.qpoly import (
     PoleError,
     QPoly,
     RationalFunction,
+    _int_combine,
     _int_mul,
     _int_pdivmod,
     binomial_jet,
@@ -397,6 +399,76 @@ class TestIntegerCore:
         spread = p.adams(k)
         assert is_canonical(spread)
         assert spread == QPoly(ref_horner(list(p.coeffs), [0] * k + [1]))
+
+
+# terms (shift, scalar, factors) of an integer linear combination: signed and
+# wide coefficients, zero scalars, empty and all-zero factors, no factors
+factor_tuples = st.lists(integers, max_size=2 * _KRONECKER_MIN).map(tuple)
+int_terms = st.tuples(st.integers(0, 20), st.one_of(st.just(0), integers),
+                      st.lists(factor_tuples, max_size=3))
+
+
+def ref_combine(terms):
+    """sum scalar q^shift prod factors as the sum of _int_mul products."""
+    out = []
+    for shift, scalar, factors in terms:
+        value = [scalar]
+        for f in factors:
+            value = _int_mul(value, f) if f else []
+            if not value:
+                break
+        out = [x + y for x, y in zip_longest(out, [0] * shift + value, fillvalue=0)]
+    return strip(out)
+
+
+class TestLinearCombination:
+    @given(st.lists(int_terms, max_size=5))
+    def test_matches_the_sum_of_products(self, terms):
+        assert strip(_int_combine(terms)) == ref_combine(terms)
+
+    @given(st.lists(int_terms, max_size=5), st.lists(int_terms, max_size=5))
+    def test_shared_cache(self, first, second):
+        # factors cached at one width serve a later sum at another width
+        cache = {}
+        assert strip(_int_combine(first, cache)) == ref_combine(first)
+        assert strip(_int_combine(second + first, cache)) == ref_combine(second + first)
+
+    def test_degenerate_sums(self):
+        f = (3, -1, 4)
+        assert _int_combine([]) == []
+        assert _int_combine([(2, 0, (f,)), (0, 5, (f, ())), (1, 7, ((0, 0),))]) == []
+        assert _int_combine([(3, -2, ())]) == [0, 0, 0, -2]
+        assert strip(_int_combine([(0, 1, (f,)), (0, -1, (f,))])) == []
+        assert _int_combine([(1, 2, (f, f))]) == [0] + ref_mul([2], ref_mul(f, f))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_width_edges(self, k, sign):
+        # every term adds to the coefficient of q^3, so it reaches the 1-norm
+        # bound; the bound 2^(8k-1) - 1 packs at width k, 2^(8k-1) at k + 1
+        for bound, width in ((2 ** (8 * k - 1) - 1, k), (2 ** (8 * k - 1), k + 1)):
+            f, g = (0, 0, sign * (bound - 3)), (0, sign)
+            cache = {}
+            terms = [(1, 1, (f,)), (3, sign, ()), (2, 2, (g,))]
+            assert _int_combine(terms, cache) == [0, 0, 0, sign * bound]
+            assert set(cache[f][1]) == set(cache[g][1]) == {width}
+            # the one-term case behind _int_mul
+            n = _KRONECKER_MIN
+            assert _int_mul([sign * bound] + [0] * n, [1] + [0] * (n - 1)) == \
+                [sign * bound] + [0] * (2 * n - 1)
+
+    @given(st.lists(st.tuples(st.integers(0, 6), scalars, st.lists(polys, max_size=3)),
+                   max_size=4))
+    def test_qpoly_terms(self, terms):
+        # rational scalars and factors are scaled to the lcm of the denominators
+        got = QPoly.linear_combination(terms)
+        want = QPoly()
+        for shift, scalar, factors in terms:
+            value = QPoly.monomial(shift, scalar)
+            for f in factors:
+                value = value * f
+            want = want + value
+        assert got == want and is_canonical(got)
 
 
 class TestRationalFunctionLaws:
