@@ -31,7 +31,7 @@ from .counting import (
     semistable_ratio,
     stable_end_degree_poly,
 )
-from .qpoly import PoleError, QPoly, format_poly
+from .qpoly import PoleError, format_poly, format_terms
 from .quiver import Quiver, parse_theta
 from .series import DimVector, height
 
@@ -91,43 +91,24 @@ def _context(args: argparse.Namespace) -> CountingContext:
 # -- rendering helpers ------------------------------------------------------------
 
 
-def _var_names(nvars: int) -> list[str]:
-    if nvars == 1:
-        return ["t"]
-    return [f"x{i + 1}" for i in range(nvars)]
-
-
-def _format_monomial(alpha: DimVector, names: Sequence[str]) -> str:
-    parts = []
-    for a, name in zip(alpha, names):
-        if a == 1:
-            parts.append(name)
-        elif a > 1:
-            parts.append(f"{name}^{a}")
-    return "*".join(parts)
-
-
 def _format_layer(layer: dict[DimVector, Fraction], nvars: int) -> str:
-    if not layer:
-        return "0"
-    names = _var_names(nvars)
-    parts = []
-    for alpha in sorted(layer, key=lambda a: (height(a), a)):
-        c = layer[alpha]
-        mono = _format_monomial(alpha, names)
-        if not mono:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = f"{abs(c)}{mono}" if nvars == 1 else f"{abs(c)}*{mono}"
-        parts.append(("- " if c < 0 else "+ ") + body)
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+    """A layer as a sum of monomials in t, or in x1, x2, ... for several vertices."""
+    names = ["t"] if nvars == 1 else [f"x{i + 1}" for i in range(nvars)]
+
+    def monomial(alpha: DimVector) -> str:
+        return "*".join(name if a == 1 else f"{name}^{a}"
+                        for a, name in zip(alpha, names) if a)
+
+    return format_terms(((layer[alpha], monomial(alpha))
+                         for alpha in sorted(layer, key=lambda a: (height(a), a))),
+                        "" if nvars == 1 else "*")
 
 
-def _qminus1_str(poly: QPoly) -> str:
-    return format_poly(poly.qminus1_coeffs(), "(q-1)")
+def _run_header(ctx: CountingContext) -> dict:
+    """The JSON keys that name a run's quiver and stability."""
+    return {"quiver": ctx.quiver.to_json(),
+            "theta": list(ctx.trunc.theta),
+            "slope": str(ctx.trunc.mu)}
 
 
 # -- subcommands -------------------------------------------------------------
@@ -137,9 +118,7 @@ def cmd_a_series(args: argparse.Namespace, out) -> int:
     ctx = _context(args)
     table = absolutely_stable_table(ctx)
     if args.format == "json":
-        json.dump({"quiver": ctx.quiver.to_json(),
-                   "theta": list(ctx.trunc.theta),
-                   "slope": str(ctx.trunc.mu),
+        json.dump({**_run_header(ctx),
                    "max_height": args.max_height,
                    "entries": table.to_json()}, out, indent=2)
         out.write("\n")
@@ -156,7 +135,7 @@ def cmd_a_series(args: argparse.Namespace, out) -> int:
     else:
         for alpha, poly in table.sorted_items():
             out.write(f"alpha={alpha}  count(q) = {poly}  "
-                      f"|  in q-1: {_qminus1_str(poly)}\n")
+                      f"|  in q-1: {format_poly(poly.qminus1_coeffs(), '(q-1)')}\n")
     return EXIT_OK
 
 
@@ -168,9 +147,7 @@ def cmd_r_series(args: argparse.Namespace, out) -> int:
             continue
         rows.append((alpha, semistable_ratio(ctx, alpha)))
     if args.format == "json":
-        json.dump({"quiver": ctx.quiver.to_json(),
-                   "theta": list(ctx.trunc.theta),
-                   "slope": str(ctx.trunc.mu),
+        json.dump({**_run_header(ctx),
                    "entries": [{"alpha": list(a), "ratio": rf.to_json()}
                                for a, rf in rows]}, out, indent=2)
         out.write("\n")
@@ -184,9 +161,12 @@ def cmd_r_series(args: argparse.Namespace, out) -> int:
 
 
 def cmd_s_count(args: argparse.Namespace, out) -> int:
-    ctx = _context(args)
-    table = absolutely_stable_table(ctx)
+    quiver, theta, mu = _stability(args)
     end_degree, max_height = args.end_degree, args.max_height
+    if end_degree < 1:
+        raise ValueError("--end-degree must be >= 1")
+    ctx = CountingContext.create(quiver, theta, mu, max_height)
+    table = absolutely_stable_table(ctx)
     rows = []
     for base in ctx.trunc.vectors():
         if height(base) == 0 or height(base) * end_degree > max_height:
@@ -219,10 +199,10 @@ def cmd_f_expand(args: argparse.Namespace, out) -> int:
     ctx = CountingContext.create(quiver, theta, mu, args.max_height)
     layers = residual_q1_expansion(ctx, order)
     table = absolutely_stable_table(ctx)
-    report = positivity_report(table)
+    rows = positivity_report(table)
     nvars = quiver.nvertices
 
-    payload: dict = {"layers": [], "positivity": report.to_json()}
+    payload: dict = {"layers": [], "positivity": [row.to_json() for row in rows]}
     lines = []
     for n, layer in enumerate(layers):
         rendered = _format_layer(layer, nvars)
@@ -244,7 +224,7 @@ def cmd_f_expand(args: argparse.Namespace, out) -> int:
                 f"observed t-degree of f_{n}*(1-mt)^{3 * n - 1}: {degree} "
                 f"(within truncation {args.max_height})")
 
-    for row in report.rows:
+    for row in rows:
         note = f"  necklaces={row.necklaces} match={row.linear_matches_necklaces}" \
             if row.necklaces is not None else ""
         lines.append(

@@ -280,20 +280,19 @@ def absolutely_stable_table(ctx: CountingContext) -> CountTable:
     #GL_alpha and must have integer coefficients; anything else is an error.
     """
     quiver, trunc = ctx.quiver, ctx.trunc
-    origin, nil = trunc.zero_vector(), QPoly.zero()
+    nil = QPoly.zero()
     combine = partial(QPoly.linear_combination, cache=ctx._packed)
     inverse = _solve_by_height(
-        trunc, {alpha: _hn_count(ctx, alpha) for alpha in trunc.vectors()},
+        trunc, {alpha: _hn_count(ctx, alpha) for alpha in trunc.vectors()}, QPoly.one(),
         lambda beta, rest, n, g: (quiver.arrow_pairing(beta, rest), -1,
                                   _qbinom_factors(beta, rest) + (n, g)),
-        lambda alpha, acc: QPoly.one() if alpha == origin else acc, combine)
+        lambda alpha, acc: acc, combine)
     log = _solve_by_height(
-        trunc, inverse,
+        trunc, inverse, nil,
         lambda beta, rest, g, l: (sum(map(mul, beta, rest)),
                                   Fraction(-height(rest), height(beta) + height(rest)),
                                   _qbinom_factors(beta, rest) + (g, l)),
-        lambda alpha, acc: nil if alpha == origin else inverse.get(alpha, nil) + acc,
-        combine)
+        lambda alpha, acc: inverse.get(alpha, nil) + acc, combine)
     entries: dict[DimVector, QPoly] = {}
     for alpha in trunc.vectors():
         if height(alpha) == 0:
@@ -382,13 +381,11 @@ def _residual_recursion(ctx: CountingContext, weigh, one, zero) -> dict:
     """
     _require_zero_stability(ctx)
     R = ctx.quiver.ringel_matrix()
-    trunc = ctx.trunc
-    origin = trunc.zero_vector()
     return _solve_by_height(
-        trunc, {alpha: one for alpha in trunc.vectors()},
+        ctx.trunc, {alpha: one for alpha in ctx.trunc.vectors()}, one,
         lambda beta, rest, _, f: weigh(
             tuple(-sum(map(mul, row, vec_add(beta, rest))) for row in R), beta, f),
-        lambda alpha, acc: one if alpha == origin else -acc, partial(sum, start=zero))
+        lambda alpha, acc: -acc, partial(sum, start=zero))
 
 
 def residual_series_recursive(ctx: CountingContext) -> Series:
@@ -472,13 +469,28 @@ def loop_layer_checks(ctx: CountingContext, layers: Sequence[dict[DimVector, Fra
 
 @dataclass(frozen=True)
 class PositivityRow:
+    """A count in the (q-1) basis; necklaces is the primitive necklace number
+    that its linear term should equal, for a one-vertex quiver with loops."""
+
     alpha: DimVector
     coeffs_qminus1: tuple[Fraction, ...]
-    constant_term: Fraction
-    linear_term: Fraction
-    all_nonnegative: bool
-    all_integer: bool
     necklaces: Optional[int]
+
+    @property
+    def constant_term(self) -> Fraction:
+        return self.coeffs_qminus1[0] if self.coeffs_qminus1 else Fraction(0)
+
+    @property
+    def linear_term(self) -> Fraction:
+        return self.coeffs_qminus1[1] if len(self.coeffs_qminus1) > 1 else Fraction(0)
+
+    @property
+    def all_nonnegative(self) -> bool:
+        return all(c >= 0 for c in self.coeffs_qminus1)
+
+    @property
+    def all_integer(self) -> bool:
+        return all(c.denominator == 1 for c in self.coeffs_qminus1)
 
     @property
     def linear_matches_necklaces(self) -> Optional[bool]:
@@ -486,56 +498,31 @@ class PositivityRow:
             return None
         return self.linear_term == self.necklaces
 
-
-@dataclass(frozen=True)
-class PositivityReport:
-    rows: tuple[PositivityRow, ...]
-
-    def to_json(self) -> list[dict]:
-        out = []
-        for row in self.rows:
-            out.append(
-                {
-                    "alpha": list(row.alpha),
-                    "coeffs_qminus1": [str(c) for c in row.coeffs_qminus1],
-                    "constant_term": str(row.constant_term),
-                    "linear_term": str(row.linear_term),
-                    "all_nonnegative": row.all_nonnegative,
-                    "all_integer": row.all_integer,
-                    "necklaces": row.necklaces,
-                    "linear_matches_necklaces": row.linear_matches_necklaces,
-                }
-            )
-        return out
+    def to_json(self) -> dict:
+        return {
+            "alpha": list(self.alpha),
+            "coeffs_qminus1": [str(c) for c in self.coeffs_qminus1],
+            "constant_term": str(self.constant_term),
+            "linear_term": str(self.linear_term),
+            "all_nonnegative": self.all_nonnegative,
+            "all_integer": self.all_integer,
+            "necklaces": self.necklaces,
+            "linear_matches_necklaces": self.linear_matches_necklaces,
+        }
 
 
-def positivity_report(table: CountTable) -> PositivityReport:
-    """Re-express each counting polynomial in the (q-1) basis and report
-    the constant term, the linear term (against primitive necklace numbers
-    for one-vertex quivers) and whether all coefficients are nonnegative.
+def positivity_report(table: CountTable) -> tuple[PositivityRow, ...]:
+    """Re-express each counting polynomial in the (q-1) basis, one row per
+    entry in (height, alpha) order; each row reports the constant term, the
+    linear term (against primitive necklace numbers for one-vertex quivers)
+    and whether all coefficients are nonnegative.
 
     Nonnegativity is experimental: the report states what was observed and
     asserts nothing.
     """
     quiver = table.context.quiver
-    loops = quiver.arrow_counts[0][0] if quiver.nvertices == 1 else None
-    rows = []
-    for alpha, poly in table.sorted_items():
-        coeffs = poly.qminus1_coeffs()
-        constant = coeffs[0] if coeffs else Fraction(0)
-        linear = coeffs[1] if len(coeffs) > 1 else Fraction(0)
-        necklaces = None
-        if loops is not None and loops >= 1 and height(alpha) >= 1:
-            necklaces = necklace_count(loops, alpha[0])
-        rows.append(
-            PositivityRow(
-                alpha=alpha,
-                coeffs_qminus1=coeffs,
-                constant_term=constant,
-                linear_term=linear,
-                all_nonnegative=all(c >= 0 for c in coeffs),
-                all_integer=all(c.denominator == 1 for c in coeffs),
-                necklaces=necklaces,
-            )
-        )
-    return PositivityReport(tuple(rows))
+    loops = quiver.arrow_counts[0][0] if quiver.nvertices == 1 else 0
+    return tuple(
+        PositivityRow(alpha, poly.qminus1_coeffs(),
+                      necklace_count(loops, alpha[0]) if loops else None)
+        for alpha, poly in table.sorted_items())

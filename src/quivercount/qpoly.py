@@ -444,31 +444,32 @@ def _taylor_shift_one(a: list[int]) -> list[int]:
     return a
 
 
-def format_poly(coeffs: Sequence[Fraction], var: str, latex: bool = False) -> str:
-    """Render a coefficient sequence (ascending powers of `var`) as text."""
-    if not any(coeffs):
-        return "0"
-    parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
+def format_terms(terms: Iterable[tuple[Fraction, str]], sep: str) -> str:
+    """Render the signed sum of the nonzero terms (coefficient, monomial) as
+    text; sep joins a coefficient other than +-1 to its monomial."""
+    text = ""
+    for c, mono in terms:
         if c == 0:
             continue
-        sign = "-" if c < 0 else "+"
         mag = abs(c)
-        if i == 0:
-            body = str(mag)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}{sep}{mono}"
+        if text:
+            text += f" {'-' if c < 0 else '+'} {body}"
         else:
-            if latex:
-                power = var if i == 1 else f"{var}^{{{i}}}"
-            else:
-                power = var if i == 1 else f"{var}^{i}"
-            body = power if mag == 1 else f"{mag}{'' if latex else '*'}{power}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = first_body if first_sign == "+" else f"-{first_body}"
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+            text = f"-{body}" if c < 0 else body
+    return text or "0"
+
+
+def format_poly(coeffs: Sequence[Fraction], var: str, latex: bool = False) -> str:
+    """Render a coefficient sequence (ascending powers of `var`) as text,
+    highest power first."""
+    def power(i: int) -> str:
+        if i <= 1:
+            return var if i else ""
+        return f"{var}^{{{i}}}" if latex else f"{var}^{i}"
+
+    return format_terms(((coeffs[i], power(i)) for i in reversed(range(len(coeffs)))),
+                        "" if latex else "*")
 
 
 # -- jets: power series in one variable x, taken modulo x^n ------------------

@@ -27,7 +27,7 @@ from math import prod
 from typing import Optional, Sequence
 
 from .qpoly import QPoly, RationalFunction
-from .series import Series, TruncationSpec, height
+from .series import Series, TruncationSpec, form_pairing, height
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,10 @@ class Quiver:
         for arrow in arrows:
             if not isinstance(arrow, (list, tuple)) or len(arrow) != 2:
                 raise ValueError(f"arrow {arrow!r} must be a [source, target] pair")
-            src, dst = arrow
-            if src not in index or dst not in index:
-                raise ValueError(f"arrow {arrow!r} uses an unknown vertex")
-            counts[index[src]][index[dst]] += 1
+            try:
+                counts[index[arrow[0]]][index[arrow[1]]] += 1
+            except (KeyError, TypeError):  # an unknown or an unhashable endpoint
+                raise ValueError(f"arrow {arrow!r} uses an unknown vertex") from None
         return cls.from_matrix(counts, vertices)
 
     @classmethod
@@ -120,15 +120,7 @@ class Quiver:
 
     def arrow_pairing(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
         """sum_{arrows i->j} alpha^i beta^j; at beta = alpha, the dimension of R_alpha."""
-        n = self.nvertices
-        if len(alpha) != n or len(beta) != n:
-            raise ValueError("vector length must match the vertex count")
-        total = 0
-        for i in range(n):
-            if alpha[i]:
-                row = self.arrow_counts[i]
-                total += alpha[i] * sum(row[j] * beta[j] for j in range(n) if beta[j])
-        return total
+        return form_pairing(self.arrow_counts, alpha, beta)
 
     def ringel_form(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
         return sum(a * b for a, b in zip(alpha, beta)) - self.arrow_pairing(alpha, beta)

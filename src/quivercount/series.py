@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product as _cartesian
+from itertools import islice, product as _cartesian
 from operator import mul
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -314,11 +314,12 @@ def twisted_mul(a: Series, b: Series,
     return Series(trunc, out)
 
 
-def _solve_by_height(trunc: TruncationSpec, known: Mapping[DimVector, C],
+def _solve_by_height(trunc: TruncationSpec, known: Mapping[DimVector, C], start: C,
                      weigh: Callable[[DimVector, DimVector, C, C], T],
                      finish: Callable[[DimVector, C], C],
                      total: Callable[[list[T]], C]) -> dict[DimVector, C]:
-    """The coefficients f_alpha = finish(alpha, s_alpha) on trunc, in height order.
+    """The coefficients f_0 = start and f_alpha = finish(alpha, s_alpha) for
+    alpha != 0 on trunc, in height order.
 
     s_alpha = sum_{0 < beta <= alpha} w(beta, alpha-beta) known_beta f_{alpha-beta}
     is total(terms), where weigh(beta, alpha-beta, known_beta, f_{alpha-beta})
@@ -326,8 +327,8 @@ def _solve_by_height(trunc: TruncationSpec, known: Mapping[DimVector, C],
     The term beta = 0 drops out by itself: f_alpha is not solved yet.  Zero
     coefficients are left out, so read the result with .get(alpha, zero).
     """
-    out: dict[DimVector, C] = {}
-    for alpha in trunc.vectors():
+    out: dict[DimVector, C] = {} if start.is_zero else {trunc.zero_vector(): start}
+    for alpha in islice(trunc.vectors(), 1, None):  # the zero vector comes first
         terms = []
         for beta in subvectors(alpha):
             kb = known.get(beta)
@@ -348,15 +349,14 @@ _rf_sum = partial(sum, start=RationalFunction.zero())
 
 def twisted_inverse(a: Series, form: Sequence[Sequence[int]]) -> Series:
     """The g with twisted_mul(a, g, form) = 1, built height by height."""
-    zero = a.trunc.zero_vector()
-    a0 = a.coeff(zero)
+    a0 = a.constant_term
     if a0.is_zero:
         raise ZeroDivisionError("series with zero constant term is not invertible")
     inv0 = a0.inverse()
     return Series(a.trunc, _solve_by_height(
-        a.trunc, a._c,
+        a.trunc, a._c, inv0,
         lambda beta, rest, c, g: _times_q_power(c * g, -form_pairing(form, beta, rest)),
-        lambda alpha, acc: inv0 if alpha == zero else -(inv0 * acc), _rf_sum))
+        lambda alpha, acc: -(inv0 * acc), _rf_sum))
 
 
 # -- Adams operations and twists ------------------------------------------------
@@ -396,24 +396,20 @@ def ordinary_exp(a: Series) -> Series:
     """exp(a) for a with zero constant term, from D exp(a) = exp(a) D a."""
     if not a.constant_term.is_zero:
         raise ValueError("ordinary_exp needs a zero constant term")
-    zero = a.trunc.zero_vector()
     return Series(a.trunc, _solve_by_height(
-        a.trunc, a._c,
+        a.trunc, a._c, RationalFunction.one(),
         lambda beta, rest, c, f: c * f * height(beta),
-        lambda alpha, acc: (RationalFunction.one() if alpha == zero
-                            else acc * Fraction(1, height(alpha))), _rf_sum))
+        lambda alpha, acc: acc * Fraction(1, height(alpha)), _rf_sum))
 
 
 def ordinary_log(a: Series) -> Series:
     """log(a) for a with constant term 1, from D a = a D log(a)."""
     if not a.constant_term.is_one:
         raise ValueError("ordinary_log needs constant term 1")
-    zero = a.trunc.zero_vector()
     return Series(a.trunc, _solve_by_height(
-        a.trunc, a._c,
+        a.trunc, a._c, RationalFunction.zero(),
         lambda beta, rest, c, f: c * f * height(rest),
-        lambda alpha, acc: (RationalFunction.zero() if alpha == zero
-                            else a.coeff(alpha) - acc * Fraction(1, height(alpha))), _rf_sum))
+        lambda alpha, acc: a.coeff(alpha) - acc * Fraction(1, height(alpha)), _rf_sum))
 
 
 def ordinary_pow(f: Series, g: Series) -> Series:

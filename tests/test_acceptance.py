@@ -352,8 +352,7 @@ def test_criterion_09_positivity_and_expansion_reports(loop_tables_h6, capsys):
     lines = []
     for m in (2, 3):
         ctx, table = loop_tables_h6[m]
-        report = positivity_report(table)
-        for row in report.rows:
+        for row in positivity_report(table):
             if row.alpha[0] > 6:
                 continue
             lines.append(

@@ -252,6 +252,8 @@ def test_budget_below_one_is_a_usage_error(quiver_file, capsys, budget):
     {"vertices": ["v"], "arrows": 5},
     {"vertices": ["v"], "arrows": [5]},
     3,
+    {"vertices": ["v"], "arrows": [[["v"], "v"]]},
+    {"vertices": ["v"], "arrows": [["v", {"a": 1}]]},
 ])
 def test_malformed_quiver_is_a_usage_error(tmp_path, capsys, data):
     path = tmp_path / "bad.json"
@@ -347,6 +349,9 @@ EXACT_OUTPUTS = [
     (["a-series", "--quiver", "kronecker", "--theta", "1,0", "--slope", "1/2",
       "--max-height", "24"],
      "bc079a0f30c7c4ec08de7bf398afb6ef0aeac0a8b1665160d3d94fe2105c986a"),
+    # two-variable layers, whose terms join coefficient and monomial with *
+    (["f-expand", "--quiver", "cyclic", "--max-height", "6", "--q1-order", "2"],
+     "573119f5f98146e97b6243b5ccfb3fa3d0342b4b4b5a0291129ab69cbe29e366"),
 ]
 
 
@@ -357,7 +362,8 @@ EXACT_OUTPUTS = [
                               "loop2-a-series-latex", "kronecker-cone-r-series-latex",
                               "loop2-f-expand-json", "loop2-s-count-json",
                               "loop2-verify", "a2-verify-json", "necklaces",
-                              "necklaces-json", "loop4-f-expand-h16", "kronecker-cone-h24"])
+                              "necklaces-json", "loop4-f-expand-h16", "kronecker-cone-h24",
+                              "cyclic-f-expand"])
 def test_exact_outputs_are_unchanged(quiver_file, argv, digest):
     argv = [quiver_file(a) if a in QUIVERS else a for a in argv]
     out = io.StringIO()
@@ -398,10 +404,15 @@ def test_exact_outputs_are_unchanged(quiver_file, argv, digest):
      "--theta entry '' is not an integer"),
     (["a-series", "--quiver", "loop1", "--slope", "abc"],
      "--slope abc is not a fraction P/Q"),
+    (["s-count", "--quiver", "loop1", "--max-height", "2", "--end-degree", "0"],
+     "--end-degree must be >= 1"),
+    (["s-count", "--quiver", "loop1", "--max-height", "2", "--end-degree", "-3"],
+     "--end-degree must be >= 1"),
 ], ids=["theta-length", "slope-zero-denominator", "max-height", "non-prime",
         "repeated-prime", "budget", "q1-order", "f-expand-theta", "f-expand-slope",
         "primes-empty-entry", "primes-empty", "primes-not-integer", "prime-past-int64",
-        "theta-empty-entry", "slope-not-fraction"])
+        "theta-empty-entry", "slope-not-fraction", "end-degree-zero",
+        "end-degree-negative"])
 def test_usage_error_messages(quiver_file, capsys, argv, message):
     argv = [quiver_file(a) if a in QUIVERS else a for a in argv]
     assert main(argv) == 1

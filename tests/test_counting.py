@@ -391,8 +391,7 @@ class TestPositivityReport:
     def test_loop2_report(self):
         ctx = CountingContext.create(loop(2), max_height=4)
         table = absolutely_stable_table(ctx)
-        report = positivity_report(table)
-        by_alpha = {row.alpha: row for row in report.rows}
+        by_alpha = {row.alpha: row for row in positivity_report(table)}
         # proven facts: constant term vanishes beyond height one, the linear
         # term counts primitive necklaces
         assert by_alpha[(1,)].linear_term == 2
@@ -407,8 +406,7 @@ class TestPositivityReport:
 
     def test_multi_vertex_has_no_necklace_column(self):
         ctx = CountingContext.create(A2, max_height=2)
-        report = positivity_report(absolutely_stable_table(ctx))
-        assert all(row.necklaces is None for row in report.rows)
-        payload = report.to_json()
+        rows = positivity_report(absolutely_stable_table(ctx))
+        assert all(row.necklaces is None for row in rows)
         assert {"alpha", "coeffs_qminus1", "constant_term", "linear_term",
-                "all_nonnegative"} <= set(payload[0])
+                "all_nonnegative"} <= set(rows[0].to_json())
