@@ -27,12 +27,11 @@ The pipeline for a quiver with stability theta and a fixed slope mu is:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import gcd, prod
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .numtheory import divisors, integer_binomial, mobius
 from .qpoly import QPoly, RationalFunction, binomial_jet, trunc_inv, trunc_mul
@@ -74,15 +73,35 @@ def necklace_count(colors: int, beads: int) -> int:
     return total // beads
 
 
-@dataclass(frozen=True)
 class CountingContext:
     """A quiver with its slope-cone truncation, which holds theta and mu, and
-    the caches of _hn_count and of the count's packed factors."""
+    the caches of _hn_count and of the count's packed factors.
 
-    quiver: Quiver
-    trunc: TruncationSpec
-    _hn_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _packed: dict = field(default_factory=dict, compare=False, repr=False)
+    Immutable but for the caches; equality and hashing are on
+    (quiver, trunc) only."""
+
+    __slots__ = ("quiver", "trunc", "_hn_cache", "_packed")
+
+    def __init__(self, quiver: Quiver, trunc: TruncationSpec,
+                 _hn_cache: Optional[dict] = None, _packed: Optional[dict] = None):
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "_hn_cache", {} if _hn_cache is None else _hn_cache)
+        object.__setattr__(self, "_packed", {} if _packed is None else _packed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CountingContext is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.quiver == other.quiver and self.trunc == other.trunc
+
+    def __hash__(self):
+        return hash((self.quiver, self.trunc))
+
+    def __repr__(self):
+        return f"CountingContext(quiver={self.quiver!r}, trunc={self.trunc!r})"
 
     @classmethod
     def create(cls, quiver: Quiver, theta: Optional[Sequence[int]] = None,
@@ -237,8 +256,7 @@ def semistable_series_closed(ctx: CountingContext) -> Series:
 # -- absolutely stable counts --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """Polynomial counts per dimension vector."""
 
     entries: dict[DimVector, QPoly]
@@ -467,8 +485,7 @@ def loop_layer_checks(ctx: CountingContext, layers: Sequence[dict[DimVector, Fra
 # -- the (q-1) positivity report -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class PositivityRow:
+class PositivityRow(NamedTuple):
     """A count in the (q-1) basis; necklaces is the primitive necklace number
     that its linear term should equal, for a one-vertex quiver with loops."""
 

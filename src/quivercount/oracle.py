@@ -79,7 +79,6 @@ environment already sets it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as _cartesian
@@ -156,26 +155,46 @@ def _check_stability_budget(alpha: DimVector, p: int) -> None:
 # -- points -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RepPoint:
     """One point of the representation space: a matrix per arrow.
 
     The arrow h: i -> j carries an alpha^j x alpha^i matrix (rows indexed by
     the target), stored as a tuple of row tuples with entries in [0, p).
+    Immutable; equality and hashing are on (quiver, alpha, p, mats).
     """
 
-    quiver: Quiver
-    alpha: DimVector
-    p: int
-    mats: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ("quiver", "alpha", "p", "mats")
 
-    def __post_init__(self):
-        arrows = self.quiver.arrow_list()
-        if len(self.mats) != len(arrows):
+    def __init__(self, quiver: Quiver, alpha: DimVector, p: int,
+                 mats: tuple[tuple[tuple[int, ...], ...], ...]):
+        arrows = quiver.arrow_list()
+        if len(mats) != len(arrows):
             raise ValueError("one matrix per arrow required")
-        for (i, j), m in zip(arrows, self.mats):
-            if len(m) != self.alpha[j] or any(len(row) != self.alpha[i] for row in m):
+        for (i, j), m in zip(arrows, mats):
+            if len(m) != alpha[j] or any(len(row) != alpha[i] for row in m):
                 raise ValueError(f"matrix shape mismatch for arrow {i}->{j}")
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "mats", mats)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RepPoint is immutable")
+
+    def _key(self) -> tuple:
+        return (self.quiver, self.alpha, self.p, self.mats)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"RepPoint(quiver={self.quiver!r}, alpha={self.alpha!r}, p={self.p!r}, "
+                f"mats={self.mats!r})")
 
 
 def _arrow_layout(quiver: Quiver, alpha: DimVector) -> list[tuple[int, int, int]]:

@@ -20,7 +20,6 @@ q-exponential, feed the generating series built at the bottom of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -30,24 +29,40 @@ from .qpoly import QPoly, RationalFunction
 from .series import Series, TruncationSpec, form_pairing, height
 
 
-@dataclass(frozen=True)
 class Quiver:
-    """A finite quiver with named vertices and an arrow-count matrix."""
+    """A finite quiver with named vertices and an arrow-count matrix.
 
-    vertices: tuple[str, ...]
-    arrow_counts: tuple[tuple[int, ...], ...]
+    Immutable; equality and hashing are on (vertices, arrow_counts)."""
 
-    def __post_init__(self):
-        n = len(self.vertices)
+    __slots__ = ("vertices", "arrow_counts")
+
+    def __init__(self, vertices: tuple[str, ...], arrow_counts: tuple[tuple[int, ...], ...]):
+        n = len(vertices)
         if n == 0:
             raise ValueError("quiver needs at least one vertex")
-        if len(set(self.vertices)) != n:
+        if len(set(vertices)) != n:
             raise ValueError("vertex names must be distinct")
-        if len(self.arrow_counts) != n or any(len(row) != n for row in self.arrow_counts):
+        if len(arrow_counts) != n or any(len(row) != n for row in arrow_counts):
             raise ValueError("arrow matrix must be square with one row per vertex")
         if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 0
-                   for row in self.arrow_counts for c in row):
+                   for row in arrow_counts for c in row):
             raise ValueError("arrow counts must be nonnegative integers")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "arrow_counts", arrow_counts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Quiver is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.arrow_counts == other.arrow_counts
+
+    def __hash__(self):
+        return hash((self.vertices, self.arrow_counts))
+
+    def __repr__(self):
+        return f"Quiver(vertices={self.vertices!r}, arrow_counts={self.arrow_counts!r})"
 
     # -- constructors ---------------------------------------------------------
 

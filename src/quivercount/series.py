@@ -32,7 +32,6 @@ nothing because psi_k raises height by a factor k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import islice, product as _cartesian
@@ -87,7 +86,6 @@ def subvectors(alpha: DimVector) -> Iterator[DimVector]:
     return _cartesian(*(range(a + 1) for a in alpha))
 
 
-@dataclass(frozen=True)
 class TruncationSpec:
     """Height bound plus the slope-mu cone of a stability theta.
 
@@ -98,32 +96,54 @@ class TruncationSpec:
     differences: if alpha and beta <= alpha are admitted, so is alpha - beta.
     So a product, inverse, exp or log computed on the cone equals the one
     computed on the full truncation, restricted to the cone; the
-    height-by-height recurrences rely on it.
+    height-by-height recurrences rely on it.  Immutable; equality and
+    hashing are on (nvars, max_height, theta, mu).
     """
 
-    nvars: int
-    max_height: int
-    theta: Optional[Sequence[int]] = None
-    mu: Fraction = Fraction(0)
+    __slots__ = ("nvars", "max_height", "theta", "mu", "_weights")
 
-    def __post_init__(self):
-        if self.nvars < 1:
+    def __init__(self, nvars: int, max_height: int,
+                 theta: Optional[Sequence[int]] = None, mu: Fraction = Fraction(0)):
+        if nvars < 1:
             raise ValueError("need at least one variable")
-        if self.max_height < 1:
+        if max_height < 1:
             raise ValueError("max_height must be >= 1")
-        theta = (0,) * self.nvars if self.theta is None else tuple(self.theta)
-        if len(theta) != self.nvars:
+        theta = (0,) * nvars if theta is None else tuple(theta)
+        if len(theta) != nvars:
             raise ValueError("theta length must match the variable count")
+        mu = Fraction(mu)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "max_height", max_height)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "mu", Fraction(self.mu))
+        object.__setattr__(self, "mu", mu)
+        # den(mu) theta_i - num(mu): excess is one dot product with these
+        object.__setattr__(self, "_weights",
+                           tuple(mu.denominator * t - mu.numerator for t in theta))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TruncationSpec is immutable")
+
+    def _key(self) -> tuple:
+        return (self.nvars, self.max_height, self.theta, self.mu)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"TruncationSpec(nvars={self.nvars!r}, max_height={self.max_height!r}, "
+                f"theta={self.theta!r}, mu={self.mu!r})")
 
     def excess(self, alpha: Sequence[int]) -> int:
         """den(mu) theta.alpha - num(mu) |alpha|: zero on the cone, and for
         alpha != 0 of the sign of slope(theta, alpha) - mu."""
         if len(alpha) != self.nvars:
             raise ValueError("alpha length must match the variable count")
-        return (self.mu.denominator * sum(map(mul, self.theta, alpha))
-                - self.mu.numerator * height(alpha))
+        return sum(map(mul, self._weights, alpha))
 
     def _in_cone(self, alpha: DimVector) -> bool:
         return self.excess(alpha) == 0

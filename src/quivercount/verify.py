@@ -17,9 +17,8 @@ dropped; a report is OK when no comparison failed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .counting import (
     CountingContext,
@@ -46,8 +45,7 @@ _ENUMERATION_CAP = 1 << 16
 _MAX_END_DEGREE = 4
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(NamedTuple):
     quantity: str
     alpha: DimVector
     p: int
@@ -57,8 +55,7 @@ class VerificationRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     rows: tuple[VerificationRow, ...]
 
     @property
@@ -81,7 +78,7 @@ class VerificationReport:
             "ok": self.ok,
             "checked": self.n_checked,
             "skipped": self.n_skipped,
-            "rows": [asdict(row) for row in self.rows],
+            "rows": [row._asdict() for row in self.rows],
         }
 
 

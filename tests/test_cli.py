@@ -338,6 +338,10 @@ EXACT_OUTPUTS = [
     (["verify", "--quiver", "a2", "--max-height", "2", "--primes", "2,3",
       "--format", "json"],
      "a7d08e195cbb2ba581121ce97d273676a97340067237fb1c1f780b87ab73ae1a"),
+    # five rows skipped past the budget, each with its note
+    (["verify", "--quiver", "loop1", "--max-height", "2", "--primes", "2",
+      "--budget", "1", "--format", "json"],
+     "97b706e281b6b712748fb4cfe21a530cf6ac16b895515b98c41650e7952a9700"),
     (["necklaces", "--colors", "3", "--max-beads", "6"],
      "3b9fed4c879f8067cacc80a582848f1f146a8802b262f8cf996480cc1120ebea"),
     (["necklaces", "--colors", "2", "--max-beads", "5", "--format", "json"],
@@ -361,7 +365,8 @@ EXACT_OUTPUTS = [
                               "cyclic-cone-s-count", "kronecker-a-series-json",
                               "loop2-a-series-latex", "kronecker-cone-r-series-latex",
                               "loop2-f-expand-json", "loop2-s-count-json",
-                              "loop2-verify", "a2-verify-json", "necklaces",
+                              "loop2-verify", "a2-verify-json",
+                              "loop1-verify-skipped-json", "necklaces",
                               "necklaces-json", "loop4-f-expand-h16", "kronecker-cone-h24",
                               "cyclic-f-expand"])
 def test_exact_outputs_are_unchanged(quiver_file, argv, digest):
@@ -474,17 +479,23 @@ def test_argparse_errors_are_one_line(quiver_file, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["a-series", "--quiver", "cyclic", "--max-height", "3"],
+    ["r-series", "--quiver", "kronecker", "--theta", "1,0", "--slope", "1/2",
+     "--max-height", "4"],
+    ["s-count", "--quiver", "loop2", "--max-height", "4", "--end-degree", "2"],
     ["f-expand", "--quiver", "loop2", "--max-height", "3", "--q1-order", "1"],
     ["necklaces", "--colors", "2", "--max-beads", "3"],
-], ids=["a-series", "f-expand", "necklaces"])
+], ids=["a-series", "r-series", "s-count", "f-expand", "necklaces"])
 def test_exact_subcommands_never_import_numpy(quiver_file, argv):
-    # numpy serves only the brute-force oracle, which only `verify` runs
+    # numpy serves only the brute-force oracle, which only `verify` runs;
+    # dataclasses and the inspect it pulls in would cost about a tenth of
+    # each exact subcommand's start-up
     argv = [quiver_file(a) if a in QUIVERS else a for a in argv]
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(quivercount.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     code = ("import sys; from quivercount.cli import main; rc = main(sys.argv[1:]); "
-            "print(rc, 'numpy' in sys.modules, file=sys.stderr)")
+            "print(rc, *(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')),"
+            " file=sys.stderr)")
     run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                          capture_output=True, text=True, timeout=60)
-    assert run.stderr.strip() == "0 False"
+    assert run.stderr.strip() == "0 False False False"

@@ -75,6 +75,16 @@ class TestContext:
         cone = [a for a in ctx.trunc.vectors() if sum(a)]
         assert cone == [(1, 1), (2, 2), (3, 3)]
 
+    def test_equality_ignores_the_caches(self):
+        a = CountingContext.create(loop(2), max_height=3)
+        b = CountingContext.create(loop(2), max_height=3)
+        absolutely_stable_table(a)
+        assert a._hn_cache and a._packed and not b._hn_cache
+        assert a == b and hash(a) == hash(b)
+        assert a != CountingContext.create(loop(2), max_height=4)
+        with pytest.raises(AttributeError):
+            a.trunc = b.trunc
+
     def test_empty_cone_rejected(self):
         # slope 1/5 first appears at (1, 4), beyond height 3
         with pytest.raises(ValueError):
@@ -257,8 +267,11 @@ class TestStableClassTable:
 
     def test_table_json_shape(self):
         ctx = CountingContext.create(loop(2), max_height=2)
-        rows = absolutely_stable_table(ctx).to_json()
-        assert {"alpha", "poly_q", "poly_qminus1"} <= set(rows[0])
+        table = absolutely_stable_table(ctx)
+        assert [list(row) for row in table.to_json()] == \
+            [["alpha", "poly_q", "poly_qminus1"]] * 2
+        with pytest.raises(AttributeError):
+            table.entries = {}
 
 
 class TestEndDegreeCounts:
@@ -408,5 +421,8 @@ class TestPositivityReport:
         ctx = CountingContext.create(A2, max_height=2)
         rows = positivity_report(absolutely_stable_table(ctx))
         assert all(row.necklaces is None for row in rows)
-        assert {"alpha", "coeffs_qminus1", "constant_term", "linear_term",
-                "all_nonnegative"} <= set(rows[0].to_json())
+        assert list(rows[0].to_json()) == [
+            "alpha", "coeffs_qminus1", "constant_term", "linear_term",
+            "all_nonnegative", "all_integer", "necklaces", "linear_matches_necklaces"]
+        with pytest.raises(AttributeError):
+            rows[0].necklaces = 1

@@ -179,6 +179,18 @@ class TestPredicates:
         scalar = RepPoint(loop(1), (2,), 2, (((1, 0), (0, 1)),))
         assert endomorphism_dim(scalar) == 4
 
+    def test_point_is_an_immutable_value(self):
+        j2 = RepPoint(loop(1), (2,), 2, (((0, 1), (0, 0)),))
+        same = RepPoint(loop(1), (2,), 2, (((0, 1), (0, 0)),))
+        assert j2 == same and hash(j2) == hash(same)
+        assert j2 != RepPoint(loop(1), (2,), 2, (((0, 0), (0, 0)),))
+        with pytest.raises(AttributeError):
+            j2.p = 3
+        with pytest.raises(ValueError, match="one matrix per arrow"):
+            RepPoint(loop(1), (2,), 2, ())
+        with pytest.raises(ValueError, match="shape mismatch"):
+            RepPoint(loop(1), (2,), 2, (((0, 1),),))
+
     def test_a2_stability(self):
         nonzero = RepPoint(A2, (1, 1), 2, (((1,),),))
         zero = RepPoint(A2, (1, 1), 2, (((0,),),))

@@ -67,6 +67,24 @@ class TestQuiverStructure:
         with pytest.raises(ValueError, match="nonnegative integers"):
             Quiver.from_matrix([[entry]])
 
+    @pytest.mark.parametrize("vertices, counts, message", [
+        ((), (), "quiver needs at least one vertex"),
+        (("a", "a"), ((0, 0), (0, 0)), "vertex names must be distinct"),
+        (("a", "b"), ((0, 1),), "arrow matrix must be square with one row per vertex"),
+        (("a",), ((0, 1),), "arrow matrix must be square with one row per vertex"),
+        (("a",), ((-1,),), "arrow counts must be nonnegative integers"),
+    ], ids=["no-vertex", "duplicate", "missing-row", "long-row", "negative"])
+    def test_constructor_messages(self, vertices, counts, message):
+        with pytest.raises(ValueError) as info:
+            Quiver(vertices, counts)
+        assert str(info.value) == message
+
+    def test_quiver_is_an_immutable_value(self):
+        a, b = Quiver(("1",), ((2,),)), loop(2)
+        assert a == b and hash(a) == hash(b) and a != loop(3)
+        with pytest.raises(AttributeError):
+            a.vertices = ("x",)
+
     def test_json_round_trip(self):
         q = KRONECKER
         assert Quiver.from_json(json.loads(json.dumps(q.to_json()))) == q

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,19 @@ class TestSeriesBasics:
         # theta defaults to the zero stability, whose only vector of
         # nonzero slope mu is the zero vector
         assert set(TruncationSpec(2, 3, None, Fraction(1, 2)).vectors()) == {(0, 0)}
+
+    def test_truncation_spec_is_an_immutable_value(self):
+        default, explicit = TruncationSpec(2, 3), TruncationSpec(2, 3, (0, 0), 0)
+        assert default == explicit and hash(default) == hash(explicit)
+        assert default != TruncationSpec(2, 3, (1, 0), 0)
+        coerced = TruncationSpec(2, 3, None, 1 / 2)
+        assert coerced.theta == (0, 0) and coerced.mu == Fraction(1, 2)
+        assert TruncationSpec(2, 3, [1, 0], Fraction(1, 2)).theta == (1, 0)
+        assert type(coerced.mu) is Fraction
+        with pytest.raises(AttributeError):
+            default.max_height = 4
+        with pytest.raises(ValueError, match="alpha length"):
+            default.excess((1, 1, 1))
 
     def test_mul_unit_and_binomials(self):
         tr = TruncationSpec(1, 3)
@@ -434,6 +448,8 @@ class TestRecurrences:
                                  slope(trunc.theta, a) == trunc.mu}
         for a in everything - {zero}:
             e, d = trunc.excess(a), slope(trunc.theta, a) - trunc.mu
+            assert e == (trunc.mu.denominator * sum(map(mul, trunc.theta, a))
+                         - trunc.mu.numerator * sum(a))
             assert (e > 0, e < 0) == (d > 0, d < 0), (trunc, a)
         for alpha in cone:
             for beta in subvectors(alpha):
