@@ -14,6 +14,10 @@ digits array (points x entries) per block; results are identical to the
 per-point functions, which are kept as the simple reference implementation.
 A block is the p^k points that share their high digits, so the low k digits
 are one table, built once per scan and held in the smallest signed dtype.
+Blocks are at most 2^12 points, sized for the cache rather than for the
+per-block Python overhead: the largest arrays of a block (the elimination
+stack, its temporaries and the float32 products) then stay inside a 2 MiB
+L2, and the process peak barely rises above what the imports hold.
 
 The mass counts visit one point per orbit of the loops' scalar shifts.  Each
 of the L loops h at a vertex v with alpha_v > 0 gives an action
@@ -57,6 +61,13 @@ by p^L.  A quiver without loops has L = 0.  The per-point references
   for 129 at p = 2.  Each step inverts only the n gathered pivots, as
   x^(p-2) mod p by repeated squaring (O(log p) per pivot); no table of all
   p inverses is built, which cost O(p) per block of points.
+  The endomorphism system drops the unknown phi_{v,0,0} of the first vertex
+  v with alpha_v > 0.  The identity is an endomorphism of every point, so
+  projecting End onto that coordinate is onto F_p, and its kernel is the
+  nullspace of the system without that column: dim End = unknowns - rank
+  of the reduced system, exactly.  The system is gathered from the digits
+  by two precomputed index arrays, one for its + terms and one for its -
+  terms, and a system left with at most one column inverts no pivot.
 - Integer reduction mod p is x - (x // p) p (`_mod`), never numpy's `%`:
   numpy vectorizes integer floor division by a scalar but not the
   remainder, and on int8 arrays `%` took about ten times as long.
@@ -400,7 +411,10 @@ def endomorphism_dim(point: RepPoint) -> int:
 # -- blocked mass counting ----------------------------------------------------------
 
 
-_BLOCK = 1 << 15
+# 2^12 rows keep a block's largest arrays (the elimination stack, its
+# temporaries and the float32 products) inside a 2 MiB L2, and the process
+# peak barely rises above what the imports already hold
+_BLOCK = 1 << 12
 
 
 def _signed_dtype(low: int, high: int) -> type:
@@ -640,34 +654,59 @@ def _batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     return rank
 
 
-def _batch_end_dims(digits: np.ndarray, quiver: Quiver, alpha: DimVector,
-                    p: int) -> np.ndarray:
-    """Endomorphism dimensions for every point in the block."""
-    n = digits.shape[0]
+@lru_cache(maxsize=None)
+def _end_system_index(quiver: Quiver, alpha: DimVector
+                      ) -> tuple[int, np.ndarray, np.ndarray]:
+    """The commuting-square system of `endomorphism_dim` without the unknown
+    phi_{v,0,0} of the first vertex v with alpha_v > 0, as gather indices.
+
+    Returns (unknowns, plus, minus): entry (eq, col) of the system is
+    digit[plus[eq, col]] - digit[minus[eq, col]], where index dim names a
+    zero digit.  An equation belongs to one arrow h: i -> j, and a column
+    meets at most one of its + terms (phi_j X_h) and one of its - terms
+    (X_h phi_i); for a loop both can land on the same diagonal entry.
+    """
     sizes = [a * a for a in alpha]
     offsets = [sum(sizes[:i]) for i in range(len(alpha))]
     unknowns = sum(sizes)
     layout = _arrow_layout(quiver, alpha)
+    dim = rep_space_dim(quiver, alpha)
     neq = sum(alpha[j] * alpha[i] for i, j, _ in layout)
-    if neq == 0:
-        return np.full(n, unknowns, dtype=np.int64)
-    # built in the elimination layout and dtype: an entry is at most one
-    # digit minus another, inside [-(p-1), p-1], which a signed dtype
-    # holding p - 1 holds
-    dtype = _elim_dtype(p, unknowns)
-    x = np.ascontiguousarray(digits.T, dtype=dtype)
-    system = np.zeros((neq, unknowns, n), dtype=dtype)
+    plus = np.full((neq, unknowns), dim, dtype=np.intp)
+    minus = np.full((neq, unknowns), dim, dtype=np.intp)
     eq = 0
     for i, j, off in layout:
         ai, aj = alpha[i], alpha[j]
         for r in range(aj):
             for c in range(ai):
-                row = system[eq + r * ai + c]
                 for s in range(aj):
-                    row[offsets[j] + r * aj + s] += x[off + s * ai + c]
+                    plus[eq, offsets[j] + r * aj + s] = off + s * ai + c
                 for s in range(ai):
-                    row[offsets[i] + s * ai + c] -= x[off + r * ai + s]
-        eq += aj * ai
+                    minus[eq, offsets[i] + s * ai + c] = off + r * ai + s
+                eq += 1
+    identity = next((offsets[v] for v, a in enumerate(alpha) if a), None)
+    if identity is not None:
+        plus = np.delete(plus, identity, axis=1)
+        minus = np.delete(minus, identity, axis=1)
+    plus.setflags(write=False)
+    minus.setflags(write=False)
+    return unknowns, plus, minus
+
+
+def _batch_end_dims(digits: np.ndarray, quiver: Quiver, alpha: DimVector,
+                    p: int) -> np.ndarray:
+    """Endomorphism dimensions for every point in the block: unknowns minus
+    the rank of the system without the identity column (exact, see the
+    module docstring), gathered straight in the elimination layout."""
+    n = digits.shape[0]
+    unknowns, plus, minus = _end_system_index(quiver, alpha)
+    if plus.shape[0] == 0:
+        return np.full(n, unknowns, dtype=np.int64)
+    # an entry is one digit minus another, in [-(p-1), p-1]
+    x = np.zeros((digits.shape[1] + 1, n), dtype=_signed_dtype(-(p - 1), p - 1))
+    x[:-1] = digits.T
+    system = x[plus]
+    system -= x[minus]
     return unknowns - _batch_rank(system.transpose(2, 0, 1), p)
 
 

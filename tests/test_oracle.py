@@ -1,6 +1,8 @@
+import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +56,8 @@ KRONECKER = Quiver.from_matrix([[0, 2], [0, 0]])
 CYCLIC = Quiver.from_matrix([[0, 2], [1, 0]])
 # a loop at each of two vertices and one arrow between them
 LOOPED = Quiver.from_matrix([[1, 1], [0, 1]])
+# a loop at each of two vertices and no arrow between them
+TWO_LOOPS = Quiver.from_matrix([[1, 0], [0, 1]])
 # both ends of the int8 and int16 ranges of the rank kernel, and one past
 PRIMES = (2, 3, 5, 7, 11, 13, 181, 191)
 
@@ -480,6 +484,57 @@ class TestKernels:
         assert _batch_end_dims(digits[mask], quiver, alpha, p).tolist() == \
             [endomorphism_dim(pt) for pt in kept]
 
+    @pytest.mark.parametrize("quiver, alpha, p", [
+        # alpha with a zero first entry: the dropped unknown is not vertex 0's
+        (LOOPED, (0, 2), 2), (LOOPED, (0, 2), 3), (A2, (0, 1), 5),
+        # a disconnected support: End has one scalar per component
+        (TWO_LOOPS, (1, 1), 3), (TWO_LOOPS, (2, 1), 2), (TWO_LOOPS, (2, 1), 3),
+        # one column left, or none
+        (loop(1), (1,), 5), (A2, (1, 1), 2), (A2, (1, 1), 16777213),
+    ])
+    def test_end_dims_match_per_point_without_the_identity_column(self, quiver, alpha, p):
+        # every point of the space, or the rows 0 and p - 1, digits from
+        # {0, 1, p - 1} and random digits where the space is too large
+        dim = rep_space_dim(quiver, alpha)
+        if p**dim <= 4096:
+            # (p^dim, dim), also for dim = 0: one point with no entries
+            digits = np.array(list(itertools.product(range(p), repeat=dim)), dtype=np.int64)
+        else:
+            rng = np.random.default_rng(p + dim)
+            digits = np.vstack([np.zeros((1, dim), dtype=np.int64),
+                                np.full((1, dim), p - 1, dtype=np.int64),
+                                rng.choice([0, 1, p - 1], size=(50, dim)),
+                                rng.integers(0, p, size=(200, dim))])
+        expected = [endomorphism_dim(_point(quiver, alpha, p, row))
+                    for row in digits.tolist()]
+        assert _batch_end_dims(digits, quiver, alpha, p).tolist() == expected
+
+    def test_end_dims_with_one_column_invert_no_pivot(self, monkeypatch):
+        # A2 at (1, 1) keeps one unknown of two, so its elimination has no
+        # row to update and inverts nothing, at any prime
+        def no_inverse(*args):
+            raise AssertionError("pivot inverted for a one-column system")
+
+        monkeypatch.setattr(oracle, "_inverse_mod", no_inverse)
+        p = 16777213
+        digits = np.array([[0], [1], [p - 1]], dtype=np.int64)
+        assert _batch_end_dims(digits, A2, (1, 1), p).tolist() == [2, 1, 1]
+
+    def test_stable_end_tally_working_set(self):
+        # loop2 at alpha=(3,), p=2 sets the oracle's memory: one cache-sized
+        # block of digits, masks and elimination stack at a time.  Allocation
+        # sizes do not depend on timing, so the traced peak is deterministic
+        _stable_end_tally.cache_clear()
+        tracemalloc.start()
+        try:
+            tally = _stable_end_tally(loop(2), (3,), (0,), 2, oracle.DEFAULT_MAX_POINTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _stable_end_tally.cache_clear()
+        assert tally == ((1, 129024), (3, 480))
+        assert peak < 4 << 20
+
     @pytest.mark.parametrize("quiver, alpha, theta", [
         (A2, (1, 1), (1, 0)),
         (A2, (1, 1), (0, 1)),
@@ -533,13 +588,16 @@ class TestKernels:
             assert r.tolist() == [v % p for v in x.tolist()]
 
     @pytest.mark.parametrize("p, ndigits", [
-        # one table covers the largest k digits with p^k <= _BLOCK (at least
-        # one): 15, 9, 6, 5 and 2 digits below; each p is tried below, at and
-        # above its k, two above for more than one high digit, and a p past
-        # _BLOCK splits its one digit
-        (2, 14), (2, 15), (2, 16), (2, 17), (3, 8), (3, 9), (3, 10), (3, 11),
-        (5, 5), (5, 6), (5, 7),
-        (7, 4), (7, 5), (7, 6), (181, 1), (181, 2), (181, 3), (65537, 0), (65537, 1),
+        # one table covers the largest k digits with p^k <= _BLOCK = 2^12 (at
+        # least one): 12, 7, 5, 4 and 1 digits for the primes below; each p
+        # is tried below, at and above its k, and two or more above for more
+        # than one high digit, and a p past _BLOCK splits its one digit:
+        # 4099 into a full block and 3 rows, 65537 into 16 blocks and 1 row
+        (2, 11), (2, 12), (2, 13), (2, 14), (2, 15), (2, 16), (2, 17),
+        (3, 6), (3, 7), (3, 8), (3, 9), (3, 10), (3, 11),
+        (5, 4), (5, 5), (5, 6), (5, 7), (7, 3), (7, 4), (7, 5), (7, 6),
+        (181, 0), (181, 1), (181, 2), (181, 3),
+        (4099, 0), (4099, 1), (65537, 0), (65537, 1),
     ])
     def test_digit_blocks_are_the_base_p_digits(self, p, ndigits):
         start = 0
