@@ -28,9 +28,31 @@ the semistable and stable masks, since U_v is X_h-stable iff it is
 commutes with X_h iff it commutes with X_h + c I.  So the points whose
 loops all have (0, 0) entry 0 meet every orbit exactly once, and the scan
 enumerates only them, over the other dim - L digits, weighting each count
-by p^L.  A quiver without loops has L = 0.  The per-point references
-(`enumerate_points`, `count_points`, `is_semistable`, `is_stable`,
-`endomorphism_dim`) and the point budget still cover all p^dim points.
+by p^L.  A quiver without loops has L = 0.
+
+The scan also slices one arrow h: i -> j by the orbits of a group acting on
+its matrix: GL_{alpha_i} x GL_{alpha_j} by X_h -> g X_h k^-1, or for a loop
+conjugation X_h -> g X_h g^-1 together with the shift X_h -> X_h + I.  The
+pair (k, g) is the element of GL_alpha that is k at i, g at j (k = g for a
+loop) and I elsewhere; it moves the other arrows at i and j as well, and
+keeps every tally, as the shift does.  So for a representative R of an
+orbit O and any X in O, an element taking R to X maps the points with X_h =
+R one to one onto those with X_h = X, label by label, and the points with
+X_h in O number |O| times those with X_h = R.  The scan visits the
+representatives only (`_arrow_orbits`), with the other loops sliced by
+their shifts as above (which keep X_h), and weights each count by |O| p^L,
+L counting the other loops now.  The sliced arrow is the one with the most
+entries m whose table of all p^m matrices fits one block, p^m <= _BLOCK: a
+larger table costs more to build than its scan saves (on a 2-vCPU Xeon VM
+the 19683 matrices of a 3 x 3 loop at p = 3 took about 40 ms, the scan of
+that cell 6-9 ms).  With no such arrow, one empty representative of size 1
+leaves the scan by the shifts alone.  The slice never visits more points
+than the shifts alone: a sliced loop has at most p^(m-1) orbits, since its
+shift acts freely, and gives up only its own scalar shift, a factor of p;
+any other arrow has at most p^m orbits on its p^m matrices.  The per-point
+references (`enumerate_points`, `count_points`, `is_semistable`,
+`is_stable`, `endomorphism_dim`) and the point budget still cover all p^dim
+points.
 
 - Subspace search: each candidate subspace tuple is one integer matrix whose
   columns give the entries of C X B^T for every arrow, so a block is one
@@ -445,7 +467,7 @@ def _digit_blocks(ndigits: int, p: int) -> Iterator[np.ndarray]:
         idx = np.arange(start, stop, dtype=np.int64)
         table = np.empty((idx.size, k), dtype=dtype)
         for e in range(k):
-            table[:, e] = idx % p
+            table[:, e] = _mod(idx, p)
             idx //= p
         return table
 
@@ -461,6 +483,113 @@ def _digit_blocks(ndigits: int, p: int) -> Iterator[np.ndarray]:
                 digits[:, e] = rest % p
                 rest //= p
             yield digits
+
+
+def _primitive_root(p: int) -> int:
+    """The least generator of F_p^* for a prime p, by trial division of p - 1."""
+    factors, n, q = [], p - 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        factors.append(n)
+    return next(c for c in range(1, p)
+                if all(pow(c, (p - 1) // q, p) != 1 for q in factors))
+
+
+def _gl_generators(n: int, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Generators of GL_n(F_p), each with its inverse: every elementary
+    transvection I + E_ab (a != b), which generate SL_n, and diag(c, 1, ...,
+    1) for a primitive root c when p > 2."""
+    gens = []
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                g, inv = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+                g[a, b], inv[a, b] = 1, p - 1
+                gens.append((g, inv))
+    if p > 2 and n:
+        c = _primitive_root(p)
+        g, inv = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+        g[0, 0], inv[0, 0] = c, pow(c, p - 2, p)
+        gens.append((g, inv))
+    return gens
+
+
+@lru_cache(maxsize=None)
+def _arrow_orbits(p: int, rows: int, cols: int, loop: bool
+                  ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The orbits of the group acting on one arrow's rows x cols matrices
+    over F_p, for p^(rows cols) <= _BLOCK: GL_cols x GL_rows by X -> g X h^-1,
+    or for a loop (rows = cols) conjugation together with the shift
+    X -> X + I.
+
+    Returns (reps, sizes): one row of digits per orbit, its least matrix in
+    the digit order of `_digit_blocks` (entry r cols + c is digit r cols +
+    c), and the orbit's size.  Each generator maps the table of all matrices
+    to an index array, by vec(g X h) = (g (x) h^T) vec(X); the orbits are the
+    components of the union of those maps, joined by hooking the larger of
+    the two roots of every edge onto the smaller and then compressing every
+    label to its root, until no edge joins two roots.  A root is never moved
+    to a larger index, so it is the least matrix of its orbit.
+    """
+    m = rows * cols
+    table = next(_digit_blocks(m, p))
+    digits = table.astype(np.int64)
+    place = p ** np.arange(m, dtype=np.int64)
+    if loop:
+        actions = [np.kron(g, inv.T) for g, inv in _gl_generators(rows, p)]
+    else:
+        actions = [np.kron(g, np.eye(cols, dtype=np.int64)) for g, _ in _gl_generators(rows, p)]
+        actions += [np.kron(np.eye(rows, dtype=np.int64), h.T) for h, _ in _gl_generators(cols, p)]
+    maps = [_mod(digits @ k.T, p) @ place for k in actions]
+    if loop:
+        maps.append(_mod(digits + np.eye(rows, dtype=np.int64).reshape(-1), p) @ place)
+    label = np.arange(table.shape[0])
+    joined = True
+    while joined:
+        joined = False
+        for image in maps:
+            a, b = label, label[image]
+            if (a == b).all():
+                continue
+            joined = True
+            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+            while True:
+                up = label[label]
+                if (up == label).all():
+                    break
+                label = up
+    reps = np.flatnonzero(label == np.arange(label.size))
+    rep_digits = table[reps]
+    rep_digits.setflags(write=False)
+    return rep_digits, tuple(np.bincount(label)[reps].tolist())
+
+
+def _sliced_blocks(reps: np.ndarray, nfree: int, p: int
+                   ) -> Iterator[tuple[np.ndarray, int, int]]:
+    """Digits blocks of at most _BLOCK rows covering every pair of a
+    representative (its m entries, the first m columns) and a value of the
+    nfree free digits (the rest).  A block is (digits, first, n): its rows
+    are n consecutive rows for each of the representatives first, first + 1,
+    ...; when p^nfree is below _BLOCK, several representatives share one
+    block."""
+    k, m = reps.shape
+    per = max(1, _BLOCK // p**nfree)
+    for low in _digit_blocks(nfree, p):
+        n = low.shape[0]
+        if not m:  # the one empty representative: the free digits alone
+            yield low, 0, n
+            continue
+        for start in range(0, k, per):
+            chunk = reps[start:start + per]
+            digits = np.empty((chunk.shape[0], n, m + nfree), dtype=low.dtype)
+            digits[:, :, :m] = chunk[:, None, :]
+            digits[:, :, m:] = low
+            yield digits.reshape(-1, m + nfree), start, n
 
 
 def _candidate_constraints(quiver: Quiver, alpha: DimVector, p: int,
@@ -555,8 +684,8 @@ def _no_invariant_mask(digits: np.ndarray, p: int,
     ok = np.ones(n, dtype=bool)
     # a candidate has at most dim columns (k <= rows and d <= cols for each
     # arrow, and k d = (a - d) d <= a^2 - 1 for a loop on F_p^a, a > 0, whose
-    # (0, 0) digit the scan drops), so no product block is larger than the
-    # digits block
+    # (0, 0) digit the scan may drop), so no product block is larger than
+    # the digits block
     for stacked, owner in groups:
         prod = x @ stacked
         if dtype is not np.int64:
@@ -729,11 +858,13 @@ def _scan(quiver: Quiver, alpha: DimVector, p: int, viol: Sequence[DimVector],
     Without a label every such point counts under 0, and no full-width
     block is built.
 
-    The scan visits one point per orbit of the scalar shifts of the loops
-    (see the module docstring): the digits of the loops' (0, 0) entries
-    stay 0, the candidate matrices lose those rows, and every count is
-    weighted by p^L.  Only the label of a block outlives it, so no more than
-    one digits block is held while the next one is scanned.
+    The scan slices one arrow by its group orbits and the other loops by
+    their scalar shifts (see the module docstring): the sliced arrow's
+    entries run over one representative per orbit (`_arrow_orbits`), the
+    other loops' (0, 0) digits stay 0, and the rest run over every value.
+    A count at a representative is weighted by its orbit's size and by p^L
+    for the L shifted loops.  Only the label of a block outlives it, so no
+    more than one digits block is held while the next one is scanned.
 
     Counts nothing when some d in `viol` is unmovable (no arrow i -> j has
     d_i > 0 and d_j < alpha_j): every point would fail the test.
@@ -745,28 +876,50 @@ def _scan(quiver: Quiver, alpha: DimVector, p: int, viol: Sequence[DimVector],
     if any(not any(d[i] > 0 and d[j] < alpha[j] for i, j in arrows) for d in viol):
         return {}
     dim = rep_space_dim(quiver, alpha)
-    # the (0, 0) digit of every loop at a vertex with alpha_v > 0 stays 0
-    fixed = [off for i, j, off in _arrow_layout(quiver, alpha) if i == j and alpha[i]]
-    free = np.delete(np.arange(dim), fixed)
+    layout = _arrow_layout(quiver, alpha)
+    size = [alpha[i] * alpha[j] for i, j, _ in layout]
+    # slice the arrow with the most entries whose table fits one block, the
+    # first on a tie; with none, an empty arrow of one representative
+    sliced = max((h for h, m in enumerate(size) if m and p**m <= _BLOCK),
+                 key=size.__getitem__, default=None)
+    if sliced is None:
+        reps, sizes = _arrow_orbits(p, 0, 0, False)
+        entries = []
+    else:
+        i, j, off = layout[sliced]
+        reps, sizes = _arrow_orbits(p, alpha[j], alpha[i], i == j)
+        entries = list(range(off, off + size[sliced]))
+    # the (0, 0) digit of every other loop at a vertex with alpha_v > 0 stays 0
+    fixed = [off for h, (i, j, off) in enumerate(layout) if i == j and alpha[i] and h != sliced]
+    order = np.array(entries + [e for e in range(dim) if e not in entries and e not in fixed],
+                     dtype=np.intp)
     candidates = _candidate_constraints(quiver, alpha, p, viol)
-    groups = _column_groups([m[free] for m in candidates], free.size, p)
+    groups = _column_groups([m[order] for m in candidates], order.size, p)
+    k = len(sizes)
     tally: dict[int, int] = {}
-    for digits in _digit_blocks(free.size, p):
+    for digits, first, n in _sliced_blocks(reps, dim - len(entries) - len(fixed), p):
         mask = _no_invariant_mask(digits, p, groups)
         if label is None:
-            counts = [int(mask.sum())]
+            counts = enumerate(mask.reshape(-1, n).sum(axis=1).tolist(), first)
         else:
             kept = digits[mask]
             if kept.shape[0] == 0:
                 continue
             full = np.zeros((kept.shape[0], dim), dtype=kept.dtype)
-            full[:, free] = kept
-            counts = np.bincount(label(full)).tolist()
-        for v, c in enumerate(counts):
+            full[:, order] = kept
+            keys = label(full)
+            if k > 1:  # key each row by its label and its representative
+                keys = keys * k + first + np.flatnonzero(mask) // n
+            counts = enumerate(np.bincount(keys).tolist())
+        for key, c in counts:
             if c:
-                tally[v] = tally.get(v, 0) + c
+                tally[key] = tally.get(key, 0) + c
     weight = p ** len(fixed)
-    return {v: c * weight for v, c in tally.items()}
+    out: dict[int, int] = {}
+    for key, c in tally.items():
+        v, r = divmod(key, k)
+        out[v] = out.get(v, 0) + c * sizes[r] * weight
+    return out
 
 
 def count_semistable_ratio(quiver: Quiver, alpha: Sequence[int],

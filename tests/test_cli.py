@@ -338,6 +338,12 @@ EXACT_OUTPUTS = [
     (["verify", "--quiver", "a2", "--max-height", "2", "--primes", "2,3",
       "--format", "json"],
      "a7d08e195cbb2ba581121ce97d273676a97340067237fb1c1f780b87ab73ae1a"),
+    # the scans that slice an arrow by its orbits: loop2's 3 x 3 loop beside a
+    # shifted one, Kronecker's rank orbits, and 1 x 1 tables at p = 4093
+    (["verify", "--quiver", "loop2", "--max-height", "3", "--primes", "2,3"],
+     "5967f60439bb4e206a01dcef6219ca7486167d987238b57fdb26042ea5cf2083"),
+    (["verify", "--quiver", "kronecker", "--max-height", "3", "--primes", "2,3,4093"],
+     "b3abfc0e0eeb0145eac9b1b5102b388867e8c7342fefb3825d72331c5b6c8f17"),
     # five rows skipped past the budget, each with its note
     (["verify", "--quiver", "loop1", "--max-height", "2", "--primes", "2",
       "--budget", "1", "--format", "json"],
@@ -366,6 +372,7 @@ EXACT_OUTPUTS = [
                               "loop2-a-series-latex", "kronecker-cone-r-series-latex",
                               "loop2-f-expand-json", "loop2-s-count-json",
                               "loop2-verify", "a2-verify-json",
+                              "loop2-verify-h3", "kronecker-verify-h3-4093",
                               "loop1-verify-skipped-json", "necklaces",
                               "necklaces-json", "loop4-f-expand-h16", "kronecker-cone-h24",
                               "cyclic-f-expand"])
@@ -489,13 +496,27 @@ def test_exact_subcommands_never_import_numpy(quiver_file, argv):
     # numpy serves only the brute-force oracle, which only `verify` runs;
     # dataclasses and the inspect it pulls in would cost about a tenth of
     # each exact subcommand's start-up
+    assert run_and_list_modules(quiver_file, argv, ("numpy", "dataclasses", "inspect")) \
+        == "0 False False False"
+
+
+def test_verify_never_imports_numpy_ma(quiver_file):
+    # the orbit tables of the oracle's sliced scan avoid np.unique, whose
+    # first call imports numpy.ma: about 25 ms and half a megabyte of peak
+    # memory in every verify process
+    argv = ["verify", "--quiver", "loop2", "--max-height", "3", "--primes", "2,3"]
+    assert run_and_list_modules(quiver_file, argv, ("numpy", "numpy.ma")) == "0 True False"
+
+
+def run_and_list_modules(quiver_file, argv, modules):
+    """Run the CLI in a fresh interpreter; return its exit code and, for each
+    module, whether it was imported, as one line."""
     argv = [quiver_file(a) if a in QUIVERS else a for a in argv]
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(quivercount.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = ("import sys; from quivercount.cli import main; rc = main(sys.argv[1:]); "
-            "print(rc, *(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')),"
-            " file=sys.stderr)")
-    run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    code = ("import sys; from quivercount.cli import main; rc = main(sys.argv[2:]); "
+            "print(rc, *(m in sys.modules for m in sys.argv[1].split(',')), file=sys.stderr)")
+    run = subprocess.run([sys.executable, "-c", code, ",".join(modules), *argv], env=env,
                          capture_output=True, text=True, timeout=60)
-    assert run.stderr.strip() == "0 False False False"
+    return run.stderr.strip()

@@ -66,6 +66,56 @@ def loop(m):
     return Quiver.from_matrix([[m]])
 
 
+# cells of the per-point cross-check.  The scan slices one arrow by its
+# group orbits and the other loops by their scalar shifts; these cover loops
+# at vertices with alpha_v > 0 and alpha_v = 0, a semistable scan with
+# loops, no free digit left, and no loop
+REFERENCE_CELLS = [
+    (loop(1), (2,), (0,), 2),
+    (loop(1), (2,), (0,), 3),
+    (loop(2), (2,), (0,), 2),
+    (A2, (1, 1), (1, 0), 2),
+    (A2, (1, 1), (0, 0), 3),
+    (KRONECKER, (1, 1), (1, 0), 2),
+    *[(LOOPED, alpha, theta, p) for alpha in ((1, 1), (2, 1), (0, 2))
+      for theta in ((1, 0), (0, 0)) for p in (2, 3)],
+    *[(loop(2), (1,), (0,), p) for p in (2, 3)],
+    *[(loop(0), (2,), (0,), p) for p in (2, 3)],
+    # the first prime whose 1 x 1 table does not fit one block: unsliced
+    (A2, (1, 1), (1, 0), 4099),
+]
+# cells whose sliced arrow has orbits of more than one point: a non-loop
+# arrow, a loop beside a shifted loop, and a 1 x 1 arrow at p = 4093, the
+# largest prime whose table fits one block
+SLICED_CELLS = [
+    *[(KRONECKER, alpha, (1, 0), p) for alpha in ((2, 1), (1, 2)) for p in (2, 3)],
+    (loop(2), (2,), (0,), 3),
+    (A2, (1, 1), (1, 0), 4093),
+]
+
+
+def _reference_counts(quiver, alpha, theta, p):
+    """Semistable points and stable points by endomorphism dimension, point
+    by point."""
+    semi, tally = 0, {}
+    for pt in enumerate_points(quiver, alpha, p):
+        semi += is_semistable(pt, theta)
+        if is_stable(pt, theta):
+            r = endomorphism_dim(pt)
+            tally[r] = tally.get(r, 0) + 1
+    return semi, tally
+
+
+def _scan_counts(quiver, alpha, theta, p):
+    """The same two counts from the sliced scan."""
+    semi = oracle._scan(quiver, alpha, p, oracle._violating_dims(alpha, theta, True),
+                        oracle.DEFAULT_MAX_POINTS)
+    tally = oracle._scan(quiver, alpha, p, oracle._violating_dims(alpha, theta, False),
+                         oracle.DEFAULT_MAX_POINTS,
+                         lambda digits: _batch_end_dims(digits, quiver, alpha, p))
+    return semi.get(0, 0), tally
+
+
 def gaussian_binomial_int(n, k, p):
     num = 1
     den = 1
@@ -236,30 +286,9 @@ class TestCounts:
         assert count_stable_with_end_dim(loop(1), (2,), (0,), 2, 2) == 1
 
     def test_counts_match_per_point_reference(self):
-        cells = [
-            (loop(1), (2,), (0,), 2),
-            (loop(1), (2,), (0,), 3),
-            (loop(2), (2,), (0,), 2),
-            (A2, (1, 1), (1, 0), 2),
-            (A2, (1, 1), (0, 0), 3),
-            (KRONECKER, (1, 1), (1, 0), 2),
-            # the scan visits one point per orbit of the loops' scalar
-            # shifts: loops at vertices with alpha_v > 0 and alpha_v = 0, a
-            # semistable scan with loops, no free digit left, and no loop
-            *[(LOOPED, alpha, theta, p) for alpha in ((1, 1), (2, 1), (0, 2))
-              for theta in ((1, 0), (0, 0)) for p in (2, 3)],
-            *[(loop(2), (1,), (0,), p) for p in (2, 3)],
-            *[(loop(0), (2,), (0,), p) for p in (2, 3)],
-        ]
-        for quiver, alpha, theta, p in cells:
-            tally = {}
-            semi = 0
-            for pt in enumerate_points(quiver, alpha, p):
-                if is_semistable(pt, theta):
-                    semi += 1
-                if is_stable(pt, theta):
-                    r = endomorphism_dim(pt)
-                    tally[r] = tally.get(r, 0) + 1
+        for quiver, alpha, theta, p in REFERENCE_CELLS + SLICED_CELLS:
+            semi, tally = _reference_counts(quiver, alpha, theta, p)
+            assert _scan_counts(quiver, alpha, theta, p) == (semi, tally)
             glo = gl_order(alpha, p)
             assert count_semistable_ratio(quiver, alpha, theta, p) == \
                 Fraction(semi, glo)
@@ -270,6 +299,41 @@ class TestCounts:
                 assert expected % glo == 0
                 assert count_stable_with_end_dim(quiver, alpha, theta, p, r) == \
                     expected // glo
+
+    def test_sliced_scan_visits_one_point_per_orbit(self, monkeypatch):
+        # loop2 at alpha=(3,), p = 2: 7 conjugacy-and-shift orbits of the
+        # first loop times 2^8 values of the second loop without its (0, 0)
+        # entry, against 2^16 points for the scalar shifts alone; no cell
+        # visits more points than the scan by the shifts alone
+        visited = []
+
+        def counted(digits, p, groups):
+            visited.append(digits.shape[0])
+            return no_invariant_mask(digits, p, groups)
+
+        def stable_scan_visits(quiver, alpha, theta, p):
+            visited.clear()
+            oracle._scan(quiver, alpha, p, oracle._violating_dims(alpha, theta, False),
+                         oracle.DEFAULT_MAX_POINTS)
+            return sum(visited)
+
+        no_invariant_mask = oracle._no_invariant_mask
+        monkeypatch.setattr(oracle, "_no_invariant_mask", counted)
+        assert stable_scan_visits(loop(2), (3,), (0,), 2) == 1792
+        for quiver, alpha, theta, p in REFERENCE_CELLS + SLICED_CELLS:
+            shifts = sum(1 for i, j in quiver.arrow_list() if i == j and alpha[i])
+            assert stable_scan_visits(quiver, alpha, theta, p) <= \
+                p ** (rep_space_dim(quiver, alpha) - shifts)
+
+    def test_orbit_sizes_are_load_bearing(self, monkeypatch):
+        # with every orbit weighted 1 instead of its size, each sliced cell
+        # miscounts
+        orbits = oracle._arrow_orbits
+        monkeypatch.setattr(oracle, "_arrow_orbits",
+                            lambda *key: (orbits(*key)[0], (1,) * len(orbits(*key)[1])))
+        for quiver, alpha, theta, p in SLICED_CELLS:
+            assert _scan_counts(quiver, alpha, theta, p) != \
+                _reference_counts(quiver, alpha, theta, p)
 
     @pytest.mark.parametrize("quiver, alpha, theta", [
         (loop(1), (2,), (0,)),
@@ -353,6 +417,90 @@ class TestCounts:
         assert "budget" not in message
         assert "smaller alpha" in message
         assert ("p = 2" in message) == names_p2
+
+
+def _gl(n, p):
+    """GL_n(F_p) as (g, g^-1) pairs of row tuples, by Gauss-Jordan on [g | I]."""
+    out = []
+    for entries in itertools.product(range(p), repeat=n * n):
+        g = [list(entries[r * n:(r + 1) * n]) for r in range(n)]
+        reduced, pivots = _rref([row + [int(r == c) for c in range(n)]
+                                 for r, row in enumerate(g)], p)
+        if pivots[:n] == list(range(n)):
+            out.append((g, [row[n:] for row in reduced]))
+    return out
+
+
+def _brute_orbits(p, rows, cols, loop):
+    """The orbits of `_arrow_orbits`'s group as sets of digit indices, by
+    applying every element of the explicit group to one matrix per orbit."""
+    def mul(a, b):
+        return [[sum(a[r][t] * b[t][c] for t in range(len(b))) % p
+                 for c in range(len(b[0]))] for r in range(len(a))]
+
+    def index(x):
+        return sum(v * p**e for e, v in enumerate(itertools.chain(*x)))
+
+    if loop:
+        group = [(g, inv, [[c * (r == s) for s in range(rows)] for r in range(rows)])
+                 for g, inv in _gl(rows, p) for c in range(p)]
+    else:
+        group = [(g, h, None) for g, _ in _gl(rows, p) for h, _ in _gl(cols, p)]
+    orbits, seen = [], set()
+    for n in range(p ** (rows * cols)):
+        if n in seen:
+            continue
+        x = [[n // p ** (r * cols + c) % p for c in range(cols)] for r in range(rows)]
+        orbit = set()
+        for g, h, shift in group:
+            y = mul(mul(g, x), h)
+            if shift:
+                y = [[(a + b) % p for a, b in zip(ry, rs)] for ry, rs in zip(y, shift)]
+            orbit.add(index(y))
+        orbits.append(orbit)
+        seen |= orbit
+    return orbits
+
+
+class TestOrbits:
+    """`_arrow_orbits` against a closure over the explicit group."""
+
+    @pytest.mark.parametrize("p, rows, cols, loop, sizes", [
+        (2, 2, 2, True, [2, 2, 6, 6]),
+        (2, 3, 3, True, [2, 42, 48, 56, 84, 112, 168]),
+        (3, 2, 2, True, [3, 18, 24, 36]),
+        (5, 2, 2, True, [5, 100, 100, 120, 150, 150]),
+        (2, 1, 1, True, [2]),
+        (5, 1, 1, False, [1, 4]),
+        (3, 2, 1, False, [1, 8]),
+        (2, 2, 3, False, [1, 21, 42]),
+        (3, 2, 2, False, [1, 32, 48]),
+    ])
+    def test_orbits_match_the_explicit_group(self, p, rows, cols, loop, sizes):
+        reps, got = oracle._arrow_orbits(p, rows, cols, loop)
+        brute = _brute_orbits(p, rows, cols, loop)
+        assert sum(got) == p ** (rows * cols)
+        assert sorted(got) == sorted(len(o) for o in brute) == sizes
+        # one representative per orbit, its least index, with its orbit's size
+        place = p ** np.arange(rows * cols)
+        for rep, size in zip(reps.astype(np.int64) @ place, got):
+            (orbit,) = [o for o in brute if rep in o]
+            assert rep == min(orbit) and size == len(orbit)
+        assert len({rep for rep in reps.astype(np.int64) @ place}) == len(brute)
+
+    @pytest.mark.parametrize("loop, reps, sizes", [(False, [[0], [1]], (1, 4092)),
+                                                   (True, [[0]], (4093,))])
+    def test_one_by_one_table_at_the_edge_of_a_block(self, loop, reps, sizes):
+        # 4093 is the largest prime with a table inside _BLOCK = 4096: its
+        # units are one orbit only if the primitive root generates them
+        assert 4093 <= _BLOCK < 4099
+        got_reps, got = oracle._arrow_orbits(4093, 1, 1, loop)
+        assert got == sizes and got_reps.tolist() == reps
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 31, 181, 257, 4093])
+    def test_primitive_root_generates_the_units(self, p):
+        c = oracle._primitive_root(p)
+        assert len({pow(c, e, p) for e in range(p - 1)}) == p - 1
 
 
 class TestKernels:
