@@ -332,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--end-degree", type=int, default=2, dest="end_degree")
     fx = sub.add_parser("f-expand", help="(q-1) expansion of the residual series")
     _add_common(fx, cmd_f_expand)
-    fx.add_argument("--q1-order", type=int, default=2, dest="q1_order",
-                    help="number of (q-1) expansion layers")
+    fx.add_argument("--q1-order", type=int, default=2, dest="q1_order", metavar="N",
+                    help="highest (q-1) layer N: prints the N + 1 layers f_0 ... f_N")
     vf = sub.add_parser("verify", help="compare formulas against brute force")
     _add_common(vf, cmd_verify)
     vf.add_argument("--primes", default="2,3", help="verification primes, CSV")

@@ -50,6 +50,7 @@ from .series import (
     vec_scale,
     vec_sub,
 )
+from .value import Value
 
 
 class InvariantError(RuntimeError):
@@ -73,35 +74,14 @@ def necklace_count(colors: int, beads: int) -> int:
     return total // beads
 
 
-class CountingContext:
+class CountingContext(Value):
     """A quiver with its slope-cone truncation, which holds theta and mu, and
-    the caches of _hn_count and of the count's packed factors.
-
-    Immutable but for the caches; equality and hashing are on
-    (quiver, trunc) only."""
+    the caches of _hn_count and of the count's packed factors."""
 
     __slots__ = ("quiver", "trunc", "_hn_cache", "_packed")
 
-    def __init__(self, quiver: Quiver, trunc: TruncationSpec,
-                 _hn_cache: Optional[dict] = None, _packed: Optional[dict] = None):
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "_hn_cache", {} if _hn_cache is None else _hn_cache)
-        object.__setattr__(self, "_packed", {} if _packed is None else _packed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CountingContext is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.quiver == other.quiver and self.trunc == other.trunc
-
-    def __hash__(self):
-        return hash((self.quiver, self.trunc))
-
-    def __repr__(self):
-        return f"CountingContext(quiver={self.quiver!r}, trunc={self.trunc!r})"
+    def __init__(self, quiver: Quiver, trunc: TruncationSpec):
+        self._set(quiver=quiver, trunc=trunc, _hn_cache={}, _packed={})
 
     @classmethod
     def create(cls, quiver: Quiver, theta: Optional[Sequence[int]] = None,

@@ -124,6 +124,7 @@ from .counting import InvariantError
 from .numtheory import is_prime
 from .quiver import Quiver, slope
 from .series import DimVector, height, subvectors
+from .value import Value
 
 
 class BudgetError(RuntimeError):
@@ -188,12 +189,11 @@ def _check_stability_budget(alpha: DimVector, p: int) -> None:
 # -- points -------------------------------------------------------------------
 
 
-class RepPoint:
+class RepPoint(Value):
     """One point of the representation space: a matrix per arrow.
 
     The arrow h: i -> j carries an alpha^j x alpha^i matrix (rows indexed by
     the target), stored as a tuple of row tuples with entries in [0, p).
-    Immutable; equality and hashing are on (quiver, alpha, p, mats).
     """
 
     __slots__ = ("quiver", "alpha", "p", "mats")
@@ -206,28 +206,7 @@ class RepPoint:
         for (i, j), m in zip(arrows, mats):
             if len(m) != alpha[j] or any(len(row) != alpha[i] for row in m):
                 raise ValueError(f"matrix shape mismatch for arrow {i}->{j}")
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "mats", mats)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RepPoint is immutable")
-
-    def _key(self) -> tuple:
-        return (self.quiver, self.alpha, self.p, self.mats)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"RepPoint(quiver={self.quiver!r}, alpha={self.alpha!r}, p={self.p!r}, "
-                f"mats={self.mats!r})")
+        self._set(quiver=quiver, alpha=alpha, p=p, mats=mats)
 
 
 def _arrow_layout(quiver: Quiver, alpha: DimVector) -> list[tuple[int, int, int]]:
@@ -466,9 +445,10 @@ def _digit_blocks(ndigits: int, p: int) -> Iterator[np.ndarray]:
     def low_digits(start: int, stop: int) -> np.ndarray:
         idx = np.arange(start, stop, dtype=np.int64)
         table = np.empty((idx.size, k), dtype=dtype)
-        for e in range(k):
+        for e in range(k - 1):
             table[:, e] = _mod(idx, p)
             idx //= p
+        table[:, k - 1:] = idx[:, None]  # the quotient left is the top digit
         return table
 
     width = p ** k
@@ -898,20 +878,17 @@ def _scan(quiver: Quiver, alpha: DimVector, p: int, viol: Sequence[DimVector],
     k = len(sizes)
     tally: dict[int, int] = {}
     for digits, first, n in _sliced_blocks(reps, dim - len(entries) - len(fixed), p):
-        mask = _no_invariant_mask(digits, p, groups)
-        if label is None:
-            counts = enumerate(mask.reshape(-1, n).sum(axis=1).tolist(), first)
-        else:
-            kept = digits[mask]
-            if kept.shape[0] == 0:
-                continue
-            full = np.zeros((kept.shape[0], dim), dtype=kept.dtype)
-            full[:, order] = kept
-            keys = label(full)
-            if k > 1:  # key each row by its label and its representative
-                keys = keys * k + first + np.flatnonzero(mask) // n
-            counts = enumerate(np.bincount(keys).tolist())
-        for key, c in counts:
+        rows = np.flatnonzero(_no_invariant_mask(digits, p, groups))
+        if not rows.size:
+            continue
+        # a row's key is label * k + its representative first + rows // n;
+        # enumerate adds the block's first representative
+        keys = rows // n
+        if label is not None:
+            full = np.zeros((rows.size, dim), dtype=digits.dtype)
+            full[:, order] = digits[rows]
+            keys += label(full) * k
+        for key, c in enumerate(np.bincount(keys).tolist(), first):
             if c:
                 tally[key] = tally.get(key, 0) + c
     weight = p ** len(fixed)

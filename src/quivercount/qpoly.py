@@ -38,6 +38,7 @@ from math import gcd as _int_gcd, lcm as _int_lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
 from .numtheory import integer_binomial
+from .value import Value
 
 Scalar = Union[int, Fraction]
 
@@ -73,7 +74,7 @@ def _canonical(n: list[int], d: int) -> tuple[tuple[int, ...], int]:
     return tuple(n), d
 
 
-class QPoly:
+class QPoly(Value):
     """A polynomial in q with rational coefficients.
 
     Stored as integer numerators over one common denominator: coefficient i
@@ -97,9 +98,6 @@ class QPoly:
         n, d = _canonical([x.numerator * (d // x.denominator) for x in c], d)
         _SET_N(self, n)
         _SET_D(self, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QPoly is immutable")
 
     # -- constructors -----------------------------------------------------
 
@@ -538,7 +536,7 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
 _ONE_POLY = QPoly((1,))
 
 
-class RationalFunction:
+class RationalFunction(Value):
     """A normalized element of Q(q): coprime num/den with monic denominator."""
 
     __slots__ = ("_num", "_den")
@@ -556,9 +554,6 @@ class RationalFunction:
                 den = den.exact_div(g)
         self._normalize(num, den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
     def _normalize(self, num: QPoly, den: QPoly) -> None:
         """Store coprime num/den with zero as 0/1 and a monic denominator."""
         if num.is_zero:
@@ -569,8 +564,7 @@ class RationalFunction:
                 inv = 1 / lead
                 num = num * inv
                 den = den * inv
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+        self._set(_num=num, _den=den)
 
     @staticmethod
     def _coerce_poly(x) -> QPoly:

@@ -27,12 +27,11 @@ from typing import Optional, Sequence
 
 from .qpoly import QPoly, RationalFunction
 from .series import Series, TruncationSpec, form_pairing, height
+from .value import Value
 
 
-class Quiver:
-    """A finite quiver with named vertices and an arrow-count matrix.
-
-    Immutable; equality and hashing are on (vertices, arrow_counts)."""
+class Quiver(Value):
+    """A finite quiver with named vertices and an arrow-count matrix."""
 
     __slots__ = ("vertices", "arrow_counts")
 
@@ -47,22 +46,7 @@ class Quiver:
         if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 0
                    for row in arrow_counts for c in row):
             raise ValueError("arrow counts must be nonnegative integers")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "arrow_counts", arrow_counts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quiver is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.vertices == other.vertices and self.arrow_counts == other.arrow_counts
-
-    def __hash__(self):
-        return hash((self.vertices, self.arrow_counts))
-
-    def __repr__(self):
-        return f"Quiver(vertices={self.vertices!r}, arrow_counts={self.arrow_counts!r})"
+        self._set(vertices=vertices, arrow_counts=arrow_counts)
 
     # -- constructors ---------------------------------------------------------
 

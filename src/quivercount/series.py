@@ -40,6 +40,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .numtheory import mobius
 from .qpoly import RationalFunction
+from .value import Value
 
 DimVector = tuple[int, ...]
 C = TypeVar("C")  # a coefficient ring element
@@ -86,7 +87,7 @@ def subvectors(alpha: DimVector) -> Iterator[DimVector]:
     return _cartesian(*(range(a + 1) for a in alpha))
 
 
-class TruncationSpec:
+class TruncationSpec(Value):
     """Height bound plus the slope-mu cone of a stability theta.
 
     alpha is admitted when |alpha| <= max_height and theta.alpha = mu |alpha|:
@@ -96,8 +97,7 @@ class TruncationSpec:
     differences: if alpha and beta <= alpha are admitted, so is alpha - beta.
     So a product, inverse, exp or log computed on the cone equals the one
     computed on the full truncation, restricted to the cone; the
-    height-by-height recurrences rely on it.  Immutable; equality and
-    hashing are on (nvars, max_height, theta, mu).
+    height-by-height recurrences rely on it.
     """
 
     __slots__ = ("nvars", "max_height", "theta", "mu", "_weights")
@@ -112,31 +112,9 @@ class TruncationSpec:
         if len(theta) != nvars:
             raise ValueError("theta length must match the variable count")
         mu = Fraction(mu)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "max_height", max_height)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "mu", mu)
         # den(mu) theta_i - num(mu): excess is one dot product with these
-        object.__setattr__(self, "_weights",
-                           tuple(mu.denominator * t - mu.numerator for t in theta))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncationSpec is immutable")
-
-    def _key(self) -> tuple:
-        return (self.nvars, self.max_height, self.theta, self.mu)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"TruncationSpec(nvars={self.nvars!r}, max_height={self.max_height!r}, "
-                f"theta={self.theta!r}, mu={self.mu!r})")
+        self._set(nvars=nvars, max_height=max_height, theta=theta, mu=mu,
+                  _weights=tuple(mu.denominator * t - mu.numerator for t in theta))
 
     def excess(self, alpha: Sequence[int]) -> int:
         """den(mu) theta.alpha - num(mu) |alpha|: zero on the cone, and for
@@ -160,7 +138,7 @@ class TruncationSpec:
         return (0,) * self.nvars
 
 
-class Series:
+class Series(Value):
     """Sparse truncated power series; immutable, coefficients exact."""
 
     __slots__ = ("trunc", "_c")
@@ -179,11 +157,7 @@ class Series:
                 raise TypeError(f"bad coefficient type {type(c).__name__}")
             if not rf.is_zero:
                 data[alpha] = rf
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "_c", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
+        self._set(trunc=trunc, _c=data)
 
     # -- constructors ---------------------------------------------------------
 

@@ -1,9 +1,12 @@
-"""Every Python file of the project parses under the Python 3.10 grammar,
-the oldest that pyproject.toml's requires-python admits.
+"""Checks on the source text.
 
-The check is grammar only: `ast.parse(..., feature_version=(3, 10))` rejects
-syntax newer than 3.10, such as `except*`, but not a call to a library
-function that 3.10 lacks.
+Every Python file of the project parses under the Python 3.10 grammar, the
+oldest that pyproject.toml's requires-python admits.  The check is grammar
+only: `ast.parse(..., feature_version=(3, 10))` rejects syntax newer than
+3.10, such as `except*`, but not a call to a library function that 3.10
+lacks.
+
+In the package, only `quivercount.value` defines `__setattr__`.
 """
 
 import ast
@@ -25,3 +28,11 @@ def test_every_file_parses_under_python_3_10():
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                   feature_version=(3, 10))
+
+
+def test_only_value_defines_setattr():
+    # immutability is decided once, in quivercount.value
+    owners = sorted(path.name for path in (ROOT / "src" / "quivercount").glob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.FunctionDef) and node.name == "__setattr__")
+    assert owners == ["value.py"]

@@ -1,0 +1,50 @@
+"""The value protocol of `quivercount.value.Value` on the four classes that
+take their equality, hashing and repr from it."""
+
+from fractions import Fraction
+
+import pytest
+
+from quivercount.counting import CountingContext
+from quivercount.oracle import RepPoint
+from quivercount.quiver import Quiver
+from quivercount.series import TruncationSpec
+
+KRONECKER = Quiver(("1", "2"), ((0, 2), (0, 0)))
+LOOP = Quiver(("v",), ((1,),))
+CONE = TruncationSpec(2, 4, (1, 0), Fraction(1, 2))
+
+KRONECKER_REPR = "Quiver(vertices=('1', '2'), arrow_counts=((0, 2), (0, 0)))"
+CONE_REPR = "TruncationSpec(nvars=2, max_height=4, theta=(1, 0), mu=Fraction(1, 2))"
+
+
+@pytest.mark.parametrize("make, fields, private, text", [
+    (lambda: Quiver(("1", "2"), ((0, 2), (0, 0))),
+     (("1", "2"), ((0, 2), (0, 0))), (), KRONECKER_REPR),
+    (lambda: TruncationSpec(2, 4, [1, 0], Fraction(1, 2)),
+     (2, 4, (1, 0), Fraction(1, 2)), ("_weights",), CONE_REPR),
+    (lambda: CountingContext(KRONECKER, CONE),
+     (KRONECKER, CONE), ("_hn_cache", "_packed"),
+     f"CountingContext(quiver={KRONECKER_REPR}, trunc={CONE_REPR})"),
+    (lambda: RepPoint(LOOP, (2,), 3, (((0, 1), (2, 0)),)),
+     (LOOP, (2,), 3, (((0, 1), (2, 0)),)), (),
+     "RepPoint(quiver=Quiver(vertices=('v',), arrow_counts=((1,),)), alpha=(2,), p=3, "
+     "mats=(((0, 1), (2, 0)),))"),
+], ids=["Quiver", "TruncationSpec", "CountingContext", "RepPoint"])
+def test_value_protocol(make, fields, private, text):
+    x, twin = make(), make()
+    cls = type(x)
+    assert repr(x) == text
+    assert x == twin and hash(x) == hash(twin)
+    # equal only to its own class, never to the tuple of its fields
+    assert x.__eq__(fields) is NotImplemented and x != fields
+    # a private slot (a cache or a derived value) is not part of the value
+    assert tuple(name for name in cls.__slots__ if name.startswith("_")) == private
+    for name in private:
+        object.__setattr__(twin, name, object())
+    assert x == twin and hash(x) == hash(twin) and repr(twin) == text
+    for name in cls.__slots__ + ("other",):
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            setattr(x, name, None)
+    assert repr(x) == text
+
