@@ -10,6 +10,10 @@ Subcommands
 
 Exit codes: 0 success, 1 validation/parse error, 2 computation invariant
 violation, 3 verification mismatch.
+
+Each subcommand imports what it computes with where it starts, so that
+`necklaces`, `--help` and a usage error load only this module and
+`numtheory`; `verify` alone loads the oracle and numpy.
 """
 
 from __future__ import annotations
@@ -17,23 +21,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .counting import (
-    CountingContext,
-    InvariantError,
-    absolutely_stable_table,
-    loop_layer_checks,
-    necklace_count,
-    positivity_report,
-    residual_q1_expansion,
-    semistable_ratio,
-    stable_end_degree_poly,
-)
-from .qpoly import PoleError, format_poly, format_terms
-from .quiver import Quiver, parse_theta
-from .series import DimVector, height
+from .numtheory import necklace_count
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .counting import CountingContext
+    from .quiver import Quiver
+    from .series import DimVector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,6 +54,10 @@ def _stability(args: argparse.Namespace) -> tuple[Quiver, tuple[int, ...], Fract
     after --max-height is checked.  A subcommand with flags of its own checks
     them next and then builds the CountingContext, so that its empty-cone
     error comes last."""
+    from fractions import Fraction
+
+    from .quiver import Quiver, parse_theta
+
     with open(args.quiver, "r", encoding="utf-8") as fh:
         quiver_data = json.load(fh)
     quiver = Quiver.from_json(quiver_data)
@@ -85,6 +86,8 @@ def _stability(args: argparse.Namespace) -> tuple[Quiver, tuple[int, ...], Fract
 
 def _context(args: argparse.Namespace) -> CountingContext:
     """The CountingContext of --quiver, --theta, --slope and --max-height."""
+    from .counting import CountingContext
+
     return CountingContext.create(*_stability(args), args.max_height)
 
 
@@ -93,6 +96,9 @@ def _context(args: argparse.Namespace) -> CountingContext:
 
 def _format_layer(layer: dict[DimVector, Fraction], nvars: int) -> str:
     """A layer as a sum of monomials in t, or in x1, x2, ... for several vertices."""
+    from .qpoly import format_terms
+    from .series import height
+
     names = ["t"] if nvars == 1 else [f"x{i + 1}" for i in range(nvars)]
 
     def monomial(alpha: DimVector) -> str:
@@ -115,6 +121,9 @@ def _run_header(ctx: CountingContext) -> dict:
 
 
 def cmd_a_series(args: argparse.Namespace, out) -> int:
+    from .counting import absolutely_stable_table
+    from .qpoly import format_poly
+
     ctx = _context(args)
     table = absolutely_stable_table(ctx)
     if args.format == "json":
@@ -140,6 +149,9 @@ def cmd_a_series(args: argparse.Namespace, out) -> int:
 
 
 def cmd_r_series(args: argparse.Namespace, out) -> int:
+    from .counting import semistable_ratio
+    from .series import height
+
     ctx = _context(args)
     rows = []
     for alpha in ctx.trunc.vectors():
@@ -161,6 +173,9 @@ def cmd_r_series(args: argparse.Namespace, out) -> int:
 
 
 def cmd_s_count(args: argparse.Namespace, out) -> int:
+    from .counting import CountingContext, absolutely_stable_table, stable_end_degree_poly
+    from .series import height
+
     quiver, theta, mu = _stability(args)
     end_degree, max_height = args.end_degree, args.max_height
     if end_degree < 1:
@@ -190,6 +205,9 @@ def cmd_s_count(args: argparse.Namespace, out) -> int:
 
 
 def cmd_f_expand(args: argparse.Namespace, out) -> int:
+    from .counting import (CountingContext, absolutely_stable_table, loop_layer_checks,
+                           positivity_report, residual_q1_expansion)
+
     quiver, theta, mu = _stability(args)
     order = args.q1_order
     if order < 0:
@@ -245,6 +263,7 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     quiver, theta, mu = _stability(args)
     primes = _int_list("--primes", args.primes)
     # imported here: the oracle needs numpy, which no other subcommand loads
+    from .counting import CountingContext
     from .oracle import DEFAULT_MAX_POINTS, check_prime
     from .verify import run_verification
 
@@ -355,7 +374,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.run(args, sys.stdout)
-    except (InvariantError, PoleError) as exc:
+    except (RuntimeError, ZeroDivisionError) as exc:
+        # the bases of InvariantError and PoleError: their modules are
+        # imported only once something has raised
+        from .counting import InvariantError
+        from .qpoly import PoleError
+
+        if not isinstance(exc, (InvariantError, PoleError)):
+            raise
         sys.stderr.write(f"invariant violation: {exc}\n")
         return EXIT_INVARIANT
     except (OSError, ValueError) as exc:

@@ -33,7 +33,7 @@ from math import gcd, prod
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .numtheory import divisors, integer_binomial, mobius
+from .numtheory import divisors, integer_binomial, mobius, necklace_count
 from .qpoly import QPoly, RationalFunction, binomial_jet, trunc_inv, trunc_mul
 from .quiver import Quiver, _poch_denominator, _qbinom_poly, q_exponential, qbinom_vec, slope
 from .series import (
@@ -62,16 +62,6 @@ class IntegralityError(InvariantError):
 
 
 ONE_MINUS_Q = QPoly([1, -1])
-
-
-def necklace_count(colors: int, beads: int) -> int:
-    """Number of primitive (aperiodic) necklaces of `beads` beads in `colors`
-    colours: (1/d) sum_{k|d} mobius(d/k) m^k."""
-    if colors < 1 or beads < 1:
-        raise ValueError("colors and beads must be >= 1")
-    total = sum(mobius(beads // k) * colors**k for k in divisors(beads))
-    assert total % beads == 0
-    return total // beads
 
 
 class CountingContext(Value):

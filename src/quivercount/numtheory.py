@@ -1,5 +1,5 @@
-"""Small number-theoretic helpers: divisors, Mobius function, primality,
-binomials."""
+"""Small number-theoretic helpers: divisors, Mobius function, necklace
+counts, primality, binomials."""
 
 from __future__ import annotations
 
@@ -35,6 +35,16 @@ def mobius(n: int) -> int:
     if n > 1:
         result = -result
     return result
+
+
+def necklace_count(colors: int, beads: int) -> int:
+    """Number of primitive (aperiodic) necklaces of `beads` beads in `colors`
+    colours: (1/d) sum_{k|d} mobius(d/k) m^k."""
+    if colors < 1 or beads < 1:
+        raise ValueError("colors and beads must be >= 1")
+    total = sum(mobius(beads // k) * colors**k for k in divisors(beads))
+    assert total % beads == 0
+    return total // beads
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -1,11 +1,11 @@
 """One base class, `Value`, for the package's immutable value classes.
 
 A value class lists its fields in `__slots__` and stores them with one
-`_set` call from `__init__`; no attribute can be set afterwards.  Equality
-(with instances of the same class only), hashing and the dataclass-style
-`repr` run over the public slots, the names without a leading underscore:
-a private slot holds a cache or a value derived from the others, so it
-takes no part in what the value is.  `QPoly`, `RationalFunction` and
+`_set` call from `__init__`; no attribute can be set or deleted
+afterwards.  Equality (with instances of the same class only), hashing and
+the dataclass-style `repr` run over the public slots, the names without a
+leading underscore: a private slot holds a cache or a value derived from
+the others, so it takes no part in what the value is.  `QPoly`, `RationalFunction` and
 `Series` compare equal to the scalars they coerce, so they define those
 three themselves and take only the immutability from here.
 """
@@ -25,6 +25,9 @@ class Value:
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _values(self) -> tuple:

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import quivercount
-from quivercount import cli, counting, oracle
+from quivercount import counting, oracle
 from quivercount.cli import main
 
 QUIVERS = {
@@ -146,8 +147,21 @@ def test_library_key_errors_are_not_usage_errors(quiver_file, monkeypatch):
     def broken(ctx):
         raise KeyError((1, 0, 1))
 
-    monkeypatch.setattr(cli, "absolutely_stable_table", broken)
+    monkeypatch.setattr(counting, "absolutely_stable_table", broken)
     with pytest.raises(KeyError):
+        main(["a-series", "--quiver", quiver_file("loop1"), "--max-height", "2"])
+
+
+@pytest.mark.parametrize("error", [RuntimeError, ZeroDivisionError])
+def test_bases_of_invariant_errors_are_not_invariant_violations(quiver_file, monkeypatch,
+                                                                error):
+    # main catches InvariantError and PoleError through their bases and
+    # re-raises any other instance of those bases
+    def broken(ctx):
+        raise error("bug")
+
+    monkeypatch.setattr(counting, "absolutely_stable_table", broken)
+    with pytest.raises(error, match="^bug$"):
         main(["a-series", "--quiver", quiver_file("loop1"), "--max-height", "2"])
 
 
@@ -508,15 +522,77 @@ def test_verify_never_imports_numpy_ma(quiver_file):
     assert run_and_list_modules(quiver_file, argv, ("numpy", "numpy.ma")) == "0 True False"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["necklaces", "--colors", "1", "--max-beads", "1"], 0),
+    (["a-series", "--quiver", "loop1", "--no-such-flag"], 1),
+    (["--help"], 0),
+], ids=["necklaces", "usage-error", "help"])
+def test_light_paths_load_only_cli_and_numtheory(quiver_file, argv, code):
+    # none of them counts, so none loads qpoly, series, quiver or counting
+    modules = [f"quivercount.{m.name}" for m in pkgutil.iter_modules(quivercount.__path__)]
+    loaded = ("quivercount.cli", "quivercount.numtheory")
+    assert run_and_list_modules(quiver_file, argv, modules) \
+        == " ".join(map(str, (code, *(m in loaded for m in modules))))
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = ("import sys, quivercount; "
+            "print(sorted(m for m in sys.modules if m.startswith('quivercount.')), "
+            "file=sys.stderr)")
+    assert fresh_interpreter(code) == "[]"
+
+
+# the package root's exports while it imported them eagerly, by the module
+# each came from
+ROOT_EXPORTS = {
+    "qpoly": ("PoleError", "QPoly", "RationalFunction", "poly_gcd"),
+    "series": ("DimVector", "Series", "TruncationError", "TruncationSpec", "adams",
+               "height", "monomial_twist", "ordinary_exp", "ordinary_log", "ordinary_pow",
+               "plethystic_exp", "plethystic_log", "plethystic_pow", "series_bar",
+               "twisted_inverse", "twisted_mul"),
+    "quiver": ("Quiver", "q_binomial_series", "q_exponential", "qbinom", "parse_theta",
+               "qbinom_vec", "slope"),
+    "counting": ("CountingContext", "CountTable", "IntegralityError", "InvariantError",
+                 "absolutely_stable_table", "necklace_count", "positivity_report",
+                 "rep_ratio", "residual_q1_expansion", "residual_series",
+                 "residual_series_recursive", "semistable_ratio",
+                 "semistable_ratio_reference", "semistable_series",
+                 "semistable_series_closed", "stable_end_degree_poly"),
+}
+
+
+@pytest.mark.parametrize("module, name", [(module, name)
+                                          for module, names in ROOT_EXPORTS.items()
+                                          for name in names])
+def test_root_exports_resolve(module, name):
+    defining = importlib.import_module(f"quivercount.{module}")
+    assert getattr(quivercount, name) is getattr(defining, name)
+
+
+def test_root_lists_its_exports_and_no_other_names():
+    exports = {"__version__", *(name for names in ROOT_EXPORTS.values() for name in names)}
+    assert set(quivercount.__all__) == exports and exports <= set(dir(quivercount))
+    # an AttributeError for every other name: that is what lets
+    # `from quivercount import cli` fall through to the submodule
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        quivercount.no_such_name
+
+
 def run_and_list_modules(quiver_file, argv, modules):
     """Run the CLI in a fresh interpreter; return its exit code and, for each
     module, whether it was imported, as one line."""
     argv = [quiver_file(a) if a in QUIVERS else a for a in argv]
+    code = ("import sys; from quivercount.cli import main; rc = main(sys.argv[2:]); "
+            "print(rc, *(m in sys.modules for m in sys.argv[1].split(',')), file=sys.stderr)")
+    # a usage error's own line comes first
+    return fresh_interpreter(code, ",".join(modules), *argv).splitlines()[-1]
+
+
+def fresh_interpreter(code, *args):
+    """The stripped stderr of `python -c code args...`, with the package importable."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(quivercount.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = ("import sys; from quivercount.cli import main; rc = main(sys.argv[2:]); "
-            "print(rc, *(m in sys.modules for m in sys.argv[1].split(',')), file=sys.stderr)")
-    run = subprocess.run([sys.executable, "-c", code, ",".join(modules), *argv], env=env,
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env,
                          capture_output=True, text=True, timeout=60)
     return run.stderr.strip()

@@ -6,7 +6,8 @@ only: `ast.parse(..., feature_version=(3, 10))` rejects syntax newer than
 3.10, such as `except*`, but not a call to a library function that 3.10
 lacks.
 
-In the package, only `quivercount.value` defines `__setattr__`.
+In the package, only `quivercount.value` defines `__setattr__` and
+`__delattr__`.
 """
 
 import ast
@@ -32,7 +33,8 @@ def test_every_file_parses_under_python_3_10():
 
 def test_only_value_defines_setattr():
     # immutability is decided once, in quivercount.value
-    owners = sorted(path.name for path in (ROOT / "src" / "quivercount").glob("*.py")
-                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                    if isinstance(node, ast.FunctionDef) and node.name == "__setattr__")
-    assert owners == ["value.py"]
+    for method in ("__setattr__", "__delattr__"):
+        owners = sorted(path.name for path in (ROOT / "src" / "quivercount").glob("*.py")
+                        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                        if isinstance(node, ast.FunctionDef) and node.name == method)
+        assert owners == ["value.py"], method

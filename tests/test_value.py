@@ -1,5 +1,6 @@
 """The value protocol of `quivercount.value.Value` on the four classes that
-take their equality, hashing and repr from it."""
+take their equality, hashing and repr from it, and the immutability of
+every class built on it."""
 
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ import pytest
 
 from quivercount.counting import CountingContext
 from quivercount.oracle import RepPoint
+from quivercount.qpoly import QPoly, RationalFunction
 from quivercount.quiver import Quiver
-from quivercount.series import TruncationSpec
+from quivercount.series import Series, TruncationSpec
 
 KRONECKER = Quiver(("1", "2"), ((0, 2), (0, 0)))
 LOOP = Quiver(("v",), ((1,),))
@@ -48,3 +50,23 @@ def test_value_protocol(make, fields, private, text):
             setattr(x, name, None)
     assert repr(x) == text
 
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Quiver(("1", "2"), ((0, 2), (0, 0))),
+    lambda: TruncationSpec(2, 4, (1, 0), Fraction(1, 2)),
+    lambda: CountingContext(KRONECKER, CONE),
+    lambda: RepPoint(LOOP, (2,), 3, (((0, 1), (2, 0)),)),
+    lambda: QPoly([1, -1, 2]),
+    lambda: RationalFunction(QPoly([1, 1]), QPoly([1, -1])),
+    lambda: Series(CONE, {(1, 0): 3, (1, 1): 2}),
+], ids=["Quiver", "TruncationSpec", "CountingContext", "RepPoint", "QPoly",
+        "RationalFunction", "Series"])
+def test_slots_cannot_be_deleted(make):
+    # a deleted slot would leave a value whose repr, == and hash raise
+    x, twin = make(), make()
+    cls = type(x)
+    for name in cls.__slots__ + ("other",):
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            delattr(x, name)
+    assert x == twin and hash(x) == hash(twin) and repr(x) == repr(twin)
