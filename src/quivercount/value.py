@@ -5,9 +5,10 @@ A value class lists its fields in `__slots__` and stores them with one
 afterwards.  Equality (with instances of the same class only), hashing and
 the dataclass-style `repr` run over the public slots, the names without a
 leading underscore: a private slot holds a cache or a value derived from
-the others, so it takes no part in what the value is.  `QPoly`, `RationalFunction` and
-`Series` compare equal to the scalars they coerce, so they define those
-three themselves and take only the immutability from here.
+the others, so it takes no part in what the value is.  `QPoly`,
+`RationalFunction` and `Series` compare equal to the scalars they coerce,
+so they define those three themselves and take only the immutability from
+here.
 """
 
 

@@ -51,7 +51,6 @@ def test_value_protocol(make, fields, private, text):
     assert repr(x) == text
 
 
-
 @pytest.mark.parametrize("make", [
     lambda: Quiver(("1", "2"), ((0, 2), (0, 0))),
     lambda: TruncationSpec(2, 4, (1, 0), Fraction(1, 2)),
@@ -59,7 +58,7 @@ def test_value_protocol(make, fields, private, text):
     lambda: RepPoint(LOOP, (2,), 3, (((0, 1), (2, 0)),)),
     lambda: QPoly([1, -1, 2]),
     lambda: RationalFunction(QPoly([1, 1]), QPoly([1, -1])),
-    lambda: Series(CONE, {(1, 0): 3, (1, 1): 2}),
+    lambda: Series(CONE, {(1, 1): 2, (2, 2): 3}),
 ], ids=["Quiver", "TruncationSpec", "CountingContext", "RepPoint", "QPoly",
         "RationalFunction", "Series"])
 def test_slots_cannot_be_deleted(make):
