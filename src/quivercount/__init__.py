@@ -15,20 +15,20 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(("PoleError", "QPoly", "RationalFunction", "poly_gcd"), "qpoly"),
     **dict.fromkeys((
-        "DimVector", "Series", "TruncationError", "TruncationSpec", "adams", "height",
-        "monomial_twist", "ordinary_exp", "ordinary_log", "ordinary_pow",
-        "plethystic_exp", "plethystic_log", "plethystic_pow", "series_bar",
+        "Series", "TruncationError", "adams", "monomial_twist", "ordinary_exp",
+        "ordinary_log", "ordinary_pow", "plethystic_exp", "plethystic_log",
+        "plethystic_pow", "q_binomial_series", "q_exponential", "residual_series",
+        "semistable_ratio_reference", "semistable_series_closed", "series_bar",
         "twisted_inverse", "twisted_mul"), "series"),
     **dict.fromkeys((
-        "Quiver", "q_binomial_series", "q_exponential", "qbinom", "parse_theta",
+        "DimVector", "Quiver", "TruncationSpec", "height", "qbinom", "parse_theta",
         "qbinom_vec", "slope"), "quiver"),
     "necklace_count": "numtheory",
     **dict.fromkeys((
         "CountingContext", "CountTable", "IntegralityError", "InvariantError",
         "absolutely_stable_table", "positivity_report", "rep_ratio",
-        "residual_q1_expansion", "residual_series", "residual_series_recursive",
-        "semistable_ratio", "semistable_ratio_reference", "semistable_series",
-        "semistable_series_closed", "stable_end_degree_poly"), "counting"),
+        "residual_q1_expansion", "residual_series_recursive", "semistable_ratio",
+        "semistable_series", "stable_end_degree_poly"), "counting"),
 }
 
 __all__ = ["__version__", *_EXPORTS]

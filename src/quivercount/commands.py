@@ -25,8 +25,7 @@ from .counting import (
     stable_end_degree_poly,
 )
 from .qpoly import PoleError, format_poly, format_terms
-from .quiver import Quiver, parse_theta
-from .series import DimVector, height
+from .quiver import DimVector, Quiver, height, parse_theta
 
 
 def _int_list(flag: str, text: str) -> tuple[int, ...]:

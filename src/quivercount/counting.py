@@ -8,8 +8,8 @@ The pipeline for a quiver with stability theta and a fixed slope mu is:
    decompositions of alpha whose proper prefix sums have slope > mu, with an
    alternating sign and a q-power twist.  A memoized prefix-sum recursion
    computes #GL_alpha times this sum, the semistable point count, in Z[q];
-   the ratio is one division by #GL_alpha.  A literal tuple enumeration in
-   Q(q) is kept as a reference.
+   the ratio is one division by #GL_alpha.  The literal tuple enumeration
+   in Q(q) that the tests check it against is in ``series``.
 
 2. The generating series r of these ratios is inverted with respect to the
    twisted product, and (1 - q) times the plethystic Log of the inverse
@@ -17,16 +17,18 @@ The pipeline for a quiver with stability theta and a fixed slope mu is:
    Q[q]; integrality of the result is asserted, never assumed.
 
 3. For the zero stability the counts of stable classes feed a residual
-   series Exp((a - sum x_i)/(1-q)) that is regular at q = 1; it can also be
-   built without the counts by a recursion against q-binomial series.  Each
-   q-binomial weight of that recursion is regular at q = 1 too, so running
-   it on truncated power series in t = q - 1 ("jets") gives the expansion
-   in powers of (q - 1) without any rational function.  That expansion is
-   the object of the positivity experiments reported here.
+   series Exp((a - sum x_i)/(1-q)) that is regular at q = 1; ``series``
+   builds it from a table, and here a recursion against q-binomial series
+   builds it without the counts.  Each q-binomial weight of that recursion
+   is regular at q = 1 too, so running it on truncated power series in
+   t = q - 1 ("jets") gives the expansion in powers of (q - 1) without any
+   rational function.  That expansion is the object of the positivity
+   experiments reported here.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import partial
 from math import gcd, prod
@@ -35,21 +37,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from .numtheory import divisors, integer_binomial, mobius, necklace_count
 from .qpoly import QPoly, RationalFunction, binomial_jet, trunc_inv, trunc_mul
-from .quiver import Quiver, _poch_denominator, _qbinom_poly, q_exponential, qbinom_vec, slope
-from .series import (
-    DimVector,
-    Series,
-    TruncationSpec,
-    _solve_by_height,
-    height,
-    monomial_twist,
-    plethystic_exp,
-    series_bar,
-    subvectors,
-    vec_add,
-    vec_scale,
-    vec_sub,
-)
+from .quiver import (DimVector, Quiver, TruncationSpec, _poch_denominator, _qbinom_poly,
+                     _solve_by_height, height, qbinom_vec, slope, subvectors, vec_add,
+                     vec_scale, vec_sub)
 from .value import Value
 
 
@@ -71,6 +61,10 @@ class CountingContext(Value):
     __slots__ = ("quiver", "trunc", "_hn_cache", "_packed")
 
     def __init__(self, quiver: Quiver, trunc: TruncationSpec):
+        top = max(trunc.vectors(), key=lambda a: quiver.arrow_pairing(a, a))
+        if quiver.arrow_pairing(top, top) > sys.maxsize:  # a degree is a list length
+            raise ValueError(f"arrow counts too large: dim R_alpha at alpha={top} "
+                             f"passes {sys.maxsize}, the largest polynomial degree")
         self._set(quiver=quiver, trunc=trunc, _hn_cache={}, _packed={})
 
     @classmethod
@@ -156,53 +150,9 @@ def semistable_ratio(ctx: CountingContext, alpha: Sequence[int]) -> RationalFunc
     return RationalFunction(_hn_count(ctx, alpha), _gl_order(alpha))
 
 
-def _decompositions(alpha: DimVector):
-    """All ordered tuples of nonzero vectors summing to alpha."""
-    if height(alpha) == 0:
-        yield ()
-        return
-    for first in subvectors(alpha):
-        if height(first) == 0:
-            continue
-        for rest in _decompositions(vec_sub(alpha, first)):
-            yield (first,) + rest
-
-
-def semistable_ratio_reference(ctx: CountingContext, alpha: Sequence[int]
-                               ) -> RationalFunction:
-    """Literal enumeration of the decomposition sum; small alpha only."""
-    alpha = tuple(alpha)
-    if height(alpha) == 0:
-        return RationalFunction.one()
-    quiver, excess = ctx.quiver, ctx.trunc.excess
-    if excess(alpha):
-        raise ValueError("alpha must lie in the context's slope cone")
-    total = RationalFunction.zero()
-    for parts in _decompositions(alpha):
-        prefix = tuple(0 for _ in alpha)
-        admissible = True
-        for part in parts[:-1]:
-            prefix = tuple(p + x for p, x in zip(prefix, part))
-            if excess(prefix) <= 0:
-                admissible = False
-                break
-        if not admissible:
-            continue
-        exponent = 0
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                exponent -= quiver.ringel_form(parts[j], parts[i])
-        term = RationalFunction.q_power(exponent)
-        for part in parts:
-            term = term * rep_ratio(quiver, part)
-        if len(parts) % 2 == 0:
-            term = -term
-        total = total + term
-    return total
-
-
 def semistable_series(ctx: CountingContext) -> Series:
     """Generating series of the semistable ratios over the slope cone."""
+    from .series import Series  # the Q(q) layer, which no subcommand loads
     return Series(ctx.trunc, {alpha: semistable_ratio(ctx, alpha)
                               for alpha in ctx.trunc.vectors()})
 
@@ -210,17 +160,6 @@ def semistable_series(ctx: CountingContext) -> Series:
 def _require_zero_stability(ctx: CountingContext) -> None:
     if any(ctx.trunc.theta):
         raise ValueError("this computation is defined for the zero stability")
-
-
-def semistable_series_closed(ctx: CountingContext) -> Series:
-    """For zero stability the series equals bar(T(q-exponential)).
-
-    Every point is semistable, so the ratio at alpha is
-    q^{-T(alpha)} bar([inf, alpha]); assembled directly from that closed
-    form without the prefix recursion.
-    """
-    _require_zero_stability(ctx)
-    return series_bar(monomial_twist(q_exponential(ctx.trunc), ctx.quiver.tits_form))
 
 
 # -- absolutely stable counts --------------------------------------------------
@@ -338,25 +277,6 @@ def stable_end_degree_poly(table: CountTable, alpha: Sequence[int], r: int) -> Q
 # -- the residual series and its q = 1 behaviour -----------------------------------
 
 
-def residual_series(table: CountTable) -> Series:
-    """Exp((a - sum_i x_i) / (1-q)), with a the absolutely-stable counts.
-
-    Regular at q = 1; a pole in any coefficient signals a bug and raises.
-    """
-    _require_zero_stability(table.context)
-    coeffs: dict[DimVector, RationalFunction] = {}
-    inv = RationalFunction(QPoly.one(), ONE_MINUS_Q)
-    for alpha, poly in table.entries.items():
-        adjusted = poly - QPoly.one() if height(alpha) == 1 else poly
-        if not adjusted.is_zero:
-            coeffs[alpha] = RationalFunction(adjusted) * inv
-    f = plethystic_exp(Series(table.context.trunc, coeffs))
-    for alpha, c in f.items():
-        if c.has_pole_at_one():
-            raise InvariantError(f"residual series has a pole at q=1 at {alpha}")
-    return f
-
-
 def _residual_recursion(ctx: CountingContext, weigh, one, zero) -> dict:
     """Coefficients of the residual series from the q-binomial recursion.
 
@@ -377,7 +297,9 @@ def _residual_recursion(ctx: CountingContext, weigh, one, zero) -> dict:
 
 
 def residual_series_recursive(ctx: CountingContext) -> Series:
-    """The same series built without the counting table, in Q(q)."""
+    """The residual series of series.residual_series built without the
+    counting table, in Q(q)."""
+    from .series import Series
     return Series(ctx.trunc, _residual_recursion(
         ctx, lambda lam, beta, c: qbinom_vec(lam, beta) * c,
         RationalFunction.one(), RationalFunction.zero()))

@@ -122,8 +122,7 @@ import numpy as np  # noqa: E402  (after the BLAS thread default above)
 
 from .counting import InvariantError
 from .numtheory import is_prime
-from .quiver import Quiver, slope
-from .series import DimVector, height, subvectors
+from .quiver import DimVector, Quiver, height, slope, subvectors
 from .value import Value
 
 

@@ -1,4 +1,5 @@
-"""Quiver combinatorics: arrow data, Euler forms, slopes and q-binomials.
+"""Quiver combinatorics: arrow data, Euler forms, dimension vectors and the
+slope cone, the height-by-height solver, slopes and q-binomials.
 
 A quiver is stored as an arrow-multiplicity matrix (entry (i, j) counts
 arrows i -> j); loops and parallel arrows are allowed.  The bilinear form
@@ -8,26 +9,45 @@ arrows i -> j); loops and parallel arrows are allowed.  The bilinear form
 has Gram matrix R with R_ij = delta_ij - #arrows(i -> j); its quadratic
 form T(a) = <a, a> enters the closed formulas for counting series.
 
+Every generating series of the count path is solved on a TruncationSpec,
+height by height, by one recurrence generic in the coefficient ring whose
+caller sums each coefficient's terms (_solve_by_height; Brent & Kung, "Fast
+algorithms for manipulating formal power series", J. ACM 1978).
+
 The q-binomials
 
     [n, m] = prod_{i=1..m} (1 - q^{n+i}) / prod_{i=1..m} (1 - q^i)
 
 for integers n are exact rational functions (polynomials for n >= 0), with
-vertexwise products for vector arguments.  They and their limit
-[inf, m] = 1 / prod_{i=1..m} (1 - q^i), the coefficients of the
-q-exponential, feed the generating series built at the bottom of this module.
+vertexwise products for vector arguments.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
-from typing import Optional, Sequence
+from itertools import islice, product as _cartesian
+from operator import mul
+from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .qpoly import QPoly, RationalFunction
-from .series import Series, TruncationSpec, form_pairing, height
 from .value import Value
+
+DimVector = tuple[int, ...]
+C = TypeVar("C")  # a coefficient ring element
+T = TypeVar("T")  # a term of a sum of coefficients
+
+
+def form_pairing(form: Sequence[Sequence[int]], alpha: DimVector, beta: DimVector) -> int:
+    """Bilinear pairing alpha^t R beta for an integer matrix R."""
+    if len(alpha) != len(form) or len(beta) != len(form):
+        raise ValueError("dimension mismatch between form and vectors")
+    total = 0
+    for i, a in enumerate(alpha):
+        if a:
+            row = form[i]
+            total += a * sum(row[j] * b for j, b in enumerate(beta) if b)
+    return total
 
 
 class Quiver(Value):
@@ -128,7 +148,43 @@ class Quiver(Value):
         return self.ringel_form(alpha, alpha)
 
 
-# -- stability ---------------------------------------------------------------
+# -- dimension vectors, stability and the slope cone ---------------------------
+
+
+def height(alpha: Sequence[int]) -> int:
+    return sum(alpha)
+
+
+def vec_add(a: DimVector, b: DimVector) -> DimVector:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vec_sub(a: DimVector, b: DimVector) -> DimVector:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vec_scale(a: DimVector, k: int) -> DimVector:
+    return tuple(k * x for x in a)
+
+
+def dim_vectors(nvars: int, max_height: int) -> Iterator[DimVector]:
+    """All vectors in N^nvars of height <= max_height, by (height, lex)."""
+
+    def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    for h in range(max_height + 1):
+        yield from compositions(h, nvars)
+
+
+def subvectors(alpha: DimVector) -> Iterator[DimVector]:
+    """All beta with 0 <= beta <= alpha componentwise, lexicographically."""
+    return _cartesian(*(range(a + 1) for a in alpha))
 
 
 def parse_theta(data: dict, nvertices: int) -> tuple[int, ...]:
@@ -150,6 +206,57 @@ def slope(theta: Sequence[int], alpha: Sequence[int]) -> Fraction:
     if h == 0:
         raise ValueError("slope of the zero vector is undefined")
     return Fraction(sum(t * a for t, a in zip(theta, alpha)), h)
+
+
+class TruncationSpec(Value):
+    """Height bound plus the slope-mu cone of a stability theta.
+
+    alpha is admitted when |alpha| <= max_height and theta.alpha = mu |alpha|:
+    the zero vector and the vectors of slope mu.  theta defaults to the zero
+    stability, whose cone at mu = 0 is the full truncation; at mu != 0 it
+    holds only the zero vector.  As theta is linear, the cone is closed under
+    differences: if alpha and beta <= alpha are admitted, so is alpha - beta.
+    So a product, inverse, exp or log computed on the cone equals the one
+    computed on the full truncation, restricted to the cone; the
+    height-by-height recurrences rely on it.
+    """
+
+    __slots__ = ("nvars", "max_height", "theta", "mu", "_weights")
+
+    def __init__(self, nvars: int, max_height: int,
+                 theta: Optional[Sequence[int]] = None, mu: Fraction = Fraction(0)):
+        if nvars < 1:
+            raise ValueError("need at least one variable")
+        if max_height < 1:
+            raise ValueError("max_height must be >= 1")
+        theta = (0,) * nvars if theta is None else tuple(theta)
+        if len(theta) != nvars:
+            raise ValueError("theta length must match the variable count")
+        mu = Fraction(mu)
+        # den(mu) theta_i - num(mu): excess is one dot product with these
+        self._set(nvars=nvars, max_height=max_height, theta=theta, mu=mu,
+                  _weights=tuple(mu.denominator * t - mu.numerator for t in theta))
+
+    def excess(self, alpha: Sequence[int]) -> int:
+        """den(mu) theta.alpha - num(mu) |alpha|: zero on the cone, and for
+        alpha != 0 of the sign of slope(theta, alpha) - mu."""
+        if len(alpha) != self.nvars:
+            raise ValueError("alpha length must match the variable count")
+        return sum(map(mul, self._weights, alpha))
+
+    def _in_cone(self, alpha: DimVector) -> bool:
+        return self.excess(alpha) == 0
+
+    def admits(self, alpha: DimVector) -> bool:
+        if len(alpha) != self.nvars or any(a < 0 for a in alpha):
+            return False
+        return height(alpha) <= self.max_height and self._in_cone(alpha)
+
+    def vectors(self) -> Iterator[DimVector]:
+        return filter(self._in_cone, dim_vectors(self.nvars, self.max_height))
+
+    def zero_vector(self) -> DimVector:
+        return (0,) * self.nvars
 
 
 # -- q-binomials ----------------------------------------------------------------
@@ -209,24 +316,34 @@ def qbinom_vec(lam: Sequence[int], alpha: Sequence[int]) -> RationalFunction:
     return out
 
 
-# -- generating series -------------------------------------------------------
+# -- the height-by-height solver ----------------------------------------------
 
 
-def q_exponential(trunc: TruncationSpec) -> Series:
-    """The series with coefficient [inf, alpha] = 1 / prod_i (q;q)_{alpha_i}
-    at x^alpha.
+def _solve_by_height(trunc: TruncationSpec, known: Mapping[DimVector, C], start: C,
+                     weigh: Callable[[DimVector, DimVector, C, C], T],
+                     finish: Callable[[DimVector, C], C],
+                     total: Callable[[list[T]], C]) -> dict[DimVector, C]:
+    """The coefficients f_0 = start and f_alpha = finish(alpha, s_alpha) for
+    alpha != 0 on trunc, in height order.
 
-    For one variable this is Euler's q-exponential sum_k x^k / (q;q)_k; it
-    equals Exp(sum_i x_i / (1-q)).
+    s_alpha = sum_{0 < beta <= alpha} w(beta, alpha-beta) known_beta f_{alpha-beta}
+    is total(terms), where weigh(beta, alpha-beta, known_beta, f_{alpha-beta})
+    returns that term, as a product or as a description for total to sum.
+    The term beta = 0 drops out by itself: f_alpha is not solved yet.  Zero
+    coefficients are left out, so read the result with .get(alpha, zero).
     """
-    return Series(trunc, {a: RationalFunction(1, prod(map(_poch_denominator, a),
-                                                      start=QPoly.one()))
-                          for a in trunc.vectors()})
-
-
-def q_binomial_series(lam: Sequence[int], trunc: TruncationSpec) -> Series:
-    """The series with coefficient [lam, alpha] at x^alpha."""
-    lam = tuple(lam)
-    if len(lam) != trunc.nvars:
-        raise ValueError("lambda length must match the variable count")
-    return Series(trunc, {a: qbinom_vec(lam, a) for a in trunc.vectors()})
+    out: dict[DimVector, C] = {} if start.is_zero else {trunc.zero_vector(): start}
+    for alpha in islice(trunc.vectors(), 1, None):  # the zero vector comes first
+        terms = []
+        for beta in subvectors(alpha):
+            kb = known.get(beta)
+            if kb is None:
+                continue
+            rest = vec_sub(alpha, beta)
+            f = out.get(rest)
+            if f is not None:
+                terms.append(weigh(beta, rest, kb, f))
+        val = finish(alpha, total(terms))
+        if not val.is_zero:
+            out[alpha] = val
+    return out

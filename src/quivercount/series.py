@@ -1,141 +1,41 @@
-"""Truncated multivariate power series over Q(q).
+"""The Q(q) reference layer: truncated multivariate power series over Q(q).
 
-Series are sparse maps from dimension vectors (tuples of nonnegative ints,
-one entry per quiver vertex) to rational functions, truncated by total
-height and to the slope cone theta.alpha = mu |alpha| of a stability
-theta; the zero stability at slope 0, the default, admits every vector.
-On top of the plain ring structure this module provides
+A Series maps dimension vectors to rational functions on a
+quiver.TruncationSpec.  No subcommand builds one: this module holds the
+routes that the tests check the count path against, in the paper's terms.
+They are the ring, the Adams substitutions psi_k : q -> q^k, x^a -> x^{ka},
+monomial rescalings, the bar conjugation q -> 1/q, the twisted product
+x^a o x^b = q^{-<a,b>} x^{a+b} and its inverse, the ordinary and plethystic
+Exp / Log / Pow, the q-exponential and q-binomial series, the literal
+decomposition sum of the semistable ratios, their closed form for the zero
+stability, and the residual series read from a count table.
 
-* the Adams substitutions psi_k : q -> q^k, x^a -> x^{ka},
-* the plethystic Exp / Log / Pow maps,
-* the twisted product x^a o x^b = q^{-<a,b>} x^{a+b} and its inverse,
-* graded monomial rescalings and the bar conjugation q -> 1/q.
-
-There is one product, ``twisted_mul``; the plain product is its case with
-no form.  The twisted inverse and the ordinary exp and log are all solved
-height by height from one recurrence (``_solve_by_height``): the inverse
-from the defining identity g o a = 1, and exp and log from the Euler
-operator D x^alpha = |alpha| x^alpha, which turns f = exp(a) into
-D f = f D a and f = log(a) into D a = a D f (Brent & Kung, "Fast
-algorithms for manipulating formal power series", J. ACM 1978).  Each
-coefficient then takes one pass over the pairs below it instead of
-max_height series powers.  The solver is generic in the coefficient ring and
-leaves the summing of a coefficient's terms to its caller, so ``counting``
-runs its own recurrences on it outside ``Series``: the count table's
-#GL-scaled twisted inverse and Log in Q[q], each coefficient one packed
-linear combination, and the residual q-binomial recursion in Q(q) and on
-(q-1) jets.
-
-Everything is exact; truncating the psi_k sums at k = max_height loses
-nothing because psi_k raises height by a factor k.
+The twisted inverse and the ordinary exp and log are solved by
+quiver._solve_by_height: the inverse from g o a = 1, and exp and log from
+the Euler operator D x^alpha = |alpha| x^alpha, which turns f = exp(a) into
+D f = f D a and f = log(a) into D a = a D f.  Everything is exact;
+truncating the psi_k sums at k = max_height loses nothing because psi_k
+raises height by a factor k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import islice, product as _cartesian
-from operator import mul
-from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
+from math import prod
+from typing import Callable, Mapping, Optional, Sequence
 
+from .counting import (ONE_MINUS_Q, CountingContext, CountTable, InvariantError,
+                       _require_zero_stability, rep_ratio)
 from .numtheory import mobius
-from .qpoly import RationalFunction
+from .qpoly import QPoly, RationalFunction
+from .quiver import (DimVector, TruncationSpec, _poch_denominator, _solve_by_height,
+                     form_pairing, height, qbinom_vec, subvectors, vec_add, vec_scale, vec_sub)
 from .value import Value
-
-DimVector = tuple[int, ...]
-C = TypeVar("C")  # a coefficient ring element
-T = TypeVar("T")  # a term of a sum of coefficients
 
 
 class TruncationError(ValueError):
     """Raised when series with incompatible truncations are combined."""
-
-
-def height(alpha: Sequence[int]) -> int:
-    return sum(alpha)
-
-
-def vec_add(a: DimVector, b: DimVector) -> DimVector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: DimVector, b: DimVector) -> DimVector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(a: DimVector, k: int) -> DimVector:
-    return tuple(k * x for x in a)
-
-
-def dim_vectors(nvars: int, max_height: int) -> Iterator[DimVector]:
-    """All vectors in N^nvars of height <= max_height, by (height, lex)."""
-
-    def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    for h in range(max_height + 1):
-        yield from compositions(h, nvars)
-
-
-def subvectors(alpha: DimVector) -> Iterator[DimVector]:
-    """All beta with 0 <= beta <= alpha componentwise, lexicographically."""
-    return _cartesian(*(range(a + 1) for a in alpha))
-
-
-class TruncationSpec(Value):
-    """Height bound plus the slope-mu cone of a stability theta.
-
-    alpha is admitted when |alpha| <= max_height and theta.alpha = mu |alpha|:
-    the zero vector and the vectors of slope mu.  theta defaults to the zero
-    stability, whose cone at mu = 0 is the full truncation; at mu != 0 it
-    holds only the zero vector.  As theta is linear, the cone is closed under
-    differences: if alpha and beta <= alpha are admitted, so is alpha - beta.
-    So a product, inverse, exp or log computed on the cone equals the one
-    computed on the full truncation, restricted to the cone; the
-    height-by-height recurrences rely on it.
-    """
-
-    __slots__ = ("nvars", "max_height", "theta", "mu", "_weights")
-
-    def __init__(self, nvars: int, max_height: int,
-                 theta: Optional[Sequence[int]] = None, mu: Fraction = Fraction(0)):
-        if nvars < 1:
-            raise ValueError("need at least one variable")
-        if max_height < 1:
-            raise ValueError("max_height must be >= 1")
-        theta = (0,) * nvars if theta is None else tuple(theta)
-        if len(theta) != nvars:
-            raise ValueError("theta length must match the variable count")
-        mu = Fraction(mu)
-        # den(mu) theta_i - num(mu): excess is one dot product with these
-        self._set(nvars=nvars, max_height=max_height, theta=theta, mu=mu,
-                  _weights=tuple(mu.denominator * t - mu.numerator for t in theta))
-
-    def excess(self, alpha: Sequence[int]) -> int:
-        """den(mu) theta.alpha - num(mu) |alpha|: zero on the cone, and for
-        alpha != 0 of the sign of slope(theta, alpha) - mu."""
-        if len(alpha) != self.nvars:
-            raise ValueError("alpha length must match the variable count")
-        return sum(map(mul, self._weights, alpha))
-
-    def _in_cone(self, alpha: DimVector) -> bool:
-        return self.excess(alpha) == 0
-
-    def admits(self, alpha: DimVector) -> bool:
-        if len(alpha) != self.nvars or any(a < 0 for a in alpha):
-            return False
-        return height(alpha) <= self.max_height and self._in_cone(alpha)
-
-    def vectors(self) -> Iterator[DimVector]:
-        return filter(self._in_cone, dim_vectors(self.nvars, self.max_height))
-
-    def zero_vector(self) -> DimVector:
-        return (0,) * self.nvars
 
 
 class Series(Value):
@@ -271,18 +171,6 @@ class Series(Value):
 # -- twisted product ---------------------------------------------------------
 
 
-def form_pairing(form: Sequence[Sequence[int]], alpha: DimVector, beta: DimVector) -> int:
-    """Bilinear pairing alpha^t R beta for an integer matrix R."""
-    if len(alpha) != len(form) or len(beta) != len(form):
-        raise ValueError("dimension mismatch between form and vectors")
-    total = 0
-    for i, a in enumerate(alpha):
-        if a:
-            row = form[i]
-            total += a * sum(row[j] * b for j, b in enumerate(beta) if b)
-    return total
-
-
 def _times_q_power(c: RationalFunction, n: int) -> RationalFunction:
     return c * RationalFunction.q_power(n) if n else c
 
@@ -306,36 +194,6 @@ def twisted_mul(a: Series, b: Series,
                 term = _times_q_power(term, -form_pairing(form, ka, kb))
             out[key] = out[key] + term if key in out else term
     return Series(trunc, out)
-
-
-def _solve_by_height(trunc: TruncationSpec, known: Mapping[DimVector, C], start: C,
-                     weigh: Callable[[DimVector, DimVector, C, C], T],
-                     finish: Callable[[DimVector, C], C],
-                     total: Callable[[list[T]], C]) -> dict[DimVector, C]:
-    """The coefficients f_0 = start and f_alpha = finish(alpha, s_alpha) for
-    alpha != 0 on trunc, in height order.
-
-    s_alpha = sum_{0 < beta <= alpha} w(beta, alpha-beta) known_beta f_{alpha-beta}
-    is total(terms), where weigh(beta, alpha-beta, known_beta, f_{alpha-beta})
-    returns that term, as a product or as a description for total to sum.
-    The term beta = 0 drops out by itself: f_alpha is not solved yet.  Zero
-    coefficients are left out, so read the result with .get(alpha, zero).
-    """
-    out: dict[DimVector, C] = {} if start.is_zero else {trunc.zero_vector(): start}
-    for alpha in islice(trunc.vectors(), 1, None):  # the zero vector comes first
-        terms = []
-        for beta in subvectors(alpha):
-            kb = known.get(beta)
-            if kb is None:
-                continue
-            rest = vec_sub(alpha, beta)
-            f = out.get(rest)
-            if f is not None:
-                terms.append(weigh(beta, rest, kb, f))
-        val = finish(alpha, total(terms))
-        if not val.is_zero:
-            out[alpha] = val
-    return out
 
 
 _rf_sum = partial(sum, start=RationalFunction.zero())
@@ -440,3 +298,101 @@ def plethystic_log(a: Series) -> Series:
 def plethystic_pow(f: Series, g: Series) -> Series:
     """Pow(f, g) = Exp(g * Log(f)); equals f^n for constant integer g = n."""
     return plethystic_exp(g * plethystic_log(f))
+
+
+# -- reference series and routes of the count path ---------------------------
+
+
+def q_exponential(trunc: TruncationSpec) -> Series:
+    """The series with coefficient [inf, alpha] = 1 / prod_i (q;q)_{alpha_i}
+    at x^alpha.
+
+    For one variable this is Euler's q-exponential sum_k x^k / (q;q)_k; it
+    equals Exp(sum_i x_i / (1-q)).
+    """
+    return Series(trunc, {a: RationalFunction(1, prod(map(_poch_denominator, a),
+                                                      start=QPoly.one()))
+                          for a in trunc.vectors()})
+
+
+def q_binomial_series(lam: Sequence[int], trunc: TruncationSpec) -> Series:
+    """The series with coefficient [lam, alpha] at x^alpha."""
+    lam = tuple(lam)
+    if len(lam) != trunc.nvars:
+        raise ValueError("lambda length must match the variable count")
+    return Series(trunc, {a: qbinom_vec(lam, a) for a in trunc.vectors()})
+
+
+def _decompositions(alpha: DimVector):
+    """All ordered tuples of nonzero vectors summing to alpha."""
+    if height(alpha) == 0:
+        yield ()
+        return
+    for first in subvectors(alpha):
+        if height(first) == 0:
+            continue
+        for rest in _decompositions(vec_sub(alpha, first)):
+            yield (first,) + rest
+
+
+def semistable_ratio_reference(ctx: CountingContext, alpha: Sequence[int]
+                               ) -> RationalFunction:
+    """Literal enumeration of the decomposition sum; small alpha only."""
+    alpha = tuple(alpha)
+    if height(alpha) == 0:
+        return RationalFunction.one()
+    quiver, excess = ctx.quiver, ctx.trunc.excess
+    if excess(alpha):
+        raise ValueError("alpha must lie in the context's slope cone")
+    total = RationalFunction.zero()
+    for parts in _decompositions(alpha):
+        prefix = tuple(0 for _ in alpha)
+        admissible = True
+        for part in parts[:-1]:
+            prefix = tuple(p + x for p, x in zip(prefix, part))
+            if excess(prefix) <= 0:
+                admissible = False
+                break
+        if not admissible:
+            continue
+        exponent = 0
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                exponent -= quiver.ringel_form(parts[j], parts[i])
+        term = RationalFunction.q_power(exponent)
+        for part in parts:
+            term = term * rep_ratio(quiver, part)
+        if len(parts) % 2 == 0:
+            term = -term
+        total = total + term
+    return total
+
+
+def semistable_series_closed(ctx: CountingContext) -> Series:
+    """For zero stability the series equals bar(T(q-exponential)).
+
+    Every point is semistable, so the ratio at alpha is
+    q^{-T(alpha)} bar([inf, alpha]); assembled directly from that closed
+    form without the prefix recursion.
+    """
+    _require_zero_stability(ctx)
+    return series_bar(monomial_twist(q_exponential(ctx.trunc), ctx.quiver.tits_form))
+
+
+def residual_series(table: CountTable) -> Series:
+    """Exp((a - sum_i x_i) / (1-q)), with a the absolutely-stable counts.
+
+    Regular at q = 1; a pole in any coefficient signals a bug and raises.
+    """
+    _require_zero_stability(table.context)
+    coeffs: dict[DimVector, RationalFunction] = {}
+    inv = RationalFunction(QPoly.one(), ONE_MINUS_Q)
+    for alpha, poly in table.entries.items():
+        adjusted = poly - QPoly.one() if height(alpha) == 1 else poly
+        if not adjusted.is_zero:
+            coeffs[alpha] = RationalFunction(adjusted) * inv
+    f = plethystic_exp(Series(table.context.trunc, coeffs))
+    for alpha, c in f.items():
+        if c.has_pole_at_one():
+            raise InvariantError(f"residual series has a pole at q=1 at {alpha}")
+    return f

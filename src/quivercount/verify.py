@@ -38,8 +38,7 @@ from .oracle import (
     rep_space_dim,
     stable_height,
 )
-from .quiver import Quiver
-from .series import DimVector, height
+from .quiver import DimVector, Quiver, TruncationSpec, height
 
 _ENUMERATION_CAP = 1 << 16
 _MAX_END_DEGREE = 4
@@ -91,8 +90,13 @@ def _points_ratio(quiver: Quiver, alpha: DimVector, p: int, max_points: int) -> 
 
 def run_verification(ctx: CountingContext, primes: Sequence[int],
                      max_points: int = DEFAULT_MAX_POINTS) -> VerificationReport:
+    # no row lies above the largest stable_height, so neither need the table
+    trunc = ctx.trunc
+    ctx = CountingContext(ctx.quiver, TruncationSpec(
+        trunc.nvars, min(trunc.max_height, max(map(stable_height, primes), default=1)),
+        trunc.theta, trunc.mu))
     table = absolutely_stable_table(ctx)
-    quiver, theta = ctx.quiver, ctx.trunc.theta
+    quiver, theta = ctx.quiver, trunc.theta
     rows: list[VerificationRow] = []
 
     def add(quantity, alpha, p, formula_value, oracle, *args):

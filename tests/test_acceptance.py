@@ -16,11 +16,9 @@ from quivercount.counting import (
     necklace_count,
     positivity_report,
     residual_q1_expansion,
-    residual_series,
     residual_series_recursive,
     semistable_ratio,
     semistable_series,
-    semistable_series_closed,
     stable_end_degree_poly,
 )
 from quivercount.numtheory import divisors, integer_binomial, mobius
@@ -31,16 +29,19 @@ from quivercount.oracle import (
     count_stable_with_end_dim,
 )
 from quivercount.qpoly import QPoly, RationalFunction
-from quivercount.quiver import Quiver, q_binomial_series, q_exponential, qbinom_vec
+from quivercount.quiver import Quiver, TruncationSpec, qbinom_vec
 from quivercount.series import (
     Series,
-    TruncationSpec,
     adams,
     monomial_twist,
     ordinary_pow,
     plethystic_exp,
     plethystic_log,
     plethystic_pow,
+    q_binomial_series,
+    q_exponential,
+    residual_series,
+    semistable_series_closed,
     series_bar,
     twisted_inverse,
     twisted_mul,

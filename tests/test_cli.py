@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import quivercount
-from quivercount import commands, counting, oracle
+from quivercount import commands, counting, oracle, verify
 from quivercount.cli import main
 
 QUIVERS = {
@@ -25,6 +25,8 @@ QUIVERS = {
     "a2": {"vertices": ["1", "2"], "arrows": [["1", "2"]]},
     "kronecker": {"vertices": ["1", "2"], "arrows": [["1", "2"], ["1", "2"]]},
     "cyclic": {"vertices": ["1", "2"], "arrows": [["1", "2"], ["1", "2"], ["2", "1"]]},
+    # a count of degree 10^20, which no polynomial can have
+    "huge": {"vertices": ["a"], "matrix": [[10 ** 20]]},
 }
 
 
@@ -108,6 +110,20 @@ def test_f_expand_rejects_nonzero_theta(quiver_file, capsys):
 def test_verify_ok(quiver_file):
     assert main(["verify", "--quiver", quiver_file("loop1"),
                  "--max-height", "3", "--primes", "2"]) == 0
+
+
+def test_verify_counts_only_as_high_as_its_rows(quiver_file, monkeypatch):
+    # no row lies above stable_height(2) = 4, whatever --max-height says
+    exact, heights = verify.absolutely_stable_table, []
+
+    def recorded(ctx):
+        heights.append(ctx.trunc.max_height)
+        return exact(ctx)
+
+    monkeypatch.setattr(verify, "absolutely_stable_table", recorded)
+    assert main(["verify", "--quiver", quiver_file("loop1"), "--max-height", "10",
+                 "--primes", "2,3"]) == 0
+    assert heights and max(heights) <= 4
 
 
 def test_verify_corrupted_table_exits_three(quiver_file, capsys, corrupt_table):
@@ -421,11 +437,17 @@ def test_exact_outputs_are_unchanged(quiver_file, argv, digest):
      "--end-degree must be >= 1"),
     (["s-count", "--quiver", "loop1", "--max-height", "2", "--end-degree", "-3"],
      "--end-degree must be >= 1"),
+    (["a-series", "--quiver", "huge", "--max-height", "1"],
+     f"arrow counts too large: dim R_alpha at alpha=(1,) passes {sys.maxsize}, "
+     "the largest polynomial degree"),
+    (["verify", "--quiver", "huge", "--max-height", "1"],
+     f"arrow counts too large: dim R_alpha at alpha=(1,) passes {sys.maxsize}, "
+     "the largest polynomial degree"),
 ], ids=["theta-length", "slope-zero-denominator", "max-height", "non-prime",
         "repeated-prime", "budget", "q1-order", "f-expand-theta", "f-expand-slope",
         "primes-empty-entry", "primes-empty", "primes-not-integer", "prime-past-int64",
         "theta-empty-entry", "slope-not-fraction", "end-degree-zero",
-        "end-degree-negative"])
+        "end-degree-negative", "huge-arrow-count", "huge-arrow-count-verify"])
 def test_usage_error_messages(quiver_file, capsys, argv, message):
     argv = [quiver_file(a) if a in QUIVERS else a for a in argv]
     assert main(argv) == 1
@@ -501,6 +523,19 @@ def test_exact_subcommands_never_import_numpy(quiver_file, argv):
         == "0 False False False"
 
 
+@pytest.mark.parametrize("argv", [
+    ["a-series", "--quiver", "cyclic", "--max-height", "3"],
+    ["r-series", "--quiver", "kronecker", "--theta", "1,0", "--slope", "1/2",
+     "--max-height", "4"],
+    ["s-count", "--quiver", "loop2", "--max-height", "4", "--end-degree", "2"],
+    ["f-expand", "--quiver", "loop2", "--max-height", "3", "--q1-order", "1"],
+    ["verify", "--quiver", "loop1", "--max-height", "2", "--primes", "2"],
+], ids=["a-series", "r-series", "s-count", "f-expand", "verify"])
+def test_counting_subcommands_never_import_series(quiver_file, argv):
+    # the Q(q) series layer holds the cross-checks, which only the tests run
+    assert run_and_list_modules(quiver_file, argv, ("quivercount.series",)) == "0 False"
+
+
 def test_verify_never_imports_numpy_ma(quiver_file):
     # the orbit tables of the oracle's sliced scan avoid np.unique, whose
     # first call imports numpy.ma: about 25 ms and half a megabyte of peak
@@ -531,22 +566,21 @@ def test_importing_the_package_loads_no_submodule():
     assert fresh_interpreter(code) == "[]"
 
 
-# the package root's exports while it imported them eagerly, by the module
-# each came from
+# the package root's exports, by the module that defines each; necklace_count,
+# defined in numtheory, is checked through counting, which imports it
 ROOT_EXPORTS = {
     "qpoly": ("PoleError", "QPoly", "RationalFunction", "poly_gcd"),
-    "series": ("DimVector", "Series", "TruncationError", "TruncationSpec", "adams",
-               "height", "monomial_twist", "ordinary_exp", "ordinary_log", "ordinary_pow",
-               "plethystic_exp", "plethystic_log", "plethystic_pow", "series_bar",
+    "series": ("Series", "TruncationError", "adams", "monomial_twist", "ordinary_exp",
+               "ordinary_log", "ordinary_pow", "plethystic_exp", "plethystic_log",
+               "plethystic_pow", "q_binomial_series", "q_exponential", "residual_series",
+               "semistable_ratio_reference", "semistable_series_closed", "series_bar",
                "twisted_inverse", "twisted_mul"),
-    "quiver": ("Quiver", "q_binomial_series", "q_exponential", "qbinom", "parse_theta",
+    "quiver": ("DimVector", "Quiver", "TruncationSpec", "height", "qbinom", "parse_theta",
                "qbinom_vec", "slope"),
     "counting": ("CountingContext", "CountTable", "IntegralityError", "InvariantError",
                  "absolutely_stable_table", "necklace_count", "positivity_report",
-                 "rep_ratio", "residual_q1_expansion", "residual_series",
-                 "residual_series_recursive", "semistable_ratio",
-                 "semistable_ratio_reference", "semistable_series",
-                 "semistable_series_closed", "stable_end_degree_poly"),
+                 "rep_ratio", "residual_q1_expansion", "residual_series_recursive",
+                 "semistable_ratio", "semistable_series", "stable_end_degree_poly"),
 }
 
 

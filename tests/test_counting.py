@@ -14,24 +14,24 @@ from quivercount.counting import (
     positivity_report,
     rep_ratio,
     residual_q1_expansion,
-    residual_series,
     residual_series_recursive,
     semistable_ratio,
-    semistable_ratio_reference,
     semistable_series,
-    semistable_series_closed,
     stable_end_degree_poly,
 )
 from quivercount import qpoly
 from quivercount.qpoly import QPoly, RationalFunction
-from quivercount.quiver import Quiver, q_exponential
+from quivercount.quiver import Quiver, TruncationSpec
 from quivercount.series import (
     Series,
-    TruncationSpec,
     adams,
     ordinary_pow,
     plethystic_exp,
     plethystic_pow,
+    q_exponential,
+    residual_series,
+    semistable_ratio_reference,
+    semistable_series_closed,
     twisted_mul,
 )
 
@@ -189,7 +189,6 @@ class TestSemistableRatio:
             assert semistable_series(ctx) == semistable_series_closed(ctx)
 
     def test_acyclic_inverse_is_q_exponential(self):
-        from quivercount.quiver import q_exponential
         from quivercount.series import twisted_inverse
         for quiver in (A2, KRONECKER):
             ctx = CountingContext.create(quiver, max_height=4)

@@ -15,7 +15,6 @@ from quivercount.counting import (
     absolutely_stable_table,
     gl_order_poly,
     semistable_ratio,
-    semistable_ratio_reference,
     semistable_series,
 )
 from quivercount.oracle import (
@@ -24,12 +23,11 @@ from quivercount.oracle import (
     count_semistable_ratio,
 )
 from quivercount.qpoly import QPoly, RationalFunction
-from quivercount.quiver import Quiver
+from quivercount.quiver import Quiver, dim_vectors, height
 from quivercount.series import (
     Series,
-    dim_vectors,
-    height,
     plethystic_exp,
+    semistable_ratio_reference,
     twisted_mul,
 )
 

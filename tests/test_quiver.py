@@ -11,8 +11,7 @@ from quivercount.counting import qbinom_jet
 from quivercount.qpoly import QPoly, RationalFunction
 from quivercount.quiver import (
     Quiver,
-    q_binomial_series,
-    q_exponential,
+    TruncationSpec,
     qbinom,
     _qbinom_poly,
     qbinom_vec,
@@ -20,9 +19,10 @@ from quivercount.quiver import (
 )
 from quivercount.series import (
     Series,
-    TruncationSpec,
     monomial_twist,
     plethystic_exp,
+    q_binomial_series,
+    q_exponential,
     series_bar,
 )
 

@@ -8,25 +8,29 @@ from hypothesis import strategies as st
 
 from quivercount.counting import CountingContext, semistable_series
 from quivercount.qpoly import QPoly, RationalFunction
-from quivercount.quiver import Quiver, q_exponential, slope
+from quivercount.quiver import (
+    Quiver,
+    TruncationSpec,
+    dim_vectors,
+    form_pairing,
+    slope,
+    subvectors,
+    vec_sub,
+)
 from quivercount.series import (
     Series,
     TruncationError,
-    TruncationSpec,
     adams,
-    dim_vectors,
-    form_pairing,
     monomial_twist,
     ordinary_exp,
     ordinary_log,
     plethystic_exp,
     plethystic_log,
     plethystic_pow,
+    q_exponential,
     series_bar,
-    subvectors,
     twisted_inverse,
     twisted_mul,
-    vec_sub,
 )
 
 ONE = QPoly.one()

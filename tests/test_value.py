@@ -9,8 +9,8 @@ import pytest
 from quivercount.counting import CountingContext
 from quivercount.oracle import RepPoint
 from quivercount.qpoly import QPoly, RationalFunction
-from quivercount.quiver import Quiver
-from quivercount.series import Series, TruncationSpec
+from quivercount.quiver import Quiver, TruncationSpec
+from quivercount.series import Series
 
 KRONECKER = Quiver(("1", "2"), ((0, 2), (0, 0)))
 LOOP = Quiver(("v",), ((1,),))
