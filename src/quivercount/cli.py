@@ -8,8 +8,8 @@ Subcommands
     verify      formula values against brute-force finite-field counts
     necklaces   primitive necklace numbers
 
-Exit codes: 0 success, 1 validation/parse error, 2 computation invariant
-violation, 3 verification mismatch.
+Exit codes: 0 success, 1 validation/parse error or an input that does not
+fit in memory, 2 computation invariant violation, 3 verification mismatch.
 
 The subcommands that count live in `commands`, which is imported only when
 one of them runs, so that `necklaces`, `--help` and a usage error load only
@@ -116,6 +116,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.run(args, sys.stdout)
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except MemoryError:
+        sys.stderr.write("error: the input does not fit in memory\n")
         return EXIT_USAGE
 
 

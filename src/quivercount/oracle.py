@@ -10,8 +10,9 @@ of degree r has automorphism group F_{p^r}^*, so its orbit has exactly
 #GL / (p^r - 1) points, and the division is asserted to be exact.
 
 The mass counts run on contiguous blocks of the point index range, one
-digits array (points x entries) per block; results are identical to the
-per-point functions, which are kept as the simple reference implementation.
+digits array (points x entries) per block.  The tests check them against a
+per-point reference in plain Python (tests/oracle_reference.py), which
+`verify` never loads.
 A block is the p^k points that share their high digits, so the low k digits
 are one table, built once per scan and held in the smallest signed dtype.
 Blocks are at most 2^12 points, sized for the cache rather than for the
@@ -49,10 +50,8 @@ that cell 6-9 ms).  With no such arrow, one empty representative of size 1
 leaves the scan by the shifts alone.  The slice never visits more points
 than the shifts alone: a sliced loop has at most p^(m-1) orbits, since its
 shift acts freely, and gives up only its own scalar shift, a factor of p;
-any other arrow has at most p^m orbits on its p^m matrices.  The per-point
-references (`enumerate_points`, `count_points`, `is_semistable`,
-`is_stable`, `endomorphism_dim`) and the point budget still cover all p^dim
-points.
+any other arrow has at most p^m orbits on its p^m matrices.
+`enumerate_points` and the point budget still cover all p^dim points.
 
 - Subspace search: each candidate subspace tuple is one integer matrix whose
   columns give the entries of C X B^T for every arrow, so a block is one
@@ -123,7 +122,6 @@ import numpy as np  # noqa: E402  (after the BLAS thread default above)
 from .counting import InvariantError
 from .numtheory import is_prime
 from .quiver import DimVector, Quiver, height, slope, subvectors
-from .value import Value
 
 
 class BudgetError(RuntimeError):
@@ -188,26 +186,6 @@ def _check_stability_budget(alpha: DimVector, p: int) -> None:
 # -- points -------------------------------------------------------------------
 
 
-class RepPoint(Value):
-    """One point of the representation space: a matrix per arrow.
-
-    The arrow h: i -> j carries an alpha^j x alpha^i matrix (rows indexed by
-    the target), stored as a tuple of row tuples with entries in [0, p).
-    """
-
-    __slots__ = ("quiver", "alpha", "p", "mats")
-
-    def __init__(self, quiver: Quiver, alpha: DimVector, p: int,
-                 mats: tuple[tuple[tuple[int, ...], ...], ...]):
-        arrows = quiver.arrow_list()
-        if len(mats) != len(arrows):
-            raise ValueError("one matrix per arrow required")
-        for (i, j), m in zip(arrows, mats):
-            if len(m) != alpha[j] or any(len(row) != alpha[i] for row in m):
-                raise ValueError(f"matrix shape mismatch for arrow {i}->{j}")
-        self._set(quiver=quiver, alpha=alpha, p=p, mats=mats)
-
-
 def _arrow_layout(quiver: Quiver, alpha: DimVector) -> list[tuple[int, int, int]]:
     """Per arrow: (source index, target index, flat offset into the digits)."""
     layout = []
@@ -218,20 +196,12 @@ def _arrow_layout(quiver: Quiver, alpha: DimVector) -> list[tuple[int, int, int]
     return layout
 
 
-def count_points(quiver: Quiver, alpha: Sequence[int], p: int,
-                 max_points: int = DEFAULT_MAX_POINTS) -> int:
-    """Number of points of the representation space, by one pass over the
-    digit blocks of the mass counts (`enumerate_points` stays the per-point
-    reference)."""
-    check_prime(p)
-    alpha = tuple(alpha)
-    _check_point_budget(quiver, alpha, p, max_points)
-    return sum(digits.shape[0] for digits in _digit_blocks(rep_space_dim(quiver, alpha), p))
-
-
 def enumerate_points(quiver: Quiver, alpha: Sequence[int], p: int,
-                     max_points: int = DEFAULT_MAX_POINTS) -> Iterator[RepPoint]:
-    """Every point of the representation space exactly once.
+                     max_points: int = DEFAULT_MAX_POINTS
+                     ) -> Iterator[tuple[tuple[tuple[int, ...], ...], ...]]:
+    """Every point of the representation space exactly once, as its tuple
+    of matrices: the arrow h: i -> j carries an alpha_j x alpha_i matrix
+    (rows indexed by the target) as a tuple of row tuples in [0, p).
 
     Deterministic order: point n has flattened entries equal to the base-p
     digits of n, least significant digit first.
@@ -244,53 +214,13 @@ def enumerate_points(quiver: Quiver, alpha: Sequence[int], p: int,
     # the least significant digit first
     for high_first in _cartesian(range(p), repeat=rep_space_dim(quiver, alpha)):
         digits = high_first[::-1]
-        mats = tuple(
+        yield tuple(
             tuple(digits[off + r * cols:off + (r + 1) * cols] for r in range(rows))
             for off, rows, cols in spans
         )
-        yield RepPoint(quiver, alpha, p, mats)
 
 
-# -- linear algebra mod p (plain python; small matrices only) --------------------
-
-
-def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    rows = [[x % p for x in row] for row in rows]
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((k for k in range(r, len(rows)) if rows[k][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][col]:
-                factor = rows[k][col]
-                rows[k] = [(a - factor * b) % p for a, b in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _nullspace(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """Basis of {v : M v = 0} for the matrix with the given rows."""
-    if not rows:
-        return [[1 if c == k else 0 for c in range(ncols)] for k in range(ncols)]
-    reduced, pivots = _rref([list(r) for r in rows], p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-reduced[r][f]) % p
-        basis.append(v)
-    return basis
+# -- subspaces -------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -322,31 +252,23 @@ def subspace_bases(n: int, d: int, p: int) -> tuple[tuple[tuple[int, ...], ...],
 @lru_cache(maxsize=None)
 def _annihilator(basis: tuple[tuple[int, ...], ...], n: int, p: int
                  ) -> tuple[tuple[int, ...], ...]:
-    """Rows spanning {w : B w = 0}; membership test v in rowspace(B) <=> A v = 0."""
-    return tuple(tuple(row) for row in _nullspace([list(r) for r in basis], n, p))
+    """Rows spanning {w : B w = 0} for an RREF basis B of a subspace of
+    F_p^n; membership test v in rowspace(B) <=> A v = 0.
+
+    Read straight off B: one row per non-pivot column f, with 1 at f and
+    -B[r][f] mod p at the pivot c_r of each row r.
+    """
+    pivot_rows = {row.index(1): row for row in basis}  # a row's first nonzero is 1
+    return tuple(
+        tuple(1 if c == f else -pivot_rows[c][f] % p if c in pivot_rows else 0
+              for c in range(n))
+        for f in range(n) if f not in pivot_rows
+    )
 
 
 def _proper_subdims(alpha: DimVector) -> list[DimVector]:
     zero = tuple(0 for _ in alpha)
     return [d for d in subvectors(alpha) if d != zero and d != alpha]
-
-
-def _tuple_is_invariant(point: RepPoint, bases: Sequence[tuple], p: int) -> bool:
-    alpha = point.alpha
-    for (i, j), mat in zip(point.quiver.arrow_list(), point.mats):
-        basis_i = bases[i]
-        if not basis_i:
-            continue
-        ann_j = _annihilator(bases[j], alpha[j], p)
-        if not ann_j:
-            continue
-        for u in basis_i:
-            image = [sum(mat[r][c] * u[c] for c in range(alpha[i])) % p
-                     for r in range(alpha[j])]
-            for w in ann_j:
-                if sum(a * b for a, b in zip(w, image)) % p:
-                    return False
-    return True
 
 
 def _subspace_tuples(alpha: DimVector, p: int, dims_list: Sequence[DimVector]
@@ -355,57 +277,6 @@ def _subspace_tuples(alpha: DimVector, p: int, dims_list: Sequence[DimVector]
     vector in dims_list."""
     for dims in dims_list:
         yield from _cartesian(*(subspace_bases(a, d, p) for a, d in zip(alpha, dims)))
-
-
-def _violating_tuples(point: RepPoint, theta: Sequence[int], strict: bool):
-    """Subspace tuples whose dimension vector would violate (semi)stability."""
-    return _subspace_tuples(point.alpha, point.p,
-                            _violating_dims(point.alpha, theta, strict))
-
-
-def _no_invariant_tuple(point: RepPoint, theta: Sequence[int], strict: bool) -> bool:
-    return not any(_tuple_is_invariant(point, bases, point.p)
-                   for bases in _violating_tuples(point, theta, strict))
-
-
-def is_semistable(point: RepPoint, theta: Sequence[int]) -> bool:
-    """No invariant subspace tuple of slope greater than the point's slope.
-
-    The zero representation counts as semistable.
-    """
-    return height(point.alpha) == 0 or _no_invariant_tuple(point, theta, strict=True)
-
-
-def is_stable(point: RepPoint, theta: Sequence[int]) -> bool:
-    """No invariant subspace tuple of slope >= the point's slope.
-
-    The zero representation is not stable.
-    """
-    return height(point.alpha) > 0 and _no_invariant_tuple(point, theta, strict=False)
-
-
-def endomorphism_dim(point: RepPoint) -> int:
-    """Dimension over F_p of {(phi_i) : phi_j X_h = X_h phi_i for all h: i->j}."""
-    alpha = point.alpha
-    p = point.p
-    sizes = [a * a for a in alpha]
-    offsets = [sum(sizes[:i]) for i in range(len(alpha))]
-    unknowns = sum(sizes)
-    rows = []
-    for (i, j), mat in zip(point.quiver.arrow_list(), point.mats):
-        ai, aj = alpha[i], alpha[j]
-        for r in range(aj):
-            for c in range(ai):
-                row = [0] * unknowns
-                for s in range(aj):
-                    row[offsets[j] + r * aj + s] += mat[s][c]
-                for s in range(ai):
-                    row[offsets[i] + s * ai + c] -= mat[r][s]
-                rows.append([x % p for x in row])
-    if not rows:
-        return unknowns
-    reduced, pivots = _rref(rows, p)
-    return unknowns - len(pivots)
 
 
 # -- blocked mass counting ----------------------------------------------------------
@@ -765,8 +636,10 @@ def _batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _end_system_index(quiver: Quiver, alpha: DimVector
                       ) -> tuple[int, np.ndarray, np.ndarray]:
-    """The commuting-square system of `endomorphism_dim` without the unknown
-    phi_{v,0,0} of the first vertex v with alpha_v > 0, as gather indices.
+    """The commuting-square system phi_j X_h = X_h phi_i, one equation per
+    arrow h: i -> j and entry of X_h, in the unknowns phi_{v,r,s} at offset
+    sum_{u<v} alpha_u^2 + r alpha_v + s, without the unknown phi_{v,0,0} of
+    the first vertex v with alpha_v > 0, as gather indices.
 
     Returns (unknowns, plus, minus): entry (eq, col) of the system is
     digit[plus[eq, col]] - digit[minus[eq, col]], where index dim names a

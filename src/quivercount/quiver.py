@@ -103,6 +103,8 @@ class Quiver(Value):
         if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
             raise ValueError("quiver JSON needs a 'vertices' list")
         vertices = [str(v) for v in data["vertices"]]
+        if "matrix" in data and "arrows" in data:
+            raise ValueError("quiver JSON has both 'arrows' and 'matrix'; give one")
         if "matrix" in data:
             return cls.from_matrix(data["matrix"], vertices)
         if "arrows" in data:

@@ -30,8 +30,8 @@ from .counting import (
 from .oracle import (
     DEFAULT_MAX_POINTS,
     BudgetError,
+    _check_point_budget,
     count_absolutely_stable,
-    count_points,
     count_semistable_ratio,
     count_stable_with_end_dim,
     gl_order,
@@ -82,10 +82,12 @@ class VerificationReport(NamedTuple):
 
 
 def _points_ratio(quiver: Quiver, alpha: DimVector, p: int, max_points: int) -> Fraction:
-    """#R_alpha / #GL_alpha at q = p, from a count of the points."""
-    if p ** rep_space_dim(quiver, alpha) > _ENUMERATION_CAP:
+    """#R_alpha / #GL_alpha at q = p: the space has p^dim points."""
+    points = p ** rep_space_dim(quiver, alpha)
+    if points > _ENUMERATION_CAP:
         raise BudgetError("point stream too long to enumerate")
-    return Fraction(count_points(quiver, alpha, p, max_points), gl_order(alpha, p))
+    _check_point_budget(quiver, alpha, p, max_points)
+    return Fraction(points, gl_order(alpha, p))
 
 
 def run_verification(ctx: CountingContext, primes: Sequence[int],

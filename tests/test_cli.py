@@ -27,7 +27,11 @@ QUIVERS = {
     "cyclic": {"vertices": ["1", "2"], "arrows": [["1", "2"], ["1", "2"], ["2", "1"]]},
     # a count of degree 10^20, which no polynomial can have
     "huge": {"vertices": ["a"], "matrix": [[10 ** 20]]},
+    # counts of degree 2^62 and 2^60: exabytes of coefficients, asked for at once
+    "loops-2^62": {"vertices": ["a"], "matrix": [[1 << 62]]},
+    "loops-2^60": {"vertices": ["a"], "matrix": [[1 << 60]]},
 }
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -271,6 +275,7 @@ def test_budget_below_one_is_a_usage_error(quiver_file, capsys, budget):
     3,
     {"vertices": ["v"], "arrows": [[["v"], "v"]]},
     {"vertices": ["v"], "arrows": [["v", {"a": 1}]]},
+    {"vertices": ["a"], "arrows": [["a", "a"]], "matrix": [[2]]},
 ])
 def test_malformed_quiver_is_a_usage_error(tmp_path, capsys, data):
     path = tmp_path / "bad.json"
@@ -290,6 +295,17 @@ def test_duplicate_vertex_names_are_a_usage_error(tmp_path, capsys, data):
     assert main(["a-series", "--quiver", str(path), "--max-height", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and "distinct" in captured.err
+
+
+@pytest.mark.parametrize("name", ["loops-2^62", "loops-2^60"])
+@pytest.mark.parametrize("command", ["a-series", "r-series", "s-count", "f-expand",
+                                     "verify"])
+def test_input_past_memory_is_a_usage_error(quiver_file, capsys, command, name):
+    # the request for the coefficients fails at once, without allocating
+    assert main([command, "--quiver", quiver_file(name), "--max-height", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: the input does not fit in memory\n"
+    assert captured.out == ""
 
 
 def test_bad_prime_validation(quiver_file):
@@ -359,6 +375,10 @@ EXACT_OUTPUTS = [
     # shifted one, Kronecker's rank orbits, and 1 x 1 tables at p = 4093
     (["verify", "--quiver", "loop2", "--max-height", "3", "--primes", "2,3"],
      "5967f60439bb4e206a01dcef6219ca7486167d987238b57fdb26042ea5cf2083"),
+    # the same run on the repository's quiver file, as the benchmark runs it:
+    # four points/GL rows skipped past the enumeration cap
+    (["verify", "--quiver", "quivers/loop2.json", "--max-height", "3", "--primes", "2,3"],
+     "5967f60439bb4e206a01dcef6219ca7486167d987238b57fdb26042ea5cf2083"),
     (["verify", "--quiver", "kronecker", "--max-height", "3", "--primes", "2,3,4093"],
      "b3abfc0e0eeb0145eac9b1b5102b388867e8c7342fefb3825d72331c5b6c8f17"),
     # five rows skipped past the budget, each with its note
@@ -389,12 +409,14 @@ EXACT_OUTPUTS = [
                               "loop2-a-series-latex", "kronecker-cone-r-series-latex",
                               "loop2-f-expand-json", "loop2-s-count-json",
                               "loop2-verify", "a2-verify-json",
-                              "loop2-verify-h3", "kronecker-verify-h3-4093",
+                              "loop2-verify-h3", "loop2-file-verify-h3",
+                              "kronecker-verify-h3-4093",
                               "loop1-verify-skipped-json", "necklaces",
                               "necklaces-json", "loop4-f-expand-h16", "kronecker-cone-h24",
                               "cyclic-f-expand"])
 def test_exact_outputs_are_unchanged(quiver_file, argv, digest):
-    argv = [quiver_file(a) if a in QUIVERS else a for a in argv]
+    argv = [quiver_file(a) if a in QUIVERS
+            else str(ROOT / a) if a.startswith("quivers/") else a for a in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
@@ -480,14 +502,13 @@ def test_console_script_runs(capsys):
 def test_readme_commands_run(capsys):
     # every `quivercount ...` line of README's sh blocks, with its quivers/
     # paths read from the repository root
-    root = Path(__file__).resolve().parent.parent
-    readme = (root / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     commands = [shlex.split(line)[1:]
                 for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
                 for line in block.splitlines() if line.startswith("quivercount ")]
     assert len(commands) >= 6
     for argv in commands:
-        argv = [str(root / word) if word.startswith("quivers/") else word
+        argv = [str(ROOT / word) if word.startswith("quivers/") else word
                 for word in argv]
         assert main(argv) == 0, argv
         assert capsys.readouterr().out, argv

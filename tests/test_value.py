@@ -1,4 +1,4 @@
-"""The value protocol of `quivercount.value.Value` on the four classes that
+"""The value protocol of `quivercount.value.Value` on the three classes that
 take their equality, hashing and repr from it, and the immutability of
 every class built on it."""
 
@@ -7,13 +7,11 @@ from fractions import Fraction
 import pytest
 
 from quivercount.counting import CountingContext
-from quivercount.oracle import RepPoint
 from quivercount.qpoly import QPoly, RationalFunction
 from quivercount.quiver import Quiver, TruncationSpec
 from quivercount.series import Series
 
 KRONECKER = Quiver(("1", "2"), ((0, 2), (0, 0)))
-LOOP = Quiver(("v",), ((1,),))
 CONE = TruncationSpec(2, 4, (1, 0), Fraction(1, 2))
 
 KRONECKER_REPR = "Quiver(vertices=('1', '2'), arrow_counts=((0, 2), (0, 0)))"
@@ -28,11 +26,7 @@ CONE_REPR = "TruncationSpec(nvars=2, max_height=4, theta=(1, 0), mu=Fraction(1, 
     (lambda: CountingContext(KRONECKER, CONE),
      (KRONECKER, CONE), ("_hn_cache", "_packed"),
      f"CountingContext(quiver={KRONECKER_REPR}, trunc={CONE_REPR})"),
-    (lambda: RepPoint(LOOP, (2,), 3, (((0, 1), (2, 0)),)),
-     (LOOP, (2,), 3, (((0, 1), (2, 0)),)), (),
-     "RepPoint(quiver=Quiver(vertices=('v',), arrow_counts=((1,),)), alpha=(2,), p=3, "
-     "mats=(((0, 1), (2, 0)),))"),
-], ids=["Quiver", "TruncationSpec", "CountingContext", "RepPoint"])
+], ids=["Quiver", "TruncationSpec", "CountingContext"])
 def test_value_protocol(make, fields, private, text):
     x, twin = make(), make()
     cls = type(x)
@@ -55,11 +49,10 @@ def test_value_protocol(make, fields, private, text):
     lambda: Quiver(("1", "2"), ((0, 2), (0, 0))),
     lambda: TruncationSpec(2, 4, (1, 0), Fraction(1, 2)),
     lambda: CountingContext(KRONECKER, CONE),
-    lambda: RepPoint(LOOP, (2,), 3, (((0, 1), (2, 0)),)),
     lambda: QPoly([1, -1, 2]),
     lambda: RationalFunction(QPoly([1, 1]), QPoly([1, -1])),
     lambda: Series(CONE, {(1, 1): 2, (2, 2): 3}),
-], ids=["Quiver", "TruncationSpec", "CountingContext", "RepPoint", "QPoly",
+], ids=["Quiver", "TruncationSpec", "CountingContext", "QPoly",
         "RationalFunction", "Series"])
 def test_slots_cannot_be_deleted(make):
     # a deleted slot would leave a value whose repr, == and hash raise
