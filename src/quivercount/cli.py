@@ -117,7 +117,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except MemoryError:
+    except (MemoryError, OverflowError):  # a coefficient list, or an int past CPython's size
         sys.stderr.write("error: the input does not fit in memory\n")
         return EXIT_USAGE
 

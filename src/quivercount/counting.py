@@ -14,7 +14,8 @@ The pipeline for a quiver with stability theta and a fixed slope mu is:
 2. The generating series r of these ratios is inverted with respect to the
    twisted product, and (1 - q) times the plethystic Log of the inverse
    counts absolutely stable classes.  Both steps run on #GL-scaled series in
-   Q[q]; integrality of the result is asserted, never assumed.
+   Q[q] with polynomial weights, so each count is one exact division by
+   #GL_alpha; integrality of the result is asserted, never assumed.
 
 3. For the zero stability the counts of stable classes feed a residual
    series Exp((a - sum x_i)/(1-q)) that is regular at q = 1; ``series``
@@ -30,16 +31,15 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd, prod
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .numtheory import divisors, integer_binomial, mobius, necklace_count
 from .qpoly import QPoly, RationalFunction, binomial_jet, trunc_inv, trunc_mul
-from .quiver import (DimVector, Quiver, TruncationSpec, _poch_denominator, _qbinom_poly,
-                     _solve_by_height, height, qbinom_vec, slope, subvectors, vec_add,
-                     vec_scale, vec_sub)
+from .quiver import (DimVector, Quiver, TruncationSpec, _qbinom_poly, _solve_by_height,
+                     height, qbinom_vec, slope, subvectors, vec_add, vec_scale, vec_sub)
 from .value import Value
 
 
@@ -81,15 +81,16 @@ class CountingContext(Value):
 # -- building blocks -------------------------------------------------------------
 
 
-def gl_order_poly(n: int) -> QPoly:
-    """#GL_n as a polynomial in q: prod_{i=0..n-1} (q^n - q^i), which is
-    (-1)^n q^{n(n-1)/2} prod_{i=1..n} (1 - q^i)."""
-    return QPoly.linear_combination([(n * (n - 1) // 2, (-1) ** n, (_poch_denominator(n),))])
+@lru_cache(maxsize=None)
+def _gl_factor(n: int, k: Optional[int]) -> QPoly:  # one vertex's factors in _gl_order
+    return QPoly.linear_combination([(0, 1, tuple(
+        QPoly.monomial(n) - QPoly.monomial(j) for j in range(n) if k is None or j % k))])
 
 
-def _gl_order(alpha: Sequence[int]) -> QPoly:
-    """#GL_alpha = prod_i #GL_{alpha_i} as a polynomial in q."""
-    return prod(map(gl_order_poly, alpha), start=QPoly.one())
+def _gl_order(alpha: Sequence[int], k: Optional[int] = None) -> QPoly:
+    """#GL_alpha = prod_v prod_{j < alpha_v} (q^{alpha_v} - q^j); for k | alpha, only the
+    factors with k not dividing j: the Mobius scale #GL_alpha(q) / #GL_{alpha/k}(q^k)."""
+    return prod((_gl_factor(n, k) for n in alpha), start=QPoly.one())
 
 
 def rep_ratio(quiver: Quiver, alpha: Sequence[int]) -> RationalFunction:
@@ -202,9 +203,9 @@ def absolutely_stable_table(ctx: CountingContext) -> CountTable:
       G_alpha = -sum q^{sum_{i->j} beta_i rest_j} [alpha; beta] N_beta G_rest,
       L_alpha = G_alpha - sum q^{beta.rest} [alpha; beta] |rest| G_beta L_rest / |alpha|
     are the twisted inverse and its ordinary Log, each sum one linear
-    combination; psi_k in the Mobius sum carries the polynomial
-    #GL_alpha(q) / #GL_{alpha/k}(q^k).  Each count is one exact division by
-    #GL_alpha and must have integer coefficients; anything else is an error.
+    combination; psi_k in the Mobius sum carries #GL_alpha(q) / #GL_{alpha/k}(q^k),
+    the factors of #GL_alpha that psi_k(#GL_{alpha/k}) leaves.  Each count is one
+    exact division by #GL_alpha and must have integer coefficients, or it is an error.
     """
     quiver, trunc = ctx.quiver, ctx.trunc
     nil = QPoly.zero()
@@ -224,13 +225,12 @@ def absolutely_stable_table(ctx: CountingContext) -> CountTable:
     for alpha in trunc.vectors():
         if height(alpha) == 0:
             continue
-        gl, value = _gl_order(alpha), nil
+        value = nil
         for k in divisors(gcd(*alpha)):
             m, base = mobius(k), tuple(a // k for a in alpha)
             if m and base in log:
-                scale = gl.exact_div(_gl_order(base).adams(k)) * Fraction(m, k)
-                value = value + log[base].adams(k) * scale
-        value = value * ONE_MINUS_Q
+                value = value + log[base].adams(k) * _gl_order(alpha, k) * Fraction(m, k)
+        value, gl = value * ONE_MINUS_Q, _gl_order(alpha)
         try:
             poly = value.exact_div(gl)
         except ValueError:
@@ -314,16 +314,17 @@ def qbinom_jet(lam: Sequence[int], beta: Sequence[int], order: int) -> QPoly:
     [n, m] = 0 for -m <= n <= -1, so no rational function is needed.
     """
     length = order + 1
-
-    def q_integer(k: int) -> QPoly:
-        return QPoly([integer_binomial(k, j + 1) for j in range(length)])
-
     num = den = QPoly.one()
     for n, m in zip(lam, beta):
         for i in range(1, m + 1):
-            num = trunc_mul(num, q_integer(n + i), length)
-            den = trunc_mul(den, q_integer(i), length)
+            num = trunc_mul(num, _q_integer_jet(n + i, length), length)
+            den = trunc_mul(den, _q_integer_jet(i, length), length)
     return trunc_mul(num, trunc_inv(den, length), length)
+
+
+@lru_cache(maxsize=None)
+def _q_integer_jet(k: int, length: int) -> QPoly:  # [k]_q in t, cut to length terms
+    return QPoly([integer_binomial(k, j + 1) for j in range(length)])
 
 
 def residual_q1_expansion(ctx: CountingContext, order: int

@@ -18,8 +18,8 @@ The q-binomials
 
     [n, m] = prod_{i=1..m} (1 - q^{n+i}) / prod_{i=1..m} (1 - q^i)
 
-for integers n are exact rational functions (polynomials for n >= 0), with
-vertexwise products for vector arguments.
+for integers n are exact rational functions (polynomials for n >= 0, built by
+the q-Pascal rule), with vertexwise products for vector arguments.
 """
 
 from __future__ import annotations
@@ -264,20 +264,18 @@ class TruncationSpec(Value):
 # -- q-binomials ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _poch_denominator(m: int) -> QPoly:
-    """prod_{i=1..m} (1 - q^i)."""
-    poly = QPoly.one()
-    for i in range(1, m + 1):
-        poly = poly * QPoly([1] + [0] * (i - 1) + [-1])
-    return poly
+_QBINOMS: list[list[QPoly]] = []  # row n: [n, 0] = 1, [n, 1], ... as far as asked for
 
 
-@lru_cache(maxsize=None)
 def _qbinom_poly(n: int, m: int) -> QPoly:
-    """[n, m] = (q;q)_{n+m} / ((q;q)_n (q;q)_m) for n >= 0, as a polynomial
-    (exact division, no gcd needed)."""
-    return _poch_denominator(n + m).exact_div(_poch_denominator(n) * _poch_denominator(m))
+    """[n, m] for n, m >= 0 by the q-Pascal rule [n, m] = [n, m-1] + q^m [n-1, m]."""
+    if n >= len(_QBINOMS) or m >= len(_QBINOMS[n]):  # fill rows 0..n in turn, no recursion
+        _QBINOMS.extend([QPoly.one()] for _ in range(len(_QBINOMS), n + 1))
+        for i, row in enumerate(_QBINOMS[:n + 1]):
+            for j in range(len(row), m + 1):  # row 0 is [0, m] = 1
+                row.append(row[0] if i == 0 else QPoly.linear_combination(
+                    [(0, 1, (row[j - 1],)), (j, 1, (_QBINOMS[i - 1][j],))]))
+    return _QBINOMS[n][m]
 
 
 @lru_cache(maxsize=None)

@@ -29,8 +29,8 @@ from .counting import (ONE_MINUS_Q, CountingContext, CountTable, InvariantError,
                        _require_zero_stability, rep_ratio)
 from .numtheory import mobius
 from .qpoly import QPoly, RationalFunction
-from .quiver import (DimVector, TruncationSpec, _poch_denominator, _solve_by_height,
-                     form_pairing, height, qbinom_vec, subvectors, vec_add, vec_scale, vec_sub)
+from .quiver import (DimVector, TruncationSpec, _solve_by_height, form_pairing, height,
+                     qbinom_vec, subvectors, vec_add, vec_scale, vec_sub)
 from .value import Value
 
 
@@ -310,8 +310,8 @@ def q_exponential(trunc: TruncationSpec) -> Series:
     For one variable this is Euler's q-exponential sum_k x^k / (q;q)_k; it
     equals Exp(sum_i x_i / (1-q)).
     """
-    return Series(trunc, {a: RationalFunction(1, prod(map(_poch_denominator, a),
-                                                      start=QPoly.one()))
+    return Series(trunc, {a: RationalFunction(1, prod(1 - QPoly.monomial(i) for n in a
+                                                      for i in range(1, n + 1)))
                           for a in trunc.vectors()})
 
 

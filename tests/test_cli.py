@@ -30,6 +30,8 @@ QUIVERS = {
     # counts of degree 2^62 and 2^60: exabytes of coefficients, asked for at once
     "loops-2^62": {"vertices": ["a"], "matrix": [[1 << 62]]},
     "loops-2^60": {"vertices": ["a"], "matrix": [[1 << 60]]},
+    # the largest count the degree limit admits: an integer past CPython's size
+    "loops-2^63-1": {"vertices": ["a"], "matrix": [[(1 << 63) - 1]]},
 }
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -297,7 +299,7 @@ def test_duplicate_vertex_names_are_a_usage_error(tmp_path, capsys, data):
     assert captured.err.count("\n") == 1 and "distinct" in captured.err
 
 
-@pytest.mark.parametrize("name", ["loops-2^62", "loops-2^60"])
+@pytest.mark.parametrize("name", ["loops-2^62", "loops-2^60", "loops-2^63-1"])
 @pytest.mark.parametrize("command", ["a-series", "r-series", "s-count", "f-expand",
                                      "verify"])
 def test_input_past_memory_is_a_usage_error(quiver_file, capsys, command, name):
@@ -399,6 +401,12 @@ EXACT_OUTPUTS = [
     # two-variable layers, whose terms join coefficient and monomial with *
     (["f-expand", "--quiver", "cyclic", "--max-height", "6", "--q1-order", "2"],
      "573119f5f98146e97b6243b5ccfb3fa3d0342b4b4b5a0291129ab69cbe29e366"),
+    # a deep q-Pascal table, and Mobius sums at every squarefree k up to 23
+    (["a-series", "--quiver", "loop1", "--max-height", "24"],
+     "3e8f4273f9d512156e5655d370f97fe43eaad579a967f6f5b717b817ca876084"),
+    # the [k]_q jets of the residual recursion at order 2
+    (["f-expand", "--quiver", "loop2", "--max-height", "16", "--q1-order", "2"],
+     "f4287e188d2c63c0ab2878ef5fcbcf5b71ab17d03850a0a940bf1aa9250c5fc4"),
 ]
 
 
@@ -413,7 +421,8 @@ EXACT_OUTPUTS = [
                               "kronecker-verify-h3-4093",
                               "loop1-verify-skipped-json", "necklaces",
                               "necklaces-json", "loop4-f-expand-h16", "kronecker-cone-h24",
-                              "cyclic-f-expand"])
+                              "cyclic-f-expand", "loop1-a-series-h24",
+                              "loop2-f-expand-h16"])
 def test_exact_outputs_are_unchanged(quiver_file, argv, digest):
     argv = [quiver_file(a) if a in QUIVERS
             else str(ROOT / a) if a.startswith("quivers/") else a for a in argv]

@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from quivercount.counting import (
     CountingContext,
     IntegralityError,
+    _gl_factor,
+    _gl_order,
     _hn_count,
     absolutely_stable_table,
-    gl_order_poly,
     loop_layer_checks,
     necklace_count,
     positivity_report,
@@ -19,9 +21,10 @@ from quivercount.counting import (
     semistable_series,
     stable_end_degree_poly,
 )
-from quivercount import qpoly
+from quivercount import qpoly, quiver as quiver_module
+from quivercount.numtheory import divisors
 from quivercount.qpoly import QPoly, RationalFunction
-from quivercount.quiver import Quiver, TruncationSpec
+from quivercount.quiver import Quiver, TruncationSpec, dim_vectors
 from quivercount.series import (
     Series,
     adams,
@@ -99,15 +102,30 @@ class TestRepRatio:
     def test_one_loop(self):
         assert rep_ratio(loop(1), (1,)) == RationalFunction(Q, Q - 1)
 
-    def test_gl_order_poly(self):
-        assert gl_order_poly(0).is_one
-        assert gl_order_poly(1) == Q - 1
-        assert gl_order_poly(2).evaluate(2) == 6
+    def test_gl_order_is_the_signed_pochhammer_product(self):
+        # #GL_n = (-1)^n q^{n(n-1)/2} prod_{i<=n} (1 - q^i), against the product
+        # of the q^n - q^j that _gl_order takes as its definition
+        assert _gl_order((0,)).is_one
+        assert _gl_order((1,)) == Q - 1
+        assert _gl_order((2,)).evaluate(2) == 6
         for n in range(11):
-            product = QPoly.one()
-            for i in range(n):
-                product = product * (QPoly.monomial(n) - QPoly.monomial(i))
-            assert gl_order_poly(n) == product, n
+            pochhammer = ONE
+            for i in range(1, n + 1):
+                pochhammer = pochhammer * (ONE - QPoly.monomial(i))
+            assert _gl_order((n,)) == QPoly.monomial(n * (n - 1) // 2, (-1) ** n) * pochhammer, n
+        assert _gl_order((2, 0, 3)) == _gl_order((2,)) * _gl_order((3,))
+
+    def test_gl_order_splits_into_the_mobius_scale(self):
+        # #GL_alpha(q) = scale_k * #GL_{alpha/k}(q^k), and the scale is 1 at k = 1
+        for nvars in (1, 2, 3):
+            for alpha in dim_vectors(nvars, 8):
+                if not sum(alpha):
+                    continue
+                assert _gl_order(alpha, 1).is_one
+                for k in divisors(gcd(*alpha)):
+                    base = tuple(a // k for a in alpha)
+                    assert _gl_order(alpha, k) * _gl_order(base).adams(k) == \
+                        _gl_order(alpha), (alpha, k)
 
     def test_closed_form_via_conjugated_binomial(self):
         for quiver in (loop(1), loop(2), A2, KRONECKER):
@@ -248,21 +266,32 @@ class TestStableClassTable:
             absolutely_stable_table(ctx)
 
     @pytest.mark.parametrize("quiver,theta,height", [(loop(3), None, 8),
-                                                     (KRONECKER, (1, 0), 12)],
-                             ids=["loop3", "kronecker-cone"])
+                                                     (KRONECKER, (1, 0), 12),
+                                                     (CYCLIC, None, 6)],
+                             ids=["loop3", "kronecker-cone", "cyclic"])
     def test_table_does_no_rational_function_arithmetic(self, monkeypatch, quiver,
                                                         theta, height):
-        # every series of the table is #GL-scaled and stays in Q[q]
+        # every series of the table is #GL-scaled and stays in Q[q]; #GL and the
+        # q-binomials are built from their definitions, so the only division
+        # left is each count's integrality check.  The caches start cold, so
+        # that no division hides in an earlier test's entries.
         def forbidden(*args):
             raise AssertionError("rational function arithmetic in the count table")
 
         monkeypatch.setattr(qpoly, "poly_gcd", forbidden)
         for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
             monkeypatch.setattr(RationalFunction, name, forbidden)
+        divisions = []
+        exact_div = QPoly.exact_div
+        monkeypatch.setattr(QPoly, "exact_div",
+                            lambda a, b: divisions.append(1) or exact_div(a, b))
+        monkeypatch.setattr(quiver_module, "_QBINOMS", [])
+        _gl_factor.cache_clear()
         mu = Fraction(1, 2) if theta else Fraction(0)
         ctx = CountingContext.create(quiver, theta=theta, mu=mu, max_height=height)
-        assert len(absolutely_stable_table(ctx).entries) == \
-            sum(1 for a in ctx.trunc.vectors() if sum(a))
+        counts = sum(1 for a in ctx.trunc.vectors() if sum(a))
+        assert len(absolutely_stable_table(ctx).entries) == counts
+        assert len(divisions) <= counts
 
     def test_table_json_shape(self):
         ctx = CountingContext.create(loop(2), max_height=2)

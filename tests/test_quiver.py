@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quivercount import quiver as quiver_module
 from quivercount.counting import qbinom_jet
 from quivercount.qpoly import QPoly, RationalFunction
 from quivercount.quiver import (
@@ -165,14 +166,21 @@ class TestQBinomials:
             assert exponential.coeff((m,)) == qbinom_literal_inf(m)
 
     def test_polynomial_case_is_the_defining_product(self):
-        # [n, m] prod_{i<=m} (1 - q^i) = prod_{i<=m} (1 - q^{n+i}), n, m <= 10
-        for n in range(11):
-            for m in range(11):
+        # [n, m] prod_{i<=m} (1 - q^i) = prod_{i<=m} (1 - q^{n+i}), n, m <= 12
+        for n in range(13):
+            for m in range(13):
                 lhs, rhs = _qbinom_poly(n, m), ONE
                 for i in range(1, m + 1):
                     lhs = lhs * (ONE - QPoly.monomial(i))
                     rhs = rhs * (ONE - QPoly.monomial(n + i))
                 assert lhs == rhs, (n, m)
+
+    def test_deep_table_from_cold(self, monkeypatch):
+        # the q-Pascal table fills 1501 rows at the default recursion limit
+        monkeypatch.setattr(quiver_module, "_QBINOMS", [])
+        geometric = QPoly([1] * 1501)
+        assert _qbinom_poly(1500, 1) == geometric
+        assert _qbinom_poly(1, 1500) == geometric
 
     def test_specialize_to_binomials(self):
         for n in range(0, 6):
