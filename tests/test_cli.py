@@ -407,6 +407,21 @@ EXACT_OUTPUTS = [
     # the [k]_q jets of the residual recursion at order 2
     (["f-expand", "--quiver", "loop2", "--max-height", "16", "--q1-order", "2"],
      "f4287e188d2c63c0ab2878ef5fcbcf5b71ab17d03850a0a940bf1aa9250c5fc4"),
+    # a two-vertex full table, whose Log terms once had denominators up to 14
+    (["a-series", "--quiver", "quivers/kronecker.json", "--max-height", "14"],
+     "f0b6f8ad1eb6f939e82b16d6cd9c46787ade70b9760d6a1416a3bc6a89eba2b5"),
+    # jet quotients at order 5
+    (["f-expand", "--quiver", "quivers/loop3.json", "--max-height", "10", "--q1-order", "5"],
+     "8f334653167a7561fe9a06631067647b9dca20e124c41c57ecd2b3c85de0cd01"),
+    # negative q-binomial arguments, which give zero and reflected jets
+    (["f-expand", "--quiver", "quivers/a3.json", "--max-height", "8", "--q1-order", "3"],
+     "9490682e5336500ff03ae369d3fff41e22202de5cde9f8bbaef64d05b6bbbfa4"),
+    # Mobius sums at every squarefree k up to 31
+    (["a-series", "--quiver", "quivers/loop1.json", "--max-height", "32"],
+     "812e9486b8f4ab27b03b6fb589ca03740c11cf31f356dcff665907e5b93ee522"),
+    # Euclid, then exact_div, in every normal form
+    (["r-series", "--quiver", "quivers/loop2.json", "--max-height", "10"],
+     "b439f7143597f4ae1da4a658ff571ed985f141bbb55067c6b126c9a3a2f8fac0"),
 ]
 
 
@@ -422,7 +437,9 @@ EXACT_OUTPUTS = [
                               "loop1-verify-skipped-json", "necklaces",
                               "necklaces-json", "loop4-f-expand-h16", "kronecker-cone-h24",
                               "cyclic-f-expand", "loop1-a-series-h24",
-                              "loop2-f-expand-h16"])
+                              "loop2-f-expand-h16", "kronecker-a-series-h14",
+                              "loop3-f-expand-order5", "a3-f-expand-order3",
+                              "loop1-a-series-h32", "loop2-r-series-h10"])
 def test_exact_outputs_are_unchanged(quiver_file, argv, digest):
     argv = [quiver_file(a) if a in QUIVERS
             else str(ROOT / a) if a.startswith("quivers/") else a for a in argv]
