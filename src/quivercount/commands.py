@@ -116,13 +116,13 @@ def cmd_a_series(args: argparse.Namespace, out) -> int:
             out.write(
                 f"$({','.join(map(str, alpha))})$ & "
                 f"${poly.latex()}$ & "
-                f"${format_poly(poly.qminus1_coeffs(), '(q-1)', latex=True)}$\\\\\n"
+                f"${format_poly(poly.shifted().coeffs, '(q-1)', latex=True)}$\\\\\n"
             )
         out.write("\\end{tabular}\n")
     else:
         for alpha, poly in table.sorted_items():
             out.write(f"alpha={alpha}  count(q) = {poly}  "
-                      f"|  in q-1: {format_poly(poly.qminus1_coeffs(), '(q-1)')}\n")
+                      f"|  in q-1: {format_poly(poly.shifted().coeffs, '(q-1)')}\n")
     return EXIT_OK
 
 

@@ -14,8 +14,9 @@ The pipeline for a quiver with stability theta and a fixed slope mu is:
 2. The generating series r of these ratios is inverted with respect to the
    twisted product, and (1 - q) times the plethystic Log of the inverse
    counts absolutely stable classes.  Both steps run on #GL-scaled series in
-   Q[q] with polynomial weights, so each count is one exact division by
-   #GL_alpha; integrality of the result is asserted, never assumed.
+   Z[q] with polynomial weights and integer scalars, so each count is one
+   exact division by |alpha| #GL_alpha; integrality of the result is
+   asserted, never assumed.
 
 3. For the zero stability the counts of stable classes feed a residual
    series Exp((a - sum x_i)/(1-q)) that is regular at q = 1; ``series``
@@ -37,7 +38,7 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .numtheory import divisors, integer_binomial, mobius, necklace_count
-from .qpoly import QPoly, RationalFunction, binomial_jet, trunc_inv, trunc_mul
+from .qpoly import QPoly, RationalFunction, binomial_jet, trunc_div, trunc_mul
 from .quiver import (DimVector, Quiver, TruncationSpec, _qbinom_poly, _solve_by_height,
                      height, qbinom_vec, slope, subvectors, vec_add, vec_scale, vec_sub)
 from .value import Value
@@ -198,14 +199,17 @@ def absolutely_stable_table(ctx: CountingContext) -> CountTable:
 
     The twisted inverse of the semistable series is Exp(a/(1-q)), so a is
     (1-q) times its plethystic Log.  Each series is held scaled by #GL
-    (c_alpha as #GL_alpha c_alpha), which keeps it in Q[q].  From the point
+    (c_alpha as #GL_alpha c_alpha), which keeps it in Z[q].  From the point
     counts N = _hn_count, with rest = alpha - beta and sums over 0 < beta <= alpha,
       G_alpha = -sum q^{sum_{i->j} beta_i rest_j} [alpha; beta] N_beta G_rest,
-      L_alpha = G_alpha - sum q^{beta.rest} [alpha; beta] |rest| G_beta L_rest / |alpha|
-    are the twisted inverse and its ordinary Log, each sum one linear
-    combination; psi_k in the Mobius sum carries #GL_alpha(q) / #GL_{alpha/k}(q^k),
-    the factors of #GL_alpha that psi_k(#GL_{alpha/k}) leaves.  Each count is one
-    exact division by #GL_alpha and must have integer coefficients, or it is an error.
+      M_alpha = |alpha| G_alpha - sum q^{beta.rest} [alpha; beta] G_beta M_rest
+    are the twisted inverse and the Euler operator M_alpha = |alpha| L_alpha of
+    its ordinary Log L, each sum one linear combination with integer scalars.
+    As |alpha/k| = |alpha| / k, the Mobius sum sum_k mu(k)/k psi_k(L_{alpha/k})
+    is sum_k mu(k) psi_k(M_{alpha/k}) / |alpha|; psi_k there carries
+    #GL_alpha(q) / #GL_{alpha/k}(q^k), the factors of #GL_alpha that
+    psi_k(#GL_{alpha/k}) leaves.  Each count is one exact division by
+    |alpha| #GL_alpha and must have integer coefficients, or it is an error.
     """
     quiver, trunc = ctx.quiver, ctx.trunc
     nil = QPoly.zero()
@@ -217,10 +221,9 @@ def absolutely_stable_table(ctx: CountingContext) -> CountTable:
         lambda alpha, acc: acc, combine)
     log = _solve_by_height(
         trunc, inverse, nil,
-        lambda beta, rest, g, l: (sum(map(mul, beta, rest)),
-                                  Fraction(-height(rest), height(beta) + height(rest)),
-                                  _qbinom_factors(beta, rest) + (g, l)),
-        lambda alpha, acc: inverse.get(alpha, nil) + acc, combine)
+        lambda beta, rest, g, m: (sum(map(mul, beta, rest)), -1,
+                                  _qbinom_factors(beta, rest) + (g, m)),
+        lambda alpha, acc: inverse.get(alpha, nil) * height(alpha) + acc, combine)
     entries: dict[DimVector, QPoly] = {}
     for alpha in trunc.vectors():
         if height(alpha) == 0:
@@ -229,8 +232,8 @@ def absolutely_stable_table(ctx: CountingContext) -> CountTable:
         for k in divisors(gcd(*alpha)):
             m, base = mobius(k), tuple(a // k for a in alpha)
             if m and base in log:
-                value = value + log[base].adams(k) * _gl_order(alpha, k) * Fraction(m, k)
-        value, gl = value * ONE_MINUS_Q, _gl_order(alpha)
+                value = value + log[base].adams(k) * _gl_order(alpha, k) * m
+        value, gl = value * ONE_MINUS_Q, _gl_order(alpha) * height(alpha)
         try:
             poly = value.exact_div(gl)
         except ValueError:
@@ -319,7 +322,7 @@ def qbinom_jet(lam: Sequence[int], beta: Sequence[int], order: int) -> QPoly:
         for i in range(1, m + 1):
             num = trunc_mul(num, _q_integer_jet(n + i, length), length)
             den = trunc_mul(den, _q_integer_jet(i, length), length)
-    return trunc_mul(num, trunc_inv(den, length), length)
+    return trunc_div(num, den, length)
 
 
 @lru_cache(maxsize=None)
@@ -433,6 +436,6 @@ def positivity_report(table: CountTable) -> tuple[PositivityRow, ...]:
     quiver = table.context.quiver
     loops = quiver.arrow_counts[0][0] if quiver.nvertices == 1 else 0
     return tuple(
-        PositivityRow(alpha, poly.qminus1_coeffs(),
+        PositivityRow(alpha, poly.shifted().coeffs,
                       necklace_count(loops, alpha[0]) if loops else None)
         for alpha, poly in table.sorted_items())

@@ -10,11 +10,12 @@ in lowest terms, so every operation is exact integer arithmetic and
   Python integer at a power of two, multiplies and adds those (CPython's
   Karatsuba), and unpacks the sum's digits once; a long product is its
   one-term case.
-- Division is fraction-free.  `exact_div` divides by the primitive part of
+- Division is fraction-free, by one pseudo-division that also gives the
+  remainders of `poly_gcd`.  `exact_div` divides by the primitive part of
   the divisor over Z; by Gauss's lemma an exact quotient of an integer
-  polynomial by a primitive one has integer coefficients, so a leading term
-  the divisor's lead does not divide proves the division inexact.  The same
-  pseudo-division gives the remainders of `poly_gcd`.
+  polynomial by a primitive one has integer coefficients, so the division
+  is exact only when the pseudo-division never scales and leaves no
+  remainder.
 - The shift q -> q + 1, and with it the (q-1) basis, is an integer Taylor
   shift by repeated additions (von zur Gathen & Gerhard, "Fast algorithms
   for Taylor shifts", ISSAC 1997).
@@ -26,7 +27,7 @@ textbook ones, normalized by one gcd; the count pipeline runs in Q[q], so
 they serve only the reference implementations.  A truncated power series
 ("jet") is a QPoly cut to its first n coefficients: the Taylor expansion at
 q = 1, the residual recursion in `counting` and its reports multiply,
-invert and build jets with the three operations defined here, in the same
+divide and build jets with the three operations defined here, in the same
 integer arithmetic as every other QPoly.
 """
 
@@ -245,7 +246,8 @@ class QPoly(Value):
 
         Divides the numerators by the primitive part of other's numerators;
         by Gauss's lemma that quotient has integer coefficients whenever it
-        exists, so _int_pdivmod can stop at the first inexact step.
+        exists, so it exists only if _int_pdivmod never scales (s = 1) and
+        leaves no remainder.
         """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -253,7 +255,9 @@ class QPoly(Value):
         content = _int_gcd(*b)
         if content != 1:
             b = [c // content for c in b]
-        _, quot, _ = _int_pdivmod(self._n, b, exact=True)
+        s, quot, rem = _int_pdivmod(self._n, b)
+        if s != 1 or any(rem):
+            raise ValueError("inexact polynomial division")
         return QPoly._make([c * other._d for c in quot], self._d * content)
 
     # -- substitutions -----------------------------------------------------
@@ -281,18 +285,14 @@ class QPoly(Value):
         return QPoly._make(out, self._d)
 
     def shifted(self) -> "QPoly":
-        """Return the polynomial r with r(t) = self(t + 1)."""
+        """Return the polynomial r with r(t) = self(t + 1).
+
+        Its coefficients are those of self in the (q-1) basis, self =
+        sum c_n (q-1)^n: q^3 - q gives (0, 2, 3, 1).
+        """
         if self.degree < 1:
             return self
         return QPoly._make(_taylor_shift_one(list(self._n)), self._d)
-
-    def qminus1_coeffs(self) -> tuple[Fraction, ...]:
-        """Coefficients in the (q-1) basis: self = sum c_n (q-1)^n.
-
-        The result has length degree+1 (empty for the zero polynomial), e.g.
-        q^3 - q gives (0, 2, 3, 1).
-        """
-        return self.shifted().coeffs
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -394,15 +394,12 @@ def _pack(v: Sequence[int], k: int, half: int) -> int:
                           "little") - _bias(len(v), k, half)
 
 
-def _int_pdivmod(u: Sequence[int], v: Sequence[int],
-                 exact: bool = False) -> tuple[int, list[int], list[int]]:
+def _int_pdivmod(u: Sequence[int], v: Sequence[int]) -> tuple[int, list[int], list[int]]:
     """Fraction-free division: (s, quot, rem) with s u = quot v + rem over Z.
 
     s > 0 and rem has fewer than len(v) entries.  A step whose leading term
     the lead of v does not divide first scales everything by the smallest
     positive factor that makes it divide, so s is 1 when every step divides.
-    With exact=True such a step, or a nonzero remainder, raises ValueError
-    instead.
     """
     dv = len(v) - 1
     lead = v[-1]
@@ -414,8 +411,6 @@ def _int_pdivmod(u: Sequence[int], v: Sequence[int],
         if not c:
             continue
         if c % lead:
-            if exact:
-                raise ValueError("inexact polynomial division")
             m = abs(lead) // _int_gcd(c, lead)
             r = [m * x for x in r[:i]]
             quot = [m * x for x in quot]
@@ -425,10 +420,7 @@ def _int_pdivmod(u: Sequence[int], v: Sequence[int],
         shift = i - dv
         quot[shift] = f
         r[shift:i] = [x - f * y for x, y in zip(r[shift:i], v)]
-    rem = r[:dv]
-    if exact and any(rem):
-        raise ValueError("inexact polynomial division")
-    return s, quot, rem
+    return s, quot, r[:dv]
 
 
 def _taylor_shift_one(a: list[int]) -> list[int]:
@@ -482,19 +474,21 @@ def trunc_mul(a: QPoly, b: QPoly, n: int) -> QPoly:
     return QPoly._make(_int_mul(a._n[:n], b._n[:n])[:n], a._d * b._d)
 
 
-def trunc_inv(a: QPoly, n: int) -> QPoly:
-    """The inverse 1 / a modulo x^n; PoleError if a has zero constant term.
+def trunc_div(a: QPoly, b: QPoly, n: int) -> QPoly:
+    """The quotient a / b modulo x^n; PoleError if b has zero constant term.
 
-    With a = A / d over Z, 1 / A = sum v_k x^k / A_0^n, where v_0 = A_0^(n-1)
-    and A_0 v_k = -sum_{j>=1} A_j v_{k-j}, an exact integer division."""
-    num = a._n
-    if not num or not num[0]:
-        raise PoleError("a series with zero constant term has no inverse")
-    lead = num[0]
-    v = [lead ** (n - 1)]
-    for k in range(1, n):
-        v.append(-sum(x * y for x, y in zip(num[1:k + 1], reversed(v))) // lead)
-    return QPoly._make([x * a._d for x in v], lead ** n)
+    With a = A / da and b = B / db over Z, a / b = db sum v_k x^k / (da B_0^n),
+    where B_0 v_k = A_k B_0^n - sum_{1<=j<=k} B_j v_{k-j}, an exact integer
+    division: v_k carries the factor B_0^(n-1-k)."""
+    num, den = a._n, b._n
+    if not den or not den[0]:
+        raise PoleError("division by a series with zero constant term")
+    lead, scale = den[0], den[0] ** n
+    v = []
+    for k in range(n):
+        top = num[k] * scale if k < len(num) else 0
+        v.append((top - sum(x * y for x, y in zip(den[1:k + 1], reversed(v)))) // lead)
+    return QPoly._make([x * b._d for x in v], a._d * scale)
 
 
 def binomial_jet(e: int, c: Scalar, n: int) -> QPoly:
@@ -703,14 +697,12 @@ class RationalFunction(Value):
     def taylor_at_one(self, order: int) -> QPoly:
         """The expansion in powers of t = q - 1 as a jet of order+1 terms.
 
-        Computed by the shift q -> 1 + t followed by power-series division.
+        Computed by the shift q -> 1 + t followed by one power-series division.
         Raises PoleError if the (normalized) denominator vanishes at q = 1.
         """
         if order < 0:
             raise ValueError("order must be nonnegative")
-        length = order + 1
-        return trunc_mul(self._num.shifted(), trunc_inv(self._den.shifted(), length),
-                         length)
+        return trunc_div(self._num.shifted(), self._den.shifted(), order + 1)
 
     # -- comparison / formatting ------------------------------------------------
 

@@ -18,7 +18,7 @@ from quivercount.qpoly import (
     _int_pdivmod,
     binomial_jet,
     poly_gcd,
-    trunc_inv,
+    trunc_div,
     trunc_mul,
 )
 
@@ -55,16 +55,16 @@ class TestQPoly:
         assert p.adams(1) == p
 
     def test_shift_basis_examples(self):
-        assert Q.qminus1_coeffs() == (1, 1)
-        assert (Q * Q).qminus1_coeffs() == (1, 2, 1)
-        assert (Q**3 - Q).qminus1_coeffs() == (0, 2, 3, 1)
-        assert QPoly().qminus1_coeffs() == ()
+        assert Q.shifted().coeffs == (1, 1)
+        assert (Q * Q).shifted().coeffs == (1, 2, 1)
+        assert (Q**3 - Q).shifted().coeffs == (0, 2, 3, 1)
+        assert QPoly().shifted().coeffs == ()
 
     def test_shift_basis_reconstruction(self):
         rng = random.Random(1)
         for _ in range(30):
             p = rand_poly(rng, 5)
-            coeffs = p.qminus1_coeffs()
+            coeffs = p.shifted().coeffs
             rebuilt = QPoly()
             for n, c in enumerate(coeffs):
                 rebuilt = rebuilt + QPoly([-1, 1]) ** n * c
@@ -178,7 +178,7 @@ class TestRationalFunction:
             if p.is_zero:
                 continue
             assert RationalFunction(p).taylor_at_one(p.degree + 2) == \
-                QPoly(p.qminus1_coeffs())
+                p.shifted()
 
     def test_q_power(self):
         assert RationalFunction.q_power(3) == RationalFunction(QPoly.monomial(3))
@@ -210,7 +210,7 @@ def cut(coeffs, n):
 
 def jet_of(p, n):
     """The (q-1)-basis coefficients of p as a jet of n terms."""
-    return cut(p.qminus1_coeffs(), n)
+    return cut(p.shifted().coeffs, n)
 
 
 class TestJets:
@@ -228,15 +228,21 @@ class TestJets:
         n = order + 1
         if b.evaluate(1) == 0:
             with pytest.raises(PoleError):
-                trunc_inv(jet_of(b, n), n)
+                trunc_div(jet_of(a, n), jet_of(b, n), n)
             return
-        inv_b = trunc_inv(jet_of(b, n), n)
-        assert trunc_mul(inv_b, jet_of(b, n), n) == ONE
+        quot = trunc_div(jet_of(a, n), jet_of(b, n), n)
+        assert trunc_mul(jet_of(b, n), quot, n) == jet_of(a, n)
         # an exact quotient (b c) / b comes back as c
-        assert trunc_mul(jet_of(b * c, n), inv_b, n) == jet_of(c, n)
+        assert trunc_div(jet_of(b * c, n), jet_of(b, n), n) == jet_of(c, n)
         # a / b agrees with the expansion of the reduced rational function
-        assert trunc_mul(jet_of(a, n), inv_b, n) == \
-            RationalFunction(a, b).taylor_at_one(order)
+        assert quot == RationalFunction(a, b).taylor_at_one(order)
+
+    def test_quotient_of_no_terms(self):
+        # modulo x^0 every jet is zero, a pole included
+        assert trunc_div(QPoly([2, 1]), QPoly([2, 1]), 0) == QPoly()
+        assert repr(trunc_div(QPoly([1, 1]), QPoly([2, 1]), 0)) == "QPoly[0]"
+        with pytest.raises(PoleError):
+            trunc_div(ONE, Q, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(-6, 6), st.integers(-3, 3), orders)
@@ -386,7 +392,7 @@ class TestIntegerCore:
     @given(polys)
     def test_qminus1_coeffs_match_horner(self, p):
         assert is_canonical(p.shifted())
-        assert list(p.qminus1_coeffs()) == ref_horner(list(p.coeffs), [1, 1])
+        assert list(p.shifted().coeffs) == ref_horner(list(p.coeffs), [1, 1])
 
     @given(polys, shifts)
     def test_evaluate_matches_horner(self, p, v):
