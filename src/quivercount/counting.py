@@ -203,13 +203,12 @@ def absolutely_stable_table(ctx: CountingContext) -> CountTable:
     counts N = _hn_count, with rest = alpha - beta and sums over 0 < beta <= alpha,
       G_alpha = -sum q^{sum_{i->j} beta_i rest_j} [alpha; beta] N_beta G_rest,
       M_alpha = |alpha| G_alpha - sum q^{beta.rest} [alpha; beta] G_beta M_rest
-    are the twisted inverse and the Euler operator M_alpha = |alpha| L_alpha of
-    its ordinary Log L, each sum one linear combination with integer scalars.
-    As |alpha/k| = |alpha| / k, the Mobius sum sum_k mu(k)/k psi_k(L_{alpha/k})
-    is sum_k mu(k) psi_k(M_{alpha/k}) / |alpha|; psi_k there carries
-    #GL_alpha(q) / #GL_{alpha/k}(q^k), the factors of #GL_alpha that
-    psi_k(#GL_{alpha/k}) leaves.  Each count is one exact division by
-    |alpha| #GL_alpha and must have integer coefficients, or it is an error.
+    are the twisted inverse and the Euler operator |alpha| L_alpha of its ordinary
+    Log L, each sum one linear combination with integer scalars.  As |alpha/k| =
+    |alpha|/k, the Mobius sum of mu(k)/k psi_k(L_{alpha/k}) is that of mu(k)
+    psi_k(M_{alpha/k}) over |alpha|; psi_k carries #GL_alpha(q) / #GL_{alpha/k}(q^k),
+    the factors of #GL_alpha that psi_k(#GL_{alpha/k}) leaves.  Each count is one exact
+    division by |alpha| #GL_alpha and must have integer coefficients, or it is an error.
     """
     quiver, trunc = ctx.quiver, ctx.trunc
     nil = QPoly.zero()

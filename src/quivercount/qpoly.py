@@ -285,11 +285,8 @@ class QPoly(Value):
         return QPoly._make(out, self._d)
 
     def shifted(self) -> "QPoly":
-        """Return the polynomial r with r(t) = self(t + 1).
-
-        Its coefficients are those of self in the (q-1) basis, self =
-        sum c_n (q-1)^n: q^3 - q gives (0, 2, 3, 1).
-        """
+        """The polynomial r with r(t) = self(t + 1), whose coefficients are self's
+        in the (q-1) basis: q^3 - q gives (0, 2, 3, 1)."""
         if self.degree < 1:
             return self
         return QPoly._make(_taylor_shift_one(list(self._n)), self._d)
