@@ -238,7 +238,8 @@ class TestJets:
         assert quot == RationalFunction(a, b).taylor_at_one(order)
 
     def test_quotient_of_no_terms(self):
-        # modulo x^0 every jet is zero, a pole included
+        # modulo x^0 every quotient is the zero jet; a zero constant term in
+        # the divisor still raises
         assert trunc_div(QPoly([2, 1]), QPoly([2, 1]), 0) == QPoly()
         assert repr(trunc_div(QPoly([1, 1]), QPoly([2, 1]), 0)) == "QPoly[0]"
         with pytest.raises(PoleError):
