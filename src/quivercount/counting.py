@@ -11,11 +11,13 @@ The pipeline for a quiver with stability theta and a fixed slope mu is:
    the ratio is one division by #GL_alpha.  The literal tuple enumeration
    in Q(q) that the tests check it against is in ``series``.
 
-2. The generating series r of these ratios is inverted with respect to the
-   twisted product, and (1 - q) times the plethystic Log of the inverse
-   counts absolutely stable classes.  Both steps run on #GL-scaled series in
-   Z[q] with polynomial weights and integer scalars, so each count is one
-   exact division by |alpha| #GL_alpha; integrality of the result is
+2. The twisted inverse of the generating series r of these ratios is the
+   same recursion with slope >= mu in place of > mu, negated: a product of
+   chains of r - 1 is one chain whose prefix slopes are >= mu, split in one
+   way at its prefixes on the cone.  (1 - q) times the plethystic Log of the
+   inverse counts absolutely stable classes.  Both steps run on #GL-scaled
+   series in Z[q] with polynomial weights and integer scalars, so each count
+   is one exact division by |alpha| #GL_alpha; integrality of the result is
    asserted, never assumed.
 
 3. For the zero stability the counts of stable classes feed a residual
@@ -84,8 +86,11 @@ class CountingContext(Value):
 
 @lru_cache(maxsize=None)
 def _gl_factor(n: int, k: Optional[int]) -> QPoly:  # one vertex's factors in _gl_order
-    return QPoly.linear_combination([(0, 1, tuple(
-        QPoly.monomial(n) - QPoly.monomial(j) for j in range(n) if k is None or j % k))])
+    c = [1]
+    for j in range(n):
+        if k is None or j % k:  # c <- (q^n - q^j) c
+            c = [x - y for x, y in zip([0] * n + c, [0] * j + c + [0] * (n - j))]
+    return QPoly._make(c)
 
 
 def _gl_order(alpha: Sequence[int], k: Optional[int] = None) -> QPoly:
@@ -110,19 +115,32 @@ def _qbinom_factors(beta: DimVector, rest: DimVector) -> tuple[QPoly, ...]:
     return tuple(_qbinom_poly(r, b) for r, b in zip(rest, beta) if b)
 
 
-def _hn_count(ctx: CountingContext, delta: DimVector) -> QPoly:
-    """#GL_delta times the signed sum over decompositions of delta with
-    prefix slopes > mu (a positive ctx.trunc.excess): the semistable point
-    count, in Z[q].
+def _hn_count(ctx: CountingContext, delta: DimVector, least: int) -> QPoly:
+    """#GL_delta times the signed sum over decompositions of delta whose
+    proper prefixes have ctx.trunc.excess >= least, in Z[q].  With least = 1
+    (prefix slopes > mu) it is the semistable point count; with least = 0 it
+    is -#GL_delta times the coefficient at delta of the twisted inverse of the
+    semistable series r.
 
     Recursion over the last part (Reineke's Harder-Narasimhan recursion):
-    splitting off gamma leaves a prefix whose own slope must exceed mu and
-    whose interior prefixes are handled by the memoized subproblem.  Scaled
-    by #GL, the split's weight q^{-<gamma, prefix>} #R_gamma #GL_delta /
-    (#GL_gamma #GL_prefix) is the polynomial
-    q^{sum_{i->j} gamma_i delta_j} [delta; gamma]_q.
+    splitting off gamma leaves a prefix whose own excess must be >= least
+    and whose interior prefixes are handled by the memoized subproblem.
+    Scaled by #GL, the split's weight q^{-<gamma, prefix>} #R_gamma #GL_delta /
+    (#GL_gamma #GL_prefix) is the polynomial q^{sum_{i->j} gamma_i delta_j}
+    [delta; gamma]_q, so gamma is the left factor of the twisted product.
+
+    Unrolled, with e_gamma = #R_gamma / #GL_gamma x^gamma, the sum is that of
+    (-1)^{s-1} e_{gamma_1} o ... o e_{gamma_s} over the ordered decompositions
+    of delta whose prefixes gamma_{k+1} + ... + gamma_s (k >= 1) have excess
+    >= least.  The twisted inverse of r is sum_t (-1)^t (r - 1)^{o t}.  A
+    product of t chains of r - 1 (least = 1) is one chain whose prefixes have
+    excess >= 0, since excess is linear and vanishes on the cone, where each
+    factor chain sums; conversely, a chain whose prefixes have excess >= 0
+    splits in exactly one way, at its prefixes of excess 0.  The signs
+    multiply to (-1)^s, so the inverse is minus the least = 0 sum.
     """
-    cached = ctx._hn_cache.get(delta)
+    key = (delta, least)
+    cached = ctx._hn_cache.get(key)
     if cached is not None:
         return cached
     quiver, excess = ctx.quiver, ctx.trunc.excess
@@ -131,11 +149,11 @@ def _hn_count(ctx: CountingContext, delta: DimVector) -> QPoly:
         if height(gamma) == 0 or gamma == delta:
             continue
         prefix = vec_sub(delta, gamma)
-        if excess(prefix) <= 0:
+        if excess(prefix) < least:
             continue
         terms.append((quiver.arrow_pairing(gamma, delta), -1,
-                      _qbinom_factors(gamma, prefix) + (_hn_count(ctx, prefix),)))
-    total = ctx._hn_cache[delta] = QPoly.linear_combination(terms, ctx._packed)
+                      _qbinom_factors(gamma, prefix) + (_hn_count(ctx, prefix, least),)))
+    total = ctx._hn_cache[key] = QPoly.linear_combination(terms, ctx._packed)
     return total
 
 
@@ -149,7 +167,7 @@ def semistable_ratio(ctx: CountingContext, alpha: Sequence[int]) -> RationalFunc
             f"alpha {alpha} has slope {slope(ctx.trunc.theta, alpha)}, "
             f"context expects {ctx.trunc.mu}"
         )
-    return RationalFunction(_hn_count(ctx, alpha), _gl_order(alpha))
+    return RationalFunction(_hn_count(ctx, alpha, 1), _gl_order(alpha))
 
 
 def semistable_series(ctx: CountingContext) -> Series:
@@ -199,30 +217,26 @@ def absolutely_stable_table(ctx: CountingContext) -> CountTable:
 
     The twisted inverse of the semistable series is Exp(a/(1-q)), so a is
     (1-q) times its plethystic Log.  Each series is held scaled by #GL
-    (c_alpha as #GL_alpha c_alpha), which keeps it in Z[q].  From the point
-    counts N = _hn_count, with rest = alpha - beta and sums over 0 < beta <= alpha,
-      G_alpha = -sum q^{sum_{i->j} beta_i rest_j} [alpha; beta] N_beta G_rest,
+    (c_alpha as #GL_alpha c_alpha), which keeps it in Z[q].  The inverse is
+    G_alpha = -_hn_count(ctx, alpha, 0), the Harder-Narasimhan sum with >= in
+    place of > in its slope test (the proof is at _hn_count).  With
+    rest = alpha - beta and the sum over 0 < beta <= alpha,
       M_alpha = |alpha| G_alpha - sum q^{beta.rest} [alpha; beta] G_beta M_rest
-    are the twisted inverse and the Euler operator |alpha| L_alpha of its ordinary
-    Log L, each sum one linear combination with integer scalars.  As |alpha/k| =
-    |alpha|/k, the Mobius sum of mu(k)/k psi_k(L_{alpha/k}) is that of mu(k)
-    psi_k(M_{alpha/k}) over |alpha|; psi_k carries #GL_alpha(q) / #GL_{alpha/k}(q^k),
-    the factors of #GL_alpha that psi_k(#GL_{alpha/k}) leaves.  Each count is one exact
+    is the Euler operator |alpha| L_alpha of the ordinary Log L of G, one
+    linear combination with integer scalars.  As |alpha/k| = |alpha|/k, the
+    Mobius sum of mu(k)/k psi_k(L_{alpha/k}) is that of mu(k) psi_k(M_{alpha/k})
+    over |alpha|; psi_k carries #GL_alpha(q) / #GL_{alpha/k}(q^k), the factors
+    of #GL_alpha that psi_k(#GL_{alpha/k}) leaves.  Each count is one exact
     division by |alpha| #GL_alpha and must have integer coefficients, or it is an error.
     """
-    quiver, trunc = ctx.quiver, ctx.trunc
-    nil = QPoly.zero()
-    combine = partial(QPoly.linear_combination, cache=ctx._packed)
-    inverse = _solve_by_height(
-        trunc, {alpha: _hn_count(ctx, alpha) for alpha in trunc.vectors()}, QPoly.one(),
-        lambda beta, rest, n, g: (quiver.arrow_pairing(beta, rest), -1,
-                                  _qbinom_factors(beta, rest) + (n, g)),
-        lambda alpha, acc: acc, combine)
+    trunc, nil = ctx.trunc, QPoly.zero()
+    inverse = {alpha: -_hn_count(ctx, alpha, 0) for alpha in trunc.vectors() if height(alpha)}
     log = _solve_by_height(
         trunc, inverse, nil,
         lambda beta, rest, g, m: (sum(map(mul, beta, rest)), -1,
                                   _qbinom_factors(beta, rest) + (g, m)),
-        lambda alpha, acc: inverse.get(alpha, nil) * height(alpha) + acc, combine)
+        lambda alpha, acc: inverse[alpha] * height(alpha) + acc,
+        partial(QPoly.linear_combination, cache=ctx._packed))
     entries: dict[DimVector, QPoly] = {}
     for alpha in trunc.vectors():
         if height(alpha) == 0:

@@ -513,15 +513,24 @@ def _int_primitive(v: list[int]) -> list[int]:
 
 
 def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Monic gcd of two polynomials (zero if both are zero)."""
+    """Monic gcd of two polynomials (zero if both are zero).
+
+    The powers of q come out before Euclid: gcd(q^i u, q^j v) =
+    q^min(i, j) gcd(u, v) when u(0) and v(0) are nonzero, so a monomial
+    against anything takes one step."""
     u = _int_primitive(list(a._n))
     v = _int_primitive(list(b._n))
+    shift = 0
+    if u and v:
+        i = next(n for n, c in enumerate(u) if c)
+        j = next(n for n, c in enumerate(v) if c)
+        shift, u, v = min(i, j), u[i:], v[j:]
     if len(u) < len(v):
         u, v = v, u
     while v:
         u, v = v, _int_primitive(_int_pdivmod(u, v)[2])
     # u is primitive with a positive lead, so u / lead is already canonical
-    return QPoly._make(u, u[-1] if u else 1)
+    return QPoly._make([0] * shift + u, u[-1] if u else 1)
 
 
 _ONE_POLY = QPoly((1,))

@@ -414,8 +414,10 @@ def test_criterion_10_end_degree_identities_and_oracle():
 
 
 def test_criterion_11_count_table_matches_rational_function_route():
-    # absolutely_stable_table runs in Q[q] on #GL-scaled series; the
-    # reference is (1-q) Log of the twisted inverse, computed in Q(q)
+    # absolutely_stable_table runs in Q[q] on #GL-scaled series and reads the
+    # twisted inverse from the non-strict Harder-Narasimhan sum; the reference
+    # solves for the twisted inverse in Q(q) and takes (1-q) Log of it, so this
+    # also checks that identity
     cyclic = Quiver.from_matrix([[0, 2], [1, 0]])
     configs = [(quiver, None, Fraction(0), 6)
                for quiver in (loop(1), loop(2), loop(3), loop(4), A2, A3, KRONECKER,

@@ -150,12 +150,12 @@ def test_orbit_division_failure_exits_two(quiver_file, capsys, monkeypatch):
 
 
 def test_integrality_failure_exits_two(quiver_file, capsys, monkeypatch):
-    # a semistable point count off by one at alpha = (2,) leaves a count
-    # that is not a polynomial
+    # a Harder-Narasimhan sum off by one at alpha = (2,) leaves a count that
+    # is not a polynomial; the table reads the non-strict sum, least = 0
     exact = counting._hn_count
 
-    def corrupted(ctx, delta):
-        return exact(ctx, delta) + (1 if delta == (2,) else 0)
+    def corrupted(ctx, delta, least):
+        return exact(ctx, delta, least) + (1 if delta == (2,) else 0)
 
     monkeypatch.setattr(counting, "_hn_count", corrupted)
     assert main(["a-series", "--quiver", quiver_file("loop2"),
@@ -422,6 +422,26 @@ EXACT_OUTPUTS = [
     # Euclid, then exact_div, in every normal form
     (["r-series", "--quiver", "quivers/loop2.json", "--max-height", "10"],
      "b439f7143597f4ae1da4a658ff571ed985f141bbb55067c6b126c9a3a2f8fac0"),
+    # slope cones whose twisted inverse is the non-strict Harder-Narasimhan
+    # sum: two 3-vertex planes, the first with zero inverse coefficients, and
+    # the other orientation of two 2-vertex cones
+    (["a-series", "--quiver", "quivers/a3.json", "--theta", "2,1,0", "--slope", "1",
+      "--max-height", "12"],
+     "670f20e5d7cc511fb1cdd3775c90ae96120ef30682d0da16212328e730c97da1"),
+    (["a-series", "--quiver", "quivers/a3.json", "--theta", "1,0,0", "--slope", "1/3",
+      "--max-height", "12"],
+     "3f2825743a666fb61b410b88ba7fcf53b46a422c5af14b1a5c83fc174650fba3"),
+    (["a-series", "--quiver", "cyclic", "--theta", "0,1", "--slope", "1/3",
+      "--max-height", "15"],
+     "a620e35b449ec520edc45171859539084ded591d3260ffaaa2d3917eea18ae1e"),
+    (["a-series", "--quiver", "kronecker", "--theta", "0,1", "--slope", "1/2",
+      "--max-height", "16"],
+     "818f9669c47f934d6b934d1ae4af634af4e4ae28bf967dcf191fb8b26ff42059"),
+    # zero-stability ratios q^{dim R} / #GL, normalized by the gcd
+    (["r-series", "--quiver", "quivers/loop1.json", "--max-height", "24"],
+     "30931092acbdbf7a371683dab9f6eaf978e637a7cb8190df5cb57e1df103ecd3"),
+    (["r-series", "--quiver", "quivers/loop2.json", "--max-height", "16", "--format", "json"],
+     "6ab4b262c7a38b725a844314d015e009079c01dcfa7744d2a9023694cfdb5a8f"),
 ]
 
 
@@ -439,7 +459,11 @@ EXACT_OUTPUTS = [
                               "cyclic-f-expand", "loop1-a-series-h24",
                               "loop2-f-expand-h16", "kronecker-a-series-h14",
                               "loop3-f-expand-order5", "a3-f-expand-order3",
-                              "loop1-a-series-h32", "loop2-r-series-h10"])
+                              "loop1-a-series-h32", "loop2-r-series-h10",
+                              "a3-cone-a-series", "a3-third-cone-a-series",
+                              "cyclic-reversed-cone-a-series",
+                              "kronecker-reversed-cone-a-series",
+                              "loop1-r-series-h24", "loop2-r-series-h16-json"])
 def test_exact_outputs_are_unchanged(quiver_file, argv, digest):
     argv = [quiver_file(a) if a in QUIVERS
             else str(ROOT / a) if a.startswith("quivers/") else a for a in argv]

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivercount.counting import (
     CountingContext,
@@ -24,7 +26,7 @@ from quivercount.counting import (
 from quivercount import qpoly, quiver as quiver_module
 from quivercount.numtheory import divisors
 from quivercount.qpoly import QPoly, RationalFunction
-from quivercount.quiver import Quiver, TruncationSpec, dim_vectors
+from quivercount.quiver import Quiver, TruncationSpec, dim_vectors, slope
 from quivercount.series import (
     Series,
     adams,
@@ -35,6 +37,7 @@ from quivercount.series import (
     residual_series,
     semistable_ratio_reference,
     semistable_series_closed,
+    twisted_inverse,
     twisted_mul,
 )
 
@@ -207,7 +210,6 @@ class TestSemistableRatio:
             assert semistable_series(ctx) == semistable_series_closed(ctx)
 
     def test_acyclic_inverse_is_q_exponential(self):
-        from quivercount.series import twisted_inverse
         for quiver in (A2, KRONECKER):
             ctx = CountingContext.create(quiver, max_height=4)
             closed = semistable_series_closed(ctx)
@@ -215,6 +217,45 @@ class TestSemistableRatio:
             assert twisted_mul(closed, p, quiver.ringel_matrix()) == \
                 Series.one(ctx.trunc)
             assert twisted_inverse(closed, quiver.ringel_matrix()) == p
+
+
+def assert_inverse_is_the_non_strict_sum(ctx):
+    inverse = twisted_inverse(semistable_series(ctx), ctx.quiver.ringel_matrix())
+    for alpha in ctx.trunc.vectors():
+        if sum(alpha):
+            assert RationalFunction(-_hn_count(ctx, alpha, 0), _gl_order(alpha)) == \
+                inverse.coeff(alpha), (ctx.quiver, ctx.trunc.theta, ctx.trunc.mu, alpha)
+
+
+class TestTwistedInverse:
+    """-_hn_count(ctx, alpha, 0) / #GL_alpha, the Harder-Narasimhan sum with
+    >= in place of > in its slope test, is the twisted inverse of the
+    semistable series at every nonzero cone vector."""
+
+    @pytest.mark.parametrize("quiver,theta,mu", [
+        (loop(1), None, Fraction(0)), (loop(2), None, Fraction(0)),
+        (loop(3), None, Fraction(0)), (A2, None, Fraction(0)), (A3, None, Fraction(0)),
+        (KRONECKER, None, Fraction(0)), (CYCLIC, None, Fraction(0)),
+        (A3, (2, 1, 0), Fraction(1)), (A3, (1, 0, 0), Fraction(1, 3)),
+        (CYCLIC, (0, 1), Fraction(1, 3)), (KRONECKER, (0, 1), Fraction(1, 2)),
+        (KRONECKER, (1, 0), Fraction(1, 2)), (CYCLIC, (1, 0), Fraction(1, 2)),
+    ], ids=["loop1", "loop2", "loop3", "a2", "a3", "kronecker", "cyclic",
+            "a3-cone", "a3-third-cone", "cyclic-reversed-cone", "kronecker-reversed-cone",
+            "kronecker-cone", "cyclic-cone"])
+    def test_named_quivers(self, quiver, theta, mu):
+        assert_inverse_is_the_non_strict_sum(
+            CountingContext.create(quiver, theta=theta, mu=mu, max_height=5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=2),
+                    min_size=2, max_size=2),
+           st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+           st.lists(st.integers(0, 2), min_size=2, max_size=2).filter(any))
+    def test_two_vertex_quivers(self, matrix, theta, v):
+        # mu is the slope of v, so v lies on the cone
+        ctx = CountingContext.create(Quiver.from_matrix(matrix), theta=theta,
+                                     mu=slope(theta, v), max_height=5)
+        assert_inverse_is_the_non_strict_sum(ctx)
 
 
 class TestStableClassTable:
@@ -261,7 +302,9 @@ class TestStableClassTable:
 
     def test_off_by_one_point_count_is_an_integrality_error(self):
         ctx = CountingContext.create(loop(2), max_height=3)
-        ctx._hn_cache[(2,)] = _hn_count(ctx, (2,)) + ONE
+        # the table reads the non-strict sum, least = 0, which is minus the
+        # #GL-scaled twisted inverse
+        ctx._hn_cache[((2,), 0)] = _hn_count(ctx, (2,), 0) + ONE
         with pytest.raises(IntegralityError, match=r"^count at \(2,\) "):
             absolutely_stable_table(ctx)
 

@@ -77,6 +77,9 @@ class TestQPoly:
         assert g == ONE + Q  # monic
         assert poly_gcd(QPoly(), b) == ONE + Q
         assert poly_gcd(QPoly(), QPoly()).is_zero
+        # a power of q on one side only comes out with the gcd
+        assert poly_gcd(QPoly(), Q * Q * b) == Q * Q * (ONE + Q)
+        assert poly_gcd(Q * a, Q * Q * Q * b) == Q * (ONE + Q)
 
 
 class TestRationalFunction:
@@ -301,6 +304,7 @@ integers = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
 scalars = st.one_of(integers, st.builds(Fraction, integers, st.integers(1, 2**40)))
 polys = st.lists(scalars, max_size=7).map(QPoly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
+units_at_zero = polys.filter(lambda p: not p.is_zero and p.coeff(0))
 int_lists = st.lists(integers, min_size=1, max_size=2 * _KRONECKER_MIN + 4)
 int_divisors = st.lists(integers, min_size=1, max_size=7).filter(lambda v: v[-1] != 0)
 shifts = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-9, 9),
@@ -389,6 +393,16 @@ class TestIntegerCore:
         lhs = pad(ref_mul([s], u), n)
         rhs = [x + y for x, y in zip(pad(ref_mul(quot, v), n), pad(rem, n))]
         assert lhs == rhs
+
+    @given(units_at_zero, units_at_zero, st.integers(0, 6), st.integers(0, 6))
+    def test_gcd_takes_out_the_powers_of_q(self, a, b, i, j):
+        # gcd(q^i a, q^j b) = q^min(i, j) gcd(a, b) when a(0) and b(0) are
+        # nonzero; the gcd divides both, and leaves coprime cofactors
+        x, y = QPoly.monomial(i) * a, QPoly.monomial(j) * b
+        g = poly_gcd(x, y)
+        assert g == QPoly.monomial(min(i, j)) * poly_gcd(a, b)
+        assert g.leading() == 1 and is_canonical(g)
+        assert poly_gcd(x.exact_div(g), y.exact_div(g)) == ONE
 
     @given(polys)
     def test_qminus1_coeffs_match_horner(self, p):
