@@ -51,6 +51,11 @@ leaves the scan by the shifts alone.  The slice never visits more points
 than the shifts alone: a sliced loop has at most p^(m-1) orbits, since its
 shift acts freely, and gives up only its own scalar shift, a factor of p;
 any other arrow has at most p^m orbits on its p^m matrices.
+Every digits block is still dim columns wide, in the order of
+`_arrow_layout`: a representative sits in its arrow's own columns and each
+shifted loop's (0, 0) digit is a zero column, which adds nothing to a
+product digits @ M, so the constraint matrices and the endomorphism system
+read every block as it is.
 `enumerate_points` and the point budget still cover all p^dim points.
 
 - Subspace search: each candidate subspace tuple is one integer matrix whose
@@ -419,27 +424,25 @@ def _arrow_orbits(p: int, rows: int, cols: int, loop: bool
     return rep_digits, tuple(np.bincount(label)[reps].tolist())
 
 
-def _sliced_blocks(reps: np.ndarray, nfree: int, p: int
+def _sliced_blocks(reps: np.ndarray, off: int, free: Sequence[int], dim: int, p: int
                    ) -> Iterator[tuple[np.ndarray, int, int]]:
-    """Digits blocks of at most _BLOCK rows covering every pair of a
-    representative (its m entries, the first m columns) and a value of the
-    nfree free digits (the rest).  A block is (digits, first, n): its rows
-    are n consecutive rows for each of the representatives first, first + 1,
-    ...; when p^nfree is below _BLOCK, several representatives share one
-    block."""
+    """Full-width (rows, dim) digits blocks of at most _BLOCK rows covering
+    every pair of a representative and a value of the free digits: a row
+    holds its representative's m entries in columns off, ..., off + m - 1,
+    the value in the columns `free`, and 0 in every other column.  A block
+    is (digits, first, n): its rows are n consecutive rows for each of the
+    representatives first, first + 1, ...; when p^len(free) is below _BLOCK,
+    several representatives share one block."""
     k, m = reps.shape
-    per = max(1, _BLOCK // p**nfree)
-    for low in _digit_blocks(nfree, p):
+    per = max(1, _BLOCK // p**len(free))
+    for low in _digit_blocks(len(free), p):
         n = low.shape[0]
-        if not m:  # the one empty representative: the free digits alone
-            yield low, 0, n
-            continue
         for start in range(0, k, per):
             chunk = reps[start:start + per]
-            digits = np.empty((chunk.shape[0], n, m + nfree), dtype=low.dtype)
-            digits[:, :, :m] = chunk[:, None, :]
-            digits[:, :, m:] = low
-            yield digits.reshape(-1, m + nfree), start, n
+            digits = np.zeros((chunk.shape[0], n, dim), dtype=low.dtype)
+            digits[:, :, off:off + m] = chunk[:, None, :]
+            digits[:, :, free] = low
+            yield digits.reshape(chunk.shape[0] * n, dim), start, n
 
 
 def _candidate_constraints(quiver: Quiver, alpha: DimVector, p: int,
@@ -533,9 +536,7 @@ def _no_invariant_mask(digits: np.ndarray, p: int,
     x = digits.astype(dtype)
     ok = np.ones(n, dtype=bool)
     # a candidate has at most dim columns (k <= rows and d <= cols for each
-    # arrow, and k d = (a - d) d <= a^2 - 1 for a loop on F_p^a, a > 0, whose
-    # (0, 0) digit the scan may drop), so no product block is larger than
-    # the digits block
+    # arrow), so no product block is larger than the digits block
     for stacked, owner in groups:
         prod = x @ stacked
         if dtype is not np.int64:
@@ -681,8 +682,6 @@ def _batch_end_dims(digits: np.ndarray, quiver: Quiver, alpha: DimVector,
     module docstring), gathered straight in the elimination layout."""
     n = digits.shape[0]
     unknowns, plus, minus = _end_system_index(quiver, alpha)
-    if plus.shape[0] == 0:
-        return np.full(n, unknowns, dtype=np.int64)
     # an entry is one digit minus another, in [-(p-1), p-1]
     x = np.zeros((digits.shape[1] + 1, n), dtype=_signed_dtype(-(p - 1), p - 1))
     x[:-1] = digits.T
@@ -705,15 +704,16 @@ def _scan(quiver: Quiver, alpha: DimVector, p: int, viol: Sequence[DimVector],
           ) -> dict[int, int]:
     """Points of the representation space where no subspace tuple of a
     dimension vector in `viol` is invariant, counted by label: label(digits)
-    gives a nonnegative integer for each row of a full-width (n, dim) digits
-    block of such points, and the result maps each label to its count.
-    Without a label every such point counts under 0, and no full-width
-    block is built.
+    gives a nonnegative integer for each row of an (n, dim) digits block of
+    such points, and the result maps each label to its count.  Without a
+    label every such point counts under 0.
 
     The scan slices one arrow by its group orbits and the other loops by
-    their scalar shifts (see the module docstring): the sliced arrow's
-    entries run over one representative per orbit (`_arrow_orbits`), the
-    other loops' (0, 0) digits stay 0, and the rest run over every value.
+    their scalar shifts (see the module docstring): every block is full
+    width, in the column order of `_arrow_layout`, so the constraint
+    matrices and the label read it as it is.  The sliced arrow's entries run
+    over one representative per orbit (`_arrow_orbits`), the other loops'
+    (0, 0) digits stay 0, and the rest run over every value.
     A count at a representative is weighted by its orbit's size and by p^L
     for the L shifted loops.  Only the label of a block outlives it, so no
     more than one digits block is held while the next one is scanned.
@@ -736,20 +736,18 @@ def _scan(quiver: Quiver, alpha: DimVector, p: int, viol: Sequence[DimVector],
                  key=size.__getitem__, default=None)
     if sliced is None:
         reps, sizes = _arrow_orbits(p, 0, 0, False)
-        entries = []
+        off = 0
     else:
         i, j, off = layout[sliced]
         reps, sizes = _arrow_orbits(p, alpha[j], alpha[i], i == j)
-        entries = list(range(off, off + size[sliced]))
+    entries = range(off, off + reps.shape[1])
     # the (0, 0) digit of every other loop at a vertex with alpha_v > 0 stays 0
     fixed = [off for h, (i, j, off) in enumerate(layout) if i == j and alpha[i] and h != sliced]
-    order = np.array(entries + [e for e in range(dim) if e not in entries and e not in fixed],
-                     dtype=np.intp)
-    candidates = _candidate_constraints(quiver, alpha, p, viol)
-    groups = _column_groups([m[order] for m in candidates], order.size, p)
+    free = [e for e in range(dim) if e not in entries and e not in fixed]
+    groups = _column_groups(_candidate_constraints(quiver, alpha, p, viol), dim, p)
     k = len(sizes)
     tally: dict[int, int] = {}
-    for digits, first, n in _sliced_blocks(reps, dim - len(entries) - len(fixed), p):
+    for digits, first, n in _sliced_blocks(reps, off, free, dim, p):
         rows = np.flatnonzero(_no_invariant_mask(digits, p, groups))
         if not rows.size:
             continue
@@ -757,9 +755,7 @@ def _scan(quiver: Quiver, alpha: DimVector, p: int, viol: Sequence[DimVector],
         # enumerate adds the block's first representative
         keys = rows // n
         if label is not None:
-            full = np.zeros((rows.size, dim), dtype=digits.dtype)
-            full[:, order] = digits[rows]
-            keys += label(full) * k
+            keys += label(digits[rows]) * k
         for key, c in enumerate(np.bincount(keys).tolist(), first):
             if c:
                 tally[key] = tally.get(key, 0) + c

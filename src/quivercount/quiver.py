@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product as _cartesian
+from itertools import islice, product as _cartesian, zip_longest
 from operator import mul
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -264,17 +264,23 @@ class TruncationSpec(Value):
 # -- q-binomials ----------------------------------------------------------------
 
 
-_QBINOMS: list[list[QPoly]] = []  # row n: [n, 0] = 1, [n, 1], ... as far as asked for
+_QBINOMS: list[list[QPoly]] = []  # row n: [n, 0] = 1, [n, 1], ..., at most [n, n]
 
 
 def _qbinom_poly(n: int, m: int) -> QPoly:
-    """[n, m] for n, m >= 0 by the q-Pascal rule [n, m] = [n, m-1] + q^m [n-1, m]."""
+    """[n, m] for n, m >= 0 by the q-Pascal rule [n, m] = [n, m-1] + q^m [n-1, m].
+
+    [n, m] = [m, n], so one entry serves both: row n holds the columns
+    m <= n, and the rule's [n-1, n] on the diagonal is read as [n, n-1].
+    The sum is taken on the integer coefficients."""
+    n, m = max(n, m), min(n, m)
     if n >= len(_QBINOMS) or m >= len(_QBINOMS[n]):  # fill rows 0..n in turn, no recursion
         _QBINOMS.extend([QPoly.one()] for _ in range(len(_QBINOMS), n + 1))
         for i, row in enumerate(_QBINOMS[:n + 1]):
-            for j in range(len(row), m + 1):  # row 0 is [0, m] = 1
-                row.append(row[0] if i == 0 else QPoly.linear_combination(
-                    [(0, 1, (row[j - 1],)), (j, 1, (_QBINOMS[i - 1][j],))]))
+            for j in range(len(row), min(i, m) + 1):
+                up = _QBINOMS[i - 1][j] if j < i else row[j - 1]
+                row.append(QPoly._make([a + b for a, b in zip_longest(
+                    row[j - 1]._n, (0,) * j + up._n, fillvalue=0)]))
     return _QBINOMS[n][m]
 
 

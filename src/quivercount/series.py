@@ -187,8 +187,6 @@ def twisted_mul(a: Series, b: Series,
             if ha + height(kb) > trunc.max_height:
                 continue
             key = vec_add(ka, kb)
-            if not trunc.admits(key):
-                continue
             term = ca * cb
             if form is not None:
                 term = _times_q_power(term, -form_pairing(form, ka, kb))

@@ -128,8 +128,6 @@ def run_verification(ctx: CountingContext, primes: Sequence[int],
                 if any(a % r for a in alpha):
                     continue
                 base = tuple(a // r for a in alpha)
-                if not ctx.trunc.admits(base):
-                    continue
                 s_poly = stable_end_degree_poly(table, base, r)
                 add(f"stable classes end-degree {r}", alpha, p, s_poly.evaluate(p),
                     count_stable_with_end_dim, quiver, alpha, theta, p, r, max_points)

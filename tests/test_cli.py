@@ -164,6 +164,21 @@ def test_integrality_failure_exits_two(quiver_file, capsys, monkeypatch):
     assert err.count("\n") == 1 and err.startswith("invariant violation: count at (2,) ")
 
 
+def test_non_integer_count_exits_two(quiver_file, capsys, monkeypatch):
+    # with #GL doubled, the count at alpha = (1,) is a polynomial whose
+    # coefficient is not an integer
+    exact = counting._gl_order
+
+    def doubled(alpha, k=None):
+        return exact(alpha, k) * 2 if k is None else exact(alpha, k)
+
+    monkeypatch.setattr(counting, "_gl_order", doubled)
+    assert main(["a-series", "--quiver", quiver_file("loop1"),
+                 "--max-height", "2"]) == 2
+    assert capsys.readouterr().err == \
+        "invariant violation: count at (1,) has non-integer coefficients: 1/2*q\n"
+
+
 def test_library_key_errors_are_not_usage_errors(quiver_file, monkeypatch):
     # no malformed input raises KeyError, so one is a bug and must surface
     def broken(ctx):
@@ -442,6 +457,16 @@ EXACT_OUTPUTS = [
      "30931092acbdbf7a371683dab9f6eaf978e637a7cb8190df5cb57e1df103ecd3"),
     (["r-series", "--quiver", "quivers/loop2.json", "--max-height", "16", "--format", "json"],
      "6ab4b262c7a38b725a844314d015e009079c01dcfa7744d2a9023694cfdb5a8f"),
+    # oracle scans with two shifted loops beside the sliced one, read with the
+    # endomorphism label; with cells of no entries (dim = 0); and at a nonzero
+    # stability, through both the strict and the non-strict scan
+    (["verify", "--quiver", "quivers/loop3.json", "--max-height", "2", "--primes", "2,3"],
+     "4c5acbb55f387f2cb20e8545cdc6a0f5d897415b5e1089ddbd9675398085df83"),
+    (["verify", "--quiver", "quivers/a3.json", "--max-height", "3", "--primes", "2"],
+     "3eea092a663dd38566395006a7ca1a0b41cfefc3f83e99bb804a84a17b7bcf02"),
+    (["verify", "--quiver", "cyclic", "--theta", "1,0", "--slope", "1/2",
+      "--max-height", "4", "--primes", "2,3"],
+     "15df285d097c98a6501d63b69015759d2ff56b17ec11205f8c9e3636a96296df"),
 ]
 
 
@@ -463,7 +488,8 @@ EXACT_OUTPUTS = [
                               "a3-cone-a-series", "a3-third-cone-a-series",
                               "cyclic-reversed-cone-a-series",
                               "kronecker-reversed-cone-a-series",
-                              "loop1-r-series-h24", "loop2-r-series-h16-json"])
+                              "loop1-r-series-h24", "loop2-r-series-h16-json",
+                              "loop3-verify-h2", "a3-verify-h3", "cyclic-cone-verify-h4"])
 def test_exact_outputs_are_unchanged(quiver_file, argv, digest):
     argv = [quiver_file(a) if a in QUIVERS
             else str(ROOT / a) if a.startswith("quivers/") else a for a in argv]

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivercount.counting import (
+    CountTable,
     CountingContext,
     IntegralityError,
+    InvariantError,
     _gl_factor,
     _gl_order,
     _hn_count,
@@ -307,6 +309,15 @@ class TestStableClassTable:
         ctx._hn_cache[((2,), 0)] = _hn_count(ctx, (2,), 0) + ONE
         with pytest.raises(IntegralityError, match=r"^count at \(2,\) "):
             absolutely_stable_table(ctx)
+
+    def test_negative_stable_count_is_an_invariant_error(self):
+        # a count of -q at (1,) gives s_{(2,), 2} = (q - q^2) / 2, which is -1
+        # at q = 2
+        ctx = CountingContext.create(loop(1), max_height=2)
+        table = CountTable({(1,): -Q}, ctx)
+        with pytest.raises(InvariantError, match=(r"^stable count for \(2,\) with degree 2 "
+                                                  r"evaluates to -1 at q = 2$")):
+            stable_end_degree_poly(table, (1,), 2)
 
     @pytest.mark.parametrize("quiver,theta,height", [(loop(3), None, 8),
                                                      (KRONECKER, (1, 0), 12),

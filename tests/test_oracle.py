@@ -505,6 +505,33 @@ class TestOrbits:
         c = oracle._primitive_root(p)
         assert len({pow(c, e, p) for e in range(p - 1)}) == p - 1
 
+    @pytest.mark.parametrize("p, rows, cols, loop, off, free, dim", [
+        # a 2 x 2 loop's 4 orbits between free digits, with a zero column at 5;
+        # several representatives share a block
+        (2, 2, 2, True, 1, [0, 6, 7], 8),
+        # m = 0: the one empty representative, the free digits alone
+        (3, 0, 0, False, 0, [0, 2, 3], 4),
+        # dim = 0: one point with no column
+        (2, 0, 0, False, 0, [], 0),
+        # p^8 > _BLOCK at p = 3: one representative per block, its free
+        # values split across blocks
+        (3, 1, 1, False, 8, list(range(8)), 9),
+    ])
+    def test_sliced_blocks_cover_each_pair_once(self, p, rows, cols, loop, off, free, dim):
+        reps, _ = oracle._arrow_orbits(p, rows, cols, loop)
+        m = reps.shape[1]
+        fixed = [e for e in range(dim) if not off <= e < off + m and e not in free]
+        seen = []
+        for digits, first, n in oracle._sliced_blocks(reps, off, free, dim, p):
+            assert digits.shape[1] == dim and 0 < digits.shape[0] <= _BLOCK
+            assert digits.shape[0] % n == 0
+            for t, row in enumerate(digits.tolist()):
+                r = first + t // n
+                assert row[off:off + m] == reps[r].tolist()
+                assert all(row[e] == 0 for e in fixed)
+                seen.append((r, tuple(row[e] for e in free)))
+        assert len(seen) == len(set(seen)) == reps.shape[0] * p ** len(free)
+
 
 class TestKernels:
     """The blocked kernels against the per-point reference functions of

@@ -175,6 +175,13 @@ class TestQBinomials:
                     rhs = rhs * (ONE - QPoly.monomial(n + i))
                 assert lhs == rhs, (n, m)
 
+    def test_symmetric_entries_are_one(self, monkeypatch):
+        # [n, m] = [m, n] is one table entry, whichever is asked for first
+        monkeypatch.setattr(quiver_module, "_QBINOMS", [])
+        for n in range(9):
+            for m in range(9):
+                assert _qbinom_poly(n, m) is _qbinom_poly(m, n), (n, m)
+
     def test_deep_table_from_cold(self, monkeypatch):
         # the q-Pascal table fills 1501 rows at the default recursion limit
         monkeypatch.setattr(quiver_module, "_QBINOMS", [])
