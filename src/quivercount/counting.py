@@ -39,7 +39,7 @@ from math import gcd, prod
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .numtheory import divisors, integer_binomial, mobius, necklace_count
+from .numtheory import binomial_row, divisors, integer_binomial, mobius, necklace_count
 from .qpoly import QPoly, RationalFunction, binomial_jet, trunc_div, trunc_mul
 from .quiver import (DimVector, Quiver, TruncationSpec, _qbinom_poly, _solve_by_height,
                      height, qbinom_vec, slope, subvectors, vec_add, vec_scale, vec_sub)
@@ -340,7 +340,7 @@ def qbinom_jet(lam: Sequence[int], beta: Sequence[int], order: int) -> QPoly:
 
 @lru_cache(maxsize=None)
 def _q_integer_jet(k: int, length: int) -> QPoly:  # [k]_q in t, cut to length terms
-    return QPoly([integer_binomial(k, j + 1) for j in range(length)])
+    return QPoly(binomial_row(k, length + 1)[1:])
 
 
 def residual_q1_expansion(ctx: CountingContext, order: int

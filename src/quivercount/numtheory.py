@@ -1,5 +1,5 @@
 """Small number-theoretic helpers: divisors, Mobius function, necklace
-counts, primality, binomials."""
+counts, primality, binomials (every one read off a binomial row)."""
 
 from __future__ import annotations
 
@@ -77,14 +77,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def binomial_row(n: int, length: int) -> list[int]:
+    """The generalized binomials C(n, 0), ..., C(n, length - 1) for any
+    integer n, each from the one before by (j + 1) C(n, j + 1) = (n - j) C(n, j)."""
+    row = [1][:length]
+    for j in range(length - 1):
+        c, r = divmod((n - j) * row[j], j + 1)
+        assert not r
+        row.append(c)
+    return row
+
+
 def integer_binomial(n: int, k: int) -> int:
     """Generalized binomial C(n, k) for any integer n and k >= 0."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    num = 1
-    den = 1
-    for j in range(k):
-        num *= n - j
-        den *= j + 1
-    assert num % den == 0
-    return num // den
+    return binomial_row(n, k + 1)[-1]

@@ -11,7 +11,8 @@ in lowest terms, so every operation is exact integer arithmetic and
   Karatsuba), and unpacks the sum's digits once; a long product is its
   one-term case.
 - Division is fraction-free, by one pseudo-division that also gives the
-  remainders of `poly_gcd`.  `exact_div` divides by the primitive part of
+  remainders of `poly_gcd` and, on reversed coefficients, the jet
+  quotients of `trunc_div`.  `exact_div` divides by the primitive part of
   the divisor over Z; by Gauss's lemma an exact quotient of an integer
   polynomial by a primitive one has integer coefficients, so the division
   is exact only when the pseudo-division never scales and leaves no
@@ -38,7 +39,7 @@ from itertools import accumulate as _accumulate
 from math import gcd as _int_gcd, lcm as _int_lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
-from .numtheory import integer_binomial
+from .numtheory import binomial_row
 from .value import Value
 
 Scalar = Union[int, Fraction]
@@ -474,23 +475,23 @@ def trunc_mul(a: QPoly, b: QPoly, n: int) -> QPoly:
 def trunc_div(a: QPoly, b: QPoly, n: int) -> QPoly:
     """The quotient a / b modulo x^n; PoleError if b has zero constant term.
 
-    With a = A / da and b = B / db over Z, a / b = db sum v_k x^k / (da B_0^n),
-    where B_0 v_k = A_k B_0^n - sum_{1<=j<=k} B_j v_{k-j}, an exact integer
-    division: v_k carries the factor B_0^(n-1-k)."""
-    num, den = a._n, b._n
-    if not den or not den[0]:
+    Reversal makes it a polynomial quotient (von zur Gathen & Gerhard, "Modern
+    Computer Algebra", 9.1): with A = a mod x^n padded to n terms and
+    B = b mod x^n of degree d, dividing u = x^d rev(A) by v = rev(B) gives
+    s u = quot v + rem with rev(quot) = s A / B modulo x^n.  _int_pdivmod
+    scales only a step that does not divide, so an integral quotient has s = 1.
+    """
+    if not b._n or not b._n[0]:
         raise PoleError("division by a series with zero constant term")
-    lead, scale = den[0], den[0] ** n
-    v = []
-    for k in range(n):
-        top = num[k] * scale if k < len(num) else 0
-        v.append((top - sum(x * y for x, y in zip(den[1:k + 1], reversed(v)))) // lead)
-    return QPoly._make([x * b._d for x in v], a._d * scale)
+    num, den = a._n[:n], b._n[:max(n, 1)]
+    u = (0,) * (len(den) - 1 + n - len(num)) + num[::-1]
+    s, quot, _ = _int_pdivmod(u, den[::-1])
+    return QPoly._make([x * b._d for x in reversed(quot)], a._d * s)
 
 
 def binomial_jet(e: int, c: Scalar, n: int) -> QPoly:
     """(1 + c x)^e modulo x^n, for any integer exponent e."""
-    return QPoly([integer_binomial(e, k) * c**k for k in range(n)])
+    return QPoly([coeff * c**k for k, coeff in enumerate(binomial_row(e, n))])
 
 
 # -- polynomial gcd -----------------------------------------------------------

@@ -170,18 +170,24 @@ def vec_scale(a: DimVector, k: int) -> DimVector:
 
 
 def dim_vectors(nvars: int, max_height: int) -> Iterator[DimVector]:
-    """All vectors in N^nvars of height <= max_height, by (height, lex)."""
+    """All vectors in N^nvars of height <= max_height, by (height, lex).
 
-    def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
+    Each height starts at (0, ..., 0, h); the lex successor moves one unit
+    from the last nonzero entry (never the first) one place left, and the
+    rest of that entry to the end.
+    """
     for h in range(max_height + 1):
-        yield from compositions(h, nvars)
+        v = [0] * (nvars - 1) + [h]
+        while True:
+            yield tuple(v)
+            i = nvars - 1
+            while i and not v[i]:
+                i -= 1
+            if not i:
+                break
+            rest, v[i] = v[i] - 1, 0
+            v[i - 1] += 1
+            v[-1] = rest
 
 
 def subvectors(alpha: DimVector) -> Iterator[DimVector]:

@@ -467,6 +467,16 @@ EXACT_OUTPUTS = [
     (["verify", "--quiver", "cyclic", "--theta", "1,0", "--slope", "1/2",
       "--max-height", "4", "--primes", "2,3"],
      "15df285d097c98a6501d63b69015759d2ff56b17ec11205f8c9e3636a96296df"),
+    # jets of hundreds of terms: [k]_q binomial rows and jet quotients at high
+    # order, and a two-vertex run with k <= 0 jets and divisors whose constant
+    # term is not +-1
+    (["f-expand", "--quiver", "loop2", "--max-height", "3", "--q1-order", "400"],
+     "a356508fc41dd717401e1cc8eb02343f9e6161c407d2e6ce11eadc4143482f9f"),
+    (["f-expand", "--quiver", "loop2", "--max-height", "8", "--q1-order", "100",
+      "--format", "json"],
+     "14c6fa72590f5b46c125dff2019266fb8ac0586c35261ea951d05ab6325773b7"),
+    (["f-expand", "--quiver", "kronecker", "--max-height", "8", "--q1-order", "6"],
+     "aed574061404f75f588cb1d3604efaa5da389fc09eecfc61acde72f7c655fb0c"),
 ]
 
 
@@ -489,7 +499,9 @@ EXACT_OUTPUTS = [
                               "cyclic-reversed-cone-a-series",
                               "kronecker-reversed-cone-a-series",
                               "loop1-r-series-h24", "loop2-r-series-h16-json",
-                              "loop3-verify-h2", "a3-verify-h3", "cyclic-cone-verify-h4"])
+                              "loop3-verify-h2", "a3-verify-h3", "cyclic-cone-verify-h4",
+                              "loop2-f-expand-order400", "loop2-f-expand-order100-json",
+                              "kronecker-f-expand-order6"])
 def test_exact_outputs_are_unchanged(quiver_file, argv, digest):
     argv = [quiver_file(a) if a in QUIVERS
             else str(ROOT / a) if a.startswith("quivers/") else a for a in argv]

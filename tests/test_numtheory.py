@@ -1,8 +1,9 @@
 import time
+from math import comb
 
 import pytest
 
-from quivercount.numtheory import divisors, integer_binomial, is_prime, mobius
+from quivercount.numtheory import binomial_row, divisors, integer_binomial, is_prime, mobius
 
 
 def test_divisors():
@@ -60,3 +61,14 @@ def test_integer_binomial():
     assert integer_binomial(-1, 4) == 1
     assert integer_binomial(-3, 2) == 6
     assert integer_binomial(-2, 3) == -4
+    with pytest.raises(ValueError):
+        integer_binomial(4, -1)
+    # one row gives every binomial: C(n, k) for n >= 0, and
+    # C(n, k) = (-1)^k C(k - n - 1, k) for n < 0
+    for n in range(-12, 13):
+        row = binomial_row(n, 20)
+        expected = [comb(n, k) if n >= 0 else (-1) ** k * comb(k - n - 1, k)
+                    for k in range(20)]
+        assert row == expected, n
+        assert [integer_binomial(n, k) for k in range(20)] == expected, n
+        assert binomial_row(n, 0) == [] and binomial_row(n, 1) == [1]

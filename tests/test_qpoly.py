@@ -309,6 +309,9 @@ int_lists = st.lists(integers, min_size=1, max_size=2 * _KRONECKER_MIN + 4)
 int_divisors = st.lists(integers, min_size=1, max_size=7).filter(lambda v: v[-1] != 0)
 shifts = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-9, 9),
                                                  st.integers(1, 6)))
+# up to 10 coefficients, the constant term nonzero and zeros inside
+series_with_unit = st.builds(lambda c, rest: [Fraction(c)] + rest, scalars.filter(bool),
+                             st.lists(st.one_of(st.just(0), scalars), max_size=9))
 small_rfs = st.builds(RationalFunction, small_polys,
                       small_polys.filter(lambda p: not p.is_zero))
 
@@ -420,6 +423,21 @@ class TestIntegerCore:
         spread = p.adams(k)
         assert is_canonical(spread)
         assert spread == QPoly(ref_horner(list(p.coeffs), [0] * k + [1]))
+
+    @given(st.lists(scalars, max_size=10), series_with_unit, st.integers(0, 8))
+    def test_trunc_div_matches_the_fraction_recurrence(self, a, b, n):
+        # b can be longer than n and have zeros among its first n terms, and
+        # neither operand is cut to n terms before the division
+        ca, cb = pad(a, n), pad(b, n)
+        v = []  # b_0 v_k = a_k - sum_{1<=j<=k} b_j v_{k-j}
+        for k in range(n):
+            v.append((ca[k] - sum(cb[j] * v[k - j] for j in range(1, k + 1))) / cb[0])
+        quot = trunc_div(QPoly(a), QPoly(b), n)
+        assert quot == QPoly(v) and is_canonical(quot)
+        # the integral quotient (B C) / B of the numerators comes back unscaled
+        B, C = QPoly(QPoly(b)._n), QPoly(QPoly(a)._n)
+        exact = trunc_div(B * C, B, n)
+        assert exact == cut(C.coeffs, n) and exact._d == 1
 
 
 # terms (shift, scalar, factors) of an integer linear combination: signed and

@@ -1,7 +1,9 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from quivercount.qpoly import QPoly, RationalFunction
 from quivercount.quiver import (
     Quiver,
     TruncationSpec,
+    dim_vectors,
     qbinom,
     _qbinom_poly,
     qbinom_vec,
@@ -121,6 +124,28 @@ class TestQuiverStructure:
     def test_ringel_matrix_values(self):
         assert A2.ringel_matrix() == ((1, -1), (0, 1))
         assert loop(2).ringel_matrix() == ((-1,),)
+
+
+class TestDimVectors:
+    def test_order_is_height_then_lex(self):
+        for nvars in range(1, 5):
+            for h in range(7):
+                expected = sorted((v for v in product(range(h + 1), repeat=nvars)
+                                   if sum(v) <= h), key=lambda v: (sum(v), v))
+                assert list(dim_vectors(nvars, h)) == expected, (nvars, h)
+
+    def test_many_vertices_need_no_recursion(self):
+        # 200 vertices at height 2, with 40 frames to spare on the stack
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            count = sum(1 for _ in dim_vectors(200, 2))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert count == 1 + 200 + 200 * 201 // 2
 
 
 class TestSlope:
