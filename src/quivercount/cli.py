@@ -60,8 +60,10 @@ def _count(args: argparse.Namespace, out) -> int:
 def _add_common(sub, formats=("text", "json")):
     sub.set_defaults(run=_count)
     sub.add_argument("--quiver", required=True, help="path to a quiver JSON file")
-    sub.add_argument("--theta", default="", help="stability weights, comma separated")
-    sub.add_argument("--slope", default="0", help="target slope as P/Q")
+    sub.add_argument("--theta", default="", help="stability weights, comma separated "
+                     "(a list that starts with '-' in the = form: --theta=-1,0)")
+    sub.add_argument("--slope", default="0", help="target slope as P/Q "
+                     "(a negative one in the = form: --slope=-1/2)")
     sub.add_argument("--max-height", type=int, default=6, dest="max_height")
     sub.add_argument("--format", choices=formats, default="text")
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import gcd, prod
+from math import gcd
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
@@ -84,19 +84,15 @@ class CountingContext(Value):
 # -- building blocks -------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _gl_factor(n: int, k: Optional[int]) -> QPoly:  # one vertex's factors in _gl_order
-    c = [1]
-    for j in range(n):
-        if k is None or j % k:  # c <- (q^n - q^j) c
-            c = [x - y for x, y in zip([0] * n + c, [0] * j + c + [0] * (n - j))]
-    return QPoly._make(c)
-
-
 def _gl_order(alpha: Sequence[int], k: Optional[int] = None) -> QPoly:
     """#GL_alpha = prod_v prod_{j < alpha_v} (q^{alpha_v} - q^j); for k | alpha, only the
     factors with k not dividing j: the Mobius scale #GL_alpha(q) / #GL_{alpha/k}(q^k)."""
-    return prod((_gl_factor(n, k) for n in alpha), start=QPoly.one())
+    c = [1]
+    for n in alpha:
+        for j in range(n):
+            if k is None or j % k:  # c <- (q^n - q^j) c
+                c = [x - y for x, y in zip([0] * n + c, [0] * j + c + [0] * (n - j))]
+    return QPoly._make(c)
 
 
 def rep_ratio(quiver: Quiver, alpha: Sequence[int]) -> RationalFunction:

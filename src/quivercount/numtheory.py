@@ -1,40 +1,38 @@
-"""Small number-theoretic helpers: divisors, Mobius function, necklace
-counts, primality, binomials (every one read off a binomial row)."""
+"""Small number-theoretic helpers: prime factorization (behind divisors and
+the Mobius function), necklace counts, primality, binomials (every one read
+off a binomial row)."""
 
 from __future__ import annotations
 
 
+def prime_factors(n: int) -> dict[int, int]:
+    """The prime factorization {p: e} of n >= 1, by trial division."""
+    if n < 1:
+        raise ValueError("prime_factors defined for n >= 1")
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
 def divisors(n: int) -> list[int]:
     """Positive divisors of n >= 1 in increasing order."""
-    if n < 1:
-        raise ValueError("divisors defined for n >= 1")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    result = [1]
+    for p, e in prime_factors(n).items():
+        result = [d * p**i for d in result for i in range(e + 1)]
+    return sorted(result)
 
 
 def mobius(n: int) -> int:
     """The number-theoretic Mobius function (not the slope function)."""
-    if n < 1:
-        raise ValueError("mobius defined for n >= 1")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
+    factors = prime_factors(n)
+    return 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
 
 
 def necklace_count(colors: int, beads: int) -> int:

@@ -125,7 +125,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402  (after the BLAS thread default above)
 
 from .counting import InvariantError
-from .numtheory import is_prime
+from .numtheory import is_prime, prime_factors
 from .quiver import DimVector, Quiver, height, slope, subvectors
 
 
@@ -341,16 +341,9 @@ def _digit_blocks(ndigits: int, p: int) -> Iterator[np.ndarray]:
 
 
 def _primitive_root(p: int) -> int:
-    """The least generator of F_p^* for a prime p, by trial division of p - 1."""
-    factors, n, q = [], p - 1, 2
-    while q * q <= n:
-        if n % q == 0:
-            factors.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        factors.append(n)
+    """The least generator of F_p^* for a prime p: no (p - 1) / q-th power
+    is 1, for each prime q | p - 1."""
+    factors = prime_factors(p - 1)
     return next(c for c in range(1, p)
                 if all(pow(c, (p - 1) // q, p) != 1 for q in factors))
 

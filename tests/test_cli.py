@@ -118,6 +118,12 @@ def test_verify_ok(quiver_file):
                  "--max-height", "3", "--primes", "2"]) == 0
 
 
+def test_negative_theta_and_slope_in_equals_form(quiver_file, capsys):
+    assert main(["verify", "--quiver", quiver_file("kronecker"), "--theta=-1,0",
+                 "--slope=-1/2", "--max-height", "3", "--primes", "2,3"]) == 0
+    assert capsys.readouterr().out.endswith("checked 6 comparisons, 0 skipped\n")
+
+
 def test_verify_counts_only_as_high_as_its_rows(quiver_file, monkeypatch):
     # no row lies above stable_height(2) = 4, whatever --max-height says
     exact, heights = verify.absolutely_stable_table, []
@@ -553,11 +559,13 @@ def test_exact_outputs_are_unchanged(quiver_file, argv, digest):
     (["verify", "--quiver", "huge", "--max-height", "1"],
      f"arrow counts too large: dim R_alpha at alpha=(1,) passes {sys.maxsize}, "
      "the largest polynomial degree"),
+    (["necklaces", "--colors", "0"], "--colors and --max-beads must be >= 1"),
 ], ids=["theta-length", "slope-zero-denominator", "max-height", "non-prime",
         "repeated-prime", "budget", "q1-order", "f-expand-theta", "f-expand-slope",
         "primes-empty-entry", "primes-empty", "primes-not-integer", "prime-past-int64",
         "theta-empty-entry", "slope-not-fraction", "end-degree-zero",
-        "end-degree-negative", "huge-arrow-count", "huge-arrow-count-verify"])
+        "end-degree-negative", "huge-arrow-count", "huge-arrow-count-verify",
+        "necklaces-colors-zero"])
 def test_usage_error_messages(quiver_file, capsys, argv, message):
     argv = [quiver_file(a) if a in QUIVERS else a for a in argv]
     assert main(argv) == 1
@@ -607,7 +615,10 @@ def test_readme_commands_run(capsys):
     ["a-series", "--quiver", "loop1", "--no-such-flag"],
     ["a-series", "--max-height", "2"],
     ["a-series", "--quiver", "loop1", "--budget", "5"],
-], ids=["bad-choice", "unknown-flag", "missing-quiver", "budget-off-verify"])
+    # argparse reads a value that starts with '-' as a flag
+    ["verify", "--quiver", "kronecker", "--theta", "-1,0", "--slope", "-1/2"],
+], ids=["bad-choice", "unknown-flag", "missing-quiver", "budget-off-verify",
+        "negative-theta-space-form"])
 def test_argparse_errors_are_one_line(quiver_file, capsys, argv):
     argv = [quiver_file(a) if a in QUIVERS else a for a in argv]
     assert main(argv) == 1

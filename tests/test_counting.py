@@ -11,7 +11,6 @@ from quivercount.counting import (
     CountingContext,
     IntegralityError,
     InvariantError,
-    _gl_factor,
     _gl_order,
     _hn_count,
     absolutely_stable_table,
@@ -131,6 +130,19 @@ class TestRepRatio:
                     base = tuple(a // k for a in alpha)
                     assert _gl_order(alpha, k) * _gl_order(base).adams(k) == \
                         _gl_order(alpha), (alpha, k)
+
+    def test_gl_order_takes_no_qpoly_product(self, monkeypatch):
+        # one integer list: a zero entry adds no step, and no QPoly is multiplied
+        expected = _gl_order((3,)) * _gl_order((2,))
+        scale = _gl_order((4,)).exact_div(_gl_order((2,)).adams(2)) * \
+            _gl_order((6,)).exact_div(_gl_order((3,)).adams(2))
+
+        def forbidden(*args):
+            raise AssertionError("QPoly product in _gl_order")
+
+        monkeypatch.setattr(QPoly, "__mul__", forbidden)
+        assert _gl_order((0,) * 500 + (3, 0, 2)) == expected
+        assert _gl_order((4, 0, 6), 2) == scale
 
     def test_closed_form_via_conjugated_binomial(self):
         for quiver in (loop(1), loop(2), A2, KRONECKER):
@@ -350,7 +362,6 @@ class TestStableClassTable:
         monkeypatch.setattr(QPoly, "exact_div",
                             lambda a, b: dividends.append(a) or exact_div(a, b))
         monkeypatch.setattr(quiver_module, "_QBINOMS", [])
-        _gl_factor.cache_clear()
         mu = Fraction(1, 2) if theta else Fraction(0)
         ctx = CountingContext.create(quiver, theta=theta, mu=mu, max_height=height)
         counts = sum(1 for a in ctx.trunc.vectors() if sum(a))
@@ -426,6 +437,8 @@ class TestResidualSeries:
         layers = residual_q1_expansion(ctx, 2)
         assert layers[0] == {(0, 0): 1}
         assert layers[1] == {} and layers[2] == {}
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            residual_q1_expansion(ctx, -1)
 
     def test_exp_and_recursion_agree(self):
         for m in (1, 2, 3):

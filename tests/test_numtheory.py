@@ -1,9 +1,10 @@
 import time
-from math import comb
+from math import comb, prod
 
 import pytest
 
-from quivercount.numtheory import binomial_row, divisors, integer_binomial, is_prime, mobius
+from quivercount.numtheory import (binomial_row, divisors, integer_binomial, is_prime, mobius,
+                                   prime_factors)
 
 
 def test_divisors():
@@ -17,6 +18,25 @@ def test_divisors():
 def test_mobius():
     values = [mobius(n) for n in range(1, 13)]
     assert values == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+
+
+def test_one_factorization_behind_divisors_and_mobius():
+    assert prime_factors(1) == {}
+    for n in range(1, 2001):
+        factors = prime_factors(n)
+        assert all(is_prime(p) and e >= 1 for p, e in factors.items()), n
+        assert prod(p**e for p, e in factors.items()) == n
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+        square_free = all(n % (d * d) for d in range(2, n + 1))
+        primes = sum(1 for p in range(2, n + 1) if n % p == 0 and is_prime(p))
+        assert mobius(n) == ((-1) ** primes if square_free else 0), n
+
+
+@pytest.mark.parametrize("function", [prime_factors, divisors, mobius])
+@pytest.mark.parametrize("n", [0, -1, -12])
+def test_factorization_rejects_n_below_one(function, n):
+    with pytest.raises(ValueError):
+        function(n)
 
 
 def test_mobius_inversion_identity():

@@ -284,6 +284,8 @@ class TestCounts:
         for p in (2, 3):
             assert count_absolutely_stable(loop(1), (2,), (0,), p) == 0
         assert count_stable_with_end_dim(loop(1), (2,), (0,), 2, 2) == 1
+        with pytest.raises(ValueError, match="endomorphism degree must be >= 1"):
+            count_stable_with_end_dim(loop(1), (2,), (0,), 2, 0)
 
     def test_counts_match_per_point_reference(self):
         for quiver, alpha, theta, p in REFERENCE_CELLS + SLICED_CELLS:

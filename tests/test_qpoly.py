@@ -530,3 +530,27 @@ class TestRationalFunctionLaws:
             assert is_canonical(x.num) and is_canonical(x.den)
             assert x.den.leading() == 1
             assert poly_gcd(x.num, x.den).degree == 0
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: QPoly([1.5]), TypeError),
+    (lambda: QPoly.monomial(-1), ValueError),
+    (lambda: QPoly().leading(), ValueError),
+    (lambda: QPoly.one() ** -1, ValueError),
+    (lambda: Q.exact_div(QPoly()), ZeroDivisionError),
+    (lambda: Q.adams(0), ValueError),
+    (lambda: RationalFunction(1, 0), ZeroDivisionError),
+    (lambda: RationalFunction(Q).adams(0), ValueError),
+    (lambda: RationalFunction(Q, Q - 1).taylor_at_one(-1), ValueError),
+], ids=["float-coefficient", "negative-monomial", "zero-leading", "negative-power",
+        "exact-div-by-zero", "adams-zero", "zero-denominator", "rf-adams-zero",
+        "negative-taylor-order"])
+def test_input_checks(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_scalar_over_rational_function():
+    rf = RationalFunction(Q, Q - 1)
+    assert 2 / rf == RationalFunction(2 * (Q - 1), Q)
+    assert Fraction(1, 2) / rf == RationalFunction(Q - 1, 2 * Q)

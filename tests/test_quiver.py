@@ -313,3 +313,16 @@ class TestGeneratingSeries:
            st.integers(0, 3))
     def test_weight_jet_matches_taylor(self, lam, beta, order):
         assert qbinom_jet(lam, beta, order) == qbinom_vec(lam, beta).taylor_at_one(order)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Quiver.from_json({"vertices": ["a"]}), "needs 'arrows' or 'matrix'"),
+    (lambda: slope((1, 0), (1,)), "same length"),
+    (lambda: TruncationSpec(0, 3), "at least one variable"),
+    (lambda: TruncationSpec(1, 0), "max_height"),
+    (lambda: qbinom(3, -1), "nonnegative"),
+], ids=["no-arrows-or-matrix", "slope-length", "no-variables", "zero-height",
+        "negative-qbinom-index"])
+def test_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

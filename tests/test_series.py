@@ -498,3 +498,16 @@ class TestRecurrences:
         assert a * b == reference_twisted_mul(a, b, zero_form)
         assert twisted_mul(a, b, form) == restrict(
             twisted_mul(restrict(a, full), restrict(b, full), form), trunc)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda tr: Series(tr, {(1,): 1}), ValueError),
+    (lambda tr: Series(tr, {(1, 0): "q"}), TypeError),
+    (lambda tr: adams(Series.one(tr), 0), ValueError),
+    (lambda tr: ordinary_exp(Series.one(tr)), ValueError),
+    (lambda tr: ordinary_log(Series.zero(tr)), ValueError),
+], ids=["key-length", "coefficient-type", "adams-zero", "exp-constant-term",
+        "log-constant-term"])
+def test_input_checks(build, error):
+    with pytest.raises(error):
+        build(TruncationSpec(2, 3))
